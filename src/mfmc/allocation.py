@@ -18,9 +18,25 @@ with rho_1 = 1 and rho_{K+1} = 0, and m_1 = B / sum_i w_i r_i. The closed
 form only exists when the squared correlations decrease strictly along the
 hierarchy and each cost drop outpaces the correlation drop (equivalently,
 the r_i increase strictly). Models breaking those conditions are dropped:
-this module picks, among all admissible subsets containing the
-high-fidelity model, the one minimizing the achievable error, which also
-resolves ties by retaining the cheaper model.
+this module picks, among all admissible chains (the high-fidelity model
+plus a subset of companions, in index order), the one whose rounded
+integer plan has the smallest error, then the smallest cost, then the
+fewest models, then the smallest subset mask.
+
+Rounding every admissible chain would cost 2^(K-1) roundings. Instead, a
+chain's continuous optimum sigma-bar^2 S^2 / B, with
+S = sum_i sqrt(w_i gap_i), bounds its integer error from below; the bound
+used here is tighter still, because m_1 must be an integer no smaller than
+the count floor and no larger than the budget over the chain's total cost.
+S is a sum over consecutive pairs of the chain and admissibility is a test
+on consecutive triples, so a best-first search over (previous, current)
+model pairs, guided by an exact O(K^3) backward DP of the smallest
+remaining part of S, meets chains in nondecreasing bound. Each chain it
+meets is checked and rounded exactly as a full enumeration would; the
+search stops once the bound exceeds the best error found, with a relative
+margin so that chains tying the best are still rounded. Model selection is
+therefore exact and has no cap on K: it costs O(K^3) plus one rounding per
+chain whose bound can still beat the best plan, usually one or a few.
 
 Vector-valued outputs reduce to the scalar problem through weighted
 aggregates: sigma-bar^2 sums the per-component high-fidelity variances and
@@ -29,7 +45,9 @@ rho-bar_i^2 is the variance-weighted average of the squared correlations.
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,33 +187,6 @@ def _chain_ratios(rho_sq_chain, w_chain):
     return r
 
 
-def _admissible_chains(rho_bar_sq, w):
-    """All admissible chains (model 0 plus a subset of companions) with ratios.
-
-    A chain whose closed form breaks (non-decreasing squared correlations or
-    non-increasing count ratios) is omitted: its constrained optimum sits on
-    a boundary where some model is effectively unused, which a smaller chain
-    realizes at lower cost. The bare high-fidelity chain is always included.
-    """
-    k = len(rho_bar_sq)
-    candidates = [
-        i
-        for i in range(1, k)
-        if np.isfinite(rho_bar_sq[i]) and 0.0 < rho_bar_sq[i] < 1.0
-    ]
-    if len(candidates) > 16:
-        raise ValueError("model selection supports at most 17 models")
-    chains = [([0], np.array([1.0]))]
-    for mask in range(1, 1 << len(candidates)):
-        subset = [candidates[j] for j in range(len(candidates)) if mask >> j & 1]
-        chain = [0] + subset
-        v = np.array([1.0] + [rho_bar_sq[i] for i in subset])
-        r = _chain_ratios(v, w[chain])
-        if r is not None:
-            chains.append((chain, r))
-    return chains
-
-
 def _alpha_matrix(stats, retained):
     """Per-component coefficients rho_i sigma_1 / sigma_i for retained models."""
     if isinstance(stats, AggregatedStats):
@@ -304,6 +295,127 @@ def _round_counts(m_real, w_chain, budget, min_samples, mse_coeffs):
     return None if best is None else best[1]
 
 
+# Relative slack for comparing float bounds with float errors and costs:
+# far above the rounding of a sum over a few dozen terms, far below any
+# difference that matters.
+_SLACK = 1e-9
+
+
+def _may_rise(slope_before, slope_after):
+    """Whether consecutive ratios can increase, judged on the slopes with
+    slack, so every chain ``_chain_ratios`` accepts despite its rounding
+    passes; ``_chain_ratios`` still has the final word on each chain."""
+    return slope_before < slope_after * (1.0 + _SLACK)
+
+
+def _best_chain(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
+    """Best rounded plan over all admissible chains, by best-first search.
+
+    Chains are paths 0 -> ... -> end over increasing model indices with
+    strictly decreasing squared correlations (``end`` stands for rho^2 = 0).
+    Edge a -> b carries the gap g = v_a - v_b, the term sqrt(w_a g) of S and
+    the slope g / w_a, which is r_a^2 up to a per-chain factor, so the
+    ratios increase exactly when the slopes do. Returns
+    ``(key, chain, r, m, m_real)`` with key
+    ``(mse, cost, len(chain), subset mask)``, or None.
+    """
+    nodes = [0] + [
+        i
+        for i in range(1, len(rho_bar_sq))
+        if np.isfinite(rho_bar_sq[i]) and 0.0 < rho_bar_sq[i] < 1.0
+    ]
+    end = len(nodes)
+    v = np.concatenate([[1.0], rho_bar_sq[nodes[1:]], [0.0]])
+    wn = np.append(w[nodes], 0.0)
+    gap = v[:, None] - v[None, :]
+    edge = np.triu(gap > 0.0, 1)
+    edge[end] = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(edge, np.sqrt(wn[:, None] * gap), np.inf)
+        slope = np.where(edge, gap / wn[:, None], np.nan)
+    # rest[a, b]: smallest sum of the terms after edge a -> b
+    rest = np.full((end + 1, end + 1), np.inf)
+    rest[:, end] = 0.0
+    for b in range(end - 1, 0, -1):
+        turn = _may_rise(slope[:, b, None], slope[None, b, :])
+        rest[:, b] = np.where(turn, step[b] + rest[b], np.inf).min(axis=1)
+
+    # _round_counts accepts plans costing up to tol; widen it once more so
+    # float rounding in costs and sums cannot make the bound too high.
+    tol = budget * (1.0 + 1e-12) + 1e-12
+    ceiling = tol * (1.0 + _SLACK)
+    w0 = float(w[0])
+
+    def bound(first_gap, later, weight):
+        # Error floor of integer plans whose chain starts with gap first_gap,
+        # whose later terms of S sum to at least ``later`` and whose costs sum
+        # to at least ``weight``: counts are nondecreasing, so m_1 is an
+        # integer in [min_samples, ceiling / weight], and for each such m_1
+        # the later levels do no better than their continuous optimum.
+        top = math.floor(ceiling / weight)
+        if top < min_samples:
+            return math.inf
+        if later == 0.0:
+            return sigma_bar_sq * first_gap / top
+        head = math.sqrt(w0 * first_gap)
+        m_star = ceiling * head / (w0 * (head + later))
+        floor_star = min(max(math.floor(m_star), min_samples), top)
+        lowest = math.inf
+        for m1 in (floor_star, min(floor_star + 1, top)):
+            spare = ceiling - w0 * m1
+            if spare > 0.0:
+                lowest = min(lowest, first_gap / m1 + later**2 / spare)
+        return sigma_bar_sq * lowest
+
+    # entries: bound, tie-breaker, path of node positions, later part of S
+    # so far, cost sum so far; the root is model 0 alone
+    heap = [(0.0, 0, (0,), 0.0, w0)]
+    pushed = 1
+    best = None
+    while heap:
+        lb, _, path, later, weight = heapq.heappop(heap)
+        if best is not None and lb * (1.0 - _SLACK) > best[0][0]:
+            break
+        b = path[-1]
+        if b == end:
+            chain = [nodes[p] for p in path[:-1]]
+            found = _solve_chain(chain, rho_bar_sq, w, sigma_bar_sq, budget, min_samples)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
+            continue
+        follow = edge[b] & (rest[b] < np.inf)
+        if b:
+            follow &= _may_rise(slope[path[-2], b], slope[b])
+        for c in np.flatnonzero(follow):
+            later_c = later + step[b, c] if b else 0.0
+            first = path[1] if b else c
+            lb = bound(gap[0, first], later_c + rest[b, c], weight + wn[c])
+            if lb < np.inf:
+                heapq.heappush(heap, (lb, pushed, path + (c,), later_c, weight + wn[c]))
+                pushed += 1
+    return best
+
+
+def _solve_chain(chain, rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
+    """Ratios, real and rounded counts of one chain with its ranking key;
+    None when the chain is inadmissible or cannot be paid for."""
+    w_chain = w[chain]
+    v = np.concatenate([[1.0], rho_bar_sq[chain[1:]]])
+    r_chain = _chain_ratios(v, w_chain)
+    if r_chain is None:
+        return None
+    mse_coeffs = sigma_bar_sq * (v - np.append(v[1:], 0.0))
+    m1 = budget / float(np.dot(w_chain, r_chain))
+    m_real_chain = m1 * r_chain
+    m_chain = _round_counts(m_real_chain, w_chain, budget, min_samples, mse_coeffs)
+    if m_chain is None:
+        return None
+    mse = float(np.sum(mse_coeffs / m_chain))
+    cost = float(np.dot(w_chain, m_chain))
+    key = (mse, cost, len(chain), sum(1 << i for i in chain))
+    return key, chain, r_chain, m_chain, m_real_chain
+
+
 def optimal_allocation(
     stats, costs: CostModel, budget: float, weights=None, min_samples: int = 1
 ) -> AllocationPlan:
@@ -332,25 +444,18 @@ def optimal_allocation(
             f"budget {budget} cannot pay for {min_samples} high-fidelity sample(s) "
             f"at cost {w[0]}"
         )
-    # Solve and round every admissible chain; keep the best integer plan.
-    # The continuous objective alone cannot rank chains here: at small
-    # budgets a cheap companion can soak up fractional budget that plain
-    # sampling would waste.
-    best = None
-    for chain, r_chain in _admissible_chains(agg.rho_bar_sq, w):
-        w_chain = w[chain]
-        v = np.concatenate([[1.0], agg.rho_bar_sq[chain[1:]]])
-        mse_coeffs = agg.sigma_bar_sq * (v - np.append(v[1:], 0.0))
-        m1 = budget / float(np.dot(w_chain, r_chain))
-        m_real_chain = m1 * r_chain
-        m_chain = _round_counts(m_real_chain, w_chain, budget, min_samples, mse_coeffs)
-        if m_chain is None:
-            continue
-        mse = float(np.sum(mse_coeffs / m_chain))
-        cost = float(np.dot(w_chain, m_chain))
-        key = (mse, cost, len(chain))
-        if best is None or key < best[0]:
-            best = (key, chain, r_chain, m_chain, m_real_chain)
+    if not 0.0 < agg.sigma_bar_sq < np.inf:
+        raise DegenerateStatsError(
+            f"aggregated high-fidelity variance must be positive and finite, "
+            f"got {agg.sigma_bar_sq}"
+        )
+    # Round chains in order of a lower bound on their integer error and stop
+    # once the bound passes the best plan found: the continuous objective
+    # alone cannot rank chains, since at small budgets a cheap companion can
+    # soak up fractional budget that plain sampling would waste. Ties in
+    # (error, cost, chain length) go to the lowest subset mask, the chain a
+    # full enumeration in mask order would meet first.
+    best = _best_chain(agg.rho_bar_sq, w, agg.sigma_bar_sq, budget, min_samples)
     if best is None:
         # even the bare high-fidelity chain failed, which the budget
         # precondition rules out for any sane min_samples

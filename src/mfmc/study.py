@@ -128,6 +128,22 @@ class StudyConfig:
                 )
         if self.mode not in MODES:
             raise UnknownNameError(f"unknown mode {self.mode!r}; available: {MODES}")
+        if self.n_points < 1:
+            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        if self.pilot_size < 3:
+            raise ValueError(f"pilot_size must be >= 3, got {self.pilot_size}")
+        if self.mode == "nonlinear" and self.regression_train_size < 5:
+            raise ValueError(
+                f"regression_train_size must be >= 5 in nonlinear mode, "
+                f"got {self.regression_train_size}"
+            )
+        if self.costs is not None:
+            n_models = get_hierarchy(self.hierarchy, n_points=self.n_points).n_models
+            if len(self.costs) != n_models:
+                raise ValueError(
+                    f"costs has {len(self.costs)} entries but hierarchy "
+                    f"{self.hierarchy!r} has {n_models} models"
+                )
         if (self.budgets is None) == (self.tolerance is None):
             raise ValueError("exactly one of budgets/tolerance must be set")
         if self.replicates < 1:

@@ -3,11 +3,23 @@
 The brute-force routines here are written independently of the library
 internals on purpose: they enumerate or integrate directly from the error
 formula so that the analytic solver has something honest to be checked
-against.
+against. The one exception is ``exhaustive_allocation``, which reuses the
+library's per-chain solver and rounding but enumerates and rounds every
+admissible chain, so the chain search has an exact reference.
 """
 
 import numpy as np
 import pytest
+
+from mfmc.allocation import (
+    AllocationPlan,
+    _alpha_matrix,
+    _as_aggregated,
+    _chain_ratios,
+    _round_counts,
+    predicted_mse,
+)
+from mfmc.errors import InfeasibleBudgetError
 
 
 def telescoping_mse(sigma, rho, m, alpha=None):
@@ -120,6 +132,72 @@ def random_admissible_instance(rng, k=3, m1_range=(3, 18)):
         sigma = rng.uniform(0.5, 3.0, size=k)
         rho = np.sqrt(rho_sq)
         return sigma, rho, w, budget
+
+
+def admissible_chains(rho_bar_sq, w):
+    """Every admissible chain (model 0 plus a subset of companions) with its
+    ratios, in increasing subset-mask order; the bare chain comes first."""
+    k = len(rho_bar_sq)
+    candidates = [
+        i
+        for i in range(1, k)
+        if np.isfinite(rho_bar_sq[i]) and 0.0 < rho_bar_sq[i] < 1.0
+    ]
+    chains = [([0], np.array([1.0]))]
+    for mask in range(1, 1 << len(candidates)):
+        subset = [candidates[j] for j in range(len(candidates)) if mask >> j & 1]
+        chain = [0] + subset
+        v = np.array([1.0] + [rho_bar_sq[i] for i in subset])
+        r = _chain_ratios(v, w[chain])
+        if r is not None:
+            chains.append((chain, r))
+    return chains
+
+
+def exhaustive_allocation(stats, costs, budget, weights=None, min_samples=1):
+    """Reference ``optimal_allocation``: round every admissible chain and keep
+    the first plan with the smallest (error, cost, chain length)."""
+    agg = _as_aggregated(stats, weights)
+    w = costs.w
+    if budget < w[0] * min_samples:
+        raise InfeasibleBudgetError("budget cannot pay for the high-fidelity floor")
+    best = None
+    for chain, r_chain in admissible_chains(agg.rho_bar_sq, w):
+        w_chain = w[chain]
+        v = np.concatenate([[1.0], agg.rho_bar_sq[chain[1:]]])
+        mse_coeffs = agg.sigma_bar_sq * (v - np.append(v[1:], 0.0))
+        m1 = budget / float(np.dot(w_chain, r_chain))
+        m_real_chain = m1 * r_chain
+        m_chain = _round_counts(m_real_chain, w_chain, budget, min_samples, mse_coeffs)
+        if m_chain is None:
+            continue
+        key = (float(np.sum(mse_coeffs / m_chain)), float(np.dot(w_chain, m_chain)), len(chain))
+        if best is None or key < best[0]:
+            best = (key, chain, r_chain, m_chain, m_real_chain)
+    if best is None:
+        raise InfeasibleBudgetError("no chain can be paid for")
+    _, chain, r_chain, m_chain, m_real_chain = best
+    k = costs.n_models
+    retained = np.zeros(k, dtype=bool)
+    retained[chain] = True
+    m = np.zeros(k, dtype=int)
+    m[chain] = m_chain
+    m_real = np.zeros(k)
+    m_real[chain] = m_real_chain
+    r = np.full(k, np.nan)
+    r[chain] = r_chain
+    plan = AllocationPlan(
+        m=m,
+        alpha=_alpha_matrix(stats, retained),
+        retained=retained,
+        predicted_mse=np.nan,
+        budget=float(budget),
+        budget_used=float(np.dot(w, m)),
+        r=r,
+        m_real=m_real,
+    )
+    plan.predicted_mse = predicted_mse(plan, stats, weights)
+    return plan
 
 
 @pytest.fixture

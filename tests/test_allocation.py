@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_best_two, random_admissible_instance, telescoping_mse
+from conftest import (
+    brute_force_best_two,
+    exhaustive_allocation,
+    random_admissible_instance,
+    telescoping_mse,
+)
 from mfmc.allocation import (
     AggregatedStats,
     CostModel,
@@ -242,6 +247,98 @@ def test_rounding_invariants(rho2, wratio, budget):
     retained = plan.m[plan.retained]
     assert np.all(np.diff(retained) >= 0)
     assert plan.budget_used <= plan.budget * (1 + 1e-9)
+
+
+# Squared correlations and costs drawn partly from small pools, so that
+# hypothesis produces exact ties, and partly outside (0, 1) for rho^2.
+_RHO_SQ = st.one_of(
+    st.sampled_from([0.25, 0.5, 0.81, 0.9]),
+    st.sampled_from([0.0, 1.0, math.nan]),
+    st.floats(min_value=0.01, max_value=0.999),
+)
+_COST = st.one_of(
+    st.sampled_from([0.5, 0.1, 0.01]),
+    st.floats(min_value=1e-4, max_value=1.0),
+)
+
+
+@st.composite
+def _allocation_problems(draw, max_models):
+    k = draw(st.integers(min_value=1, max_value=max_models))
+    rho_sq = [1.0] + draw(st.lists(_RHO_SQ, min_size=k - 1, max_size=k - 1))
+    sigma = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=k, max_size=k))
+    w = [draw(st.floats(min_value=0.5, max_value=2.0))]
+    w += draw(st.lists(_COST, min_size=k - 1, max_size=k - 1))
+    budget = draw(st.floats(min_value=1.0, max_value=3000.0))
+    min_samples = draw(st.integers(min_value=1, max_value=2))
+    stats = pilot_stats_from_exact(sigma, np.sqrt(rho_sq))
+    return stats, CostModel(w), budget, min_samples
+
+
+def _allocate_or_infeasible(solver, stats, costs, budget, min_samples):
+    try:
+        return solver(stats, costs, budget, min_samples=min_samples)
+    except InfeasibleBudgetError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_allocation_problems(max_models=10))
+def test_chain_search_matches_exhaustive_oracle(problem):
+    plan = _allocate_or_infeasible(optimal_allocation, *problem)
+    oracle = _allocate_or_infeasible(exhaustive_allocation, *problem)
+    assert (plan is None) == (oracle is None)
+    if plan is None:
+        return
+    assert np.array_equal(plan.m, oracle.m)
+    assert np.array_equal(plan.retained, oracle.retained)
+    assert np.array_equal(plan.r, oracle.r, equal_nan=True)
+    assert np.array_equal(plan.m_real, oracle.m_real)
+    assert plan.predicted_mse == oracle.predicted_mse
+    assert plan.budget_used == oracle.budget_used
+
+
+def test_chain_search_reaches_near_tie_chains():
+    # (v1 - v2) / w1 and v2 / w2 differ only in their last bits: plain
+    # division says the ratios do not rise, _chain_ratios finds them
+    # strictly increasing, and the full chain is the exhaustive winner
+    v = np.array([1.0, 0.793, 0.065])
+    w = np.array([1.0, 0.2603, 0.023241071428571427])
+    assert not (v[1] - v[2]) / w[1] < v[2] / w[2]
+    agg = AggregatedStats(1.0, v, np.array([1.0]), source=None)
+    plan = optimal_allocation(agg, CostModel(w), 3.0)
+    assert plan.m.tolist() == [1, 7, 7]
+    assert np.array_equal(plan.m, exhaustive_allocation(agg, CostModel(w), 3.0).m)
+
+
+def test_twenty_model_hierarchy_allocates():
+    k = 20
+    rho_sq = np.concatenate([[1.0], np.linspace(0.99, 0.3, k - 1)])
+    w = 10.0 ** (-4.0 * np.arange(k) / (k - 1))
+    plan = _plan(np.ones(k), np.sqrt(rho_sq), w, 100.0)
+    assert plan.retained[0] and plan.retained.sum() > 1
+    assert plan.budget_used <= 100.0 * (1 + 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_allocation_problems(max_models=24))
+def test_plan_invariants_up_to_24_models(problem):
+    stats, costs, budget, min_samples = problem
+    plan = _allocate_or_infeasible(optimal_allocation, *problem)
+    if plan is None:
+        assert budget < costs.w[0] * min_samples
+        return
+    assert plan.budget_used <= budget * (1 + 1e-9)
+    assert np.all(np.diff(plan.m[plan.retained]) >= 0)
+    assert np.all(plan.m[~plan.retained] == 0)
+    assert plan.m[0] >= min_samples
+
+
+@pytest.mark.parametrize("sigma_bar_sq", [0.0, math.inf, math.nan])
+def test_degenerate_aggregate_variance_rejected(sigma_bar_sq):
+    agg = AggregatedStats(sigma_bar_sq, np.array([1.0, 0.81]), np.array([1.0]), source=None)
+    with pytest.raises(DegenerateStatsError):
+        optimal_allocation(agg, CostModel([1.0, 0.01]), 100.0)
 
 
 def test_plan_json_round_trip(tmp_path):

@@ -103,6 +103,22 @@ def test_unknown_names_rejected():
         StudyConfig.from_dict({"budget": 3})
 
 
+@pytest.mark.parametrize(
+    "overrides, words",
+    [
+        ({"costs": (1.0, 0.1)}, ["costs", "2", "3"]),
+        ({"costs": (1.0, 0.1, 0.01, 0.001)}, ["costs", "4", "3"]),
+        ({"pilot_size": 2}, ["pilot_size"]),
+        ({"mode": "nonlinear", "regression_train_size": 4}, ["regression_train_size"]),
+        ({"hierarchy": "synthetic-field", "n_points": 0}, ["n_points"]),
+    ],
+)
+def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
+    with pytest.raises(ValueError) as info:
+        StudyConfig(**overrides).validate()
+    assert all(word in str(info.value) for word in words)
+
+
 def test_tolerance_mode_derives_budget(tmp_path):
     config = _tiny_config(tmp_path, budgets=None, tolerance=0.25, replicates=3)
     summary = run_study(config)
