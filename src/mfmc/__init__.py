@@ -71,14 +71,11 @@ from .regression import (
     PiecewiseLinearBridge,
     fit_regressor,
     load_regressor,
-    predict,
     save_regressor,
 )
 from .sampling import (
-    EvaluationCache,
     NestedEvaluations,
     SampleSet,
-    SobolEvaluations,
     SobolSampleBlock,
     build_sobol_block,
     draw_inputs,

@@ -1,19 +1,23 @@
-"""Statistic plugins and the telescoping multifidelity combiners.
+"""Statistic plugins and the one telescoping multifidelity combiner.
 
 A statistic plugin bundles two things:
 
 * ``single_level`` -- the plain estimator of the statistic from one model's
-  samples (a mean, an unbiased variance, a Sobol index vector, ...);
+  outputs (a mean, an unbiased variance, a Sobol index vector, ...);
 * ``pilot_contributions`` -- a per-sample scalarization of the same
   statistic, used only to estimate the variances/correlations that drive
   the sample allocation.
 
-The multifidelity estimate of any statistic is the high-fidelity
-single-level estimate plus, for each cheaper model, a weighted difference
-of that model's single-level estimates at its own sample count and at the
-previous model's count. Because all models see prefixes of one shared
-input sequence, those differences are zero-mean corrections and the
-combination stays unbiased whenever the single-level estimator is.
+The multifidelity estimate of any statistic (:func:`mfmc_statistic`) is the
+high-fidelity single-level estimate plus, for each cheaper model, a
+weighted difference of that model's single-level estimates at its own
+sample count and at the previous model's count. Because all models see
+prefixes of one shared input sequence, those differences are zero-mean
+corrections and the combination stays unbiased whenever the single-level
+estimator is. Regression bridges and Sobol blocks only change what the
+per-model outputs are: :func:`apply_bridges` maps low-fidelity outputs onto
+the high-fidelity scale, and a Sobol block's outputs carry d + 2 columns
+(base, second, mixed_1..mixed_d) that the Sobol plugins read.
 """
 
 from __future__ import annotations
@@ -24,14 +28,7 @@ import numpy as np
 
 from .errors import NotFittedError
 from .hierarchy import ModelHierarchy
-from .sampling import (
-    NestedEvaluations,
-    SobolEvaluations,
-    SobolSampleBlock,
-    SampleSet,
-    evaluate_nested,
-    evaluate_sobol_nested,
-)
+from .sampling import NestedEvaluations, evaluate_nested, sobol_cost_factor
 
 
 def single_level_variance(samples) -> float:
@@ -49,9 +46,10 @@ def sobol_single_level(base, second, mixed, j: int):
     corresponding Sobol input sets, all of the same length m >= 2. Returns
     the variance-scaled (unnormalized) pair (V_j, T_j).
     """
-    b = np.asarray(base, dtype=float)
+    # ``b @ yj`` rounds differently on strided views, so work on contiguous data.
+    b = np.ascontiguousarray(base, dtype=float)
     s2 = np.asarray(second, dtype=float)
-    yj = np.asarray(mixed[j], dtype=float)
+    yj = np.ascontiguousarray(mixed[j], dtype=float)
     m = b.shape[0]
     if m < 2 or s2.shape[0] != m or yj.shape[0] != m:
         raise ValueError("Sobol estimation needs matching blocks with m >= 2")
@@ -94,23 +92,17 @@ class ExpectationStatistic:
     min_samples = 1
     needs_sobol_block = False
 
-    def components(self, evals) -> int:
-        return evals.outputs[0].shape[1]
-
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         return evals.outputs[model_index][:m].mean(axis=0)
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
-        return np.array(evals.outputs[model_index][:n], dtype=float)
+        return np.asarray(evals.outputs[model_index][:n], dtype=float)
 
 
 class VarianceStatistic:
     label = "variance"
     min_samples = 2
     needs_sobol_block = False
-
-    def components(self, evals) -> int:
-        return evals.outputs[0].shape[1]
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         if m < 2:
@@ -124,6 +116,12 @@ class VarianceStatistic:
         return (values - values.mean(axis=0)) ** 2
 
 
+def _sobol_columns(evals, model_index: int, m: int):
+    """(base, second, [mixed_1..mixed_d]) prefixes of one model's block outputs."""
+    out = evals.outputs[model_index][:m]
+    return out[:, 0], out[:, 1], [out[:, c] for c in range(2, out.shape[1])]
+
+
 class SobolMainStatistic:
     """All d main-effect indices, treated as one vector-valued statistic."""
 
@@ -131,24 +129,18 @@ class SobolMainStatistic:
     min_samples = 2
     needs_sobol_block = True
 
-    def components(self, evals) -> int:
-        return evals.block.dimension
-
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
-        base = evals.base[model_index][:m]
-        second = evals.second[model_index][:m]
-        mixed = [yj[:m] for yj in evals.mixed[model_index]]
+        base, second, mixed = _sobol_columns(evals, model_index, m)
         return np.array(
             [sobol_single_level(base, second, mixed, j)[0] for j in range(len(mixed))]
         )
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
-        base = evals.base[model_index][:n]
-        out = np.empty((n, len(evals.mixed[model_index])))
+        base, _, mixed = _sobol_columns(evals, model_index, n)
+        out = np.empty((n, len(mixed)))
         bc = base - base.mean()
-        for j, yj in enumerate(evals.mixed[model_index]):
-            yjc = yj[:n] - yj[:n].mean()
-            out[:, j] = bc * yjc
+        for j, yj in enumerate(mixed):
+            out[:, j] = bc * (yj - yj.mean())
         return out
 
 
@@ -159,19 +151,15 @@ class SobolTotalStatistic:
     min_samples = 2
     needs_sobol_block = True
 
-    def components(self, evals) -> int:
-        return evals.block.dimension
-
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
-        second = evals.second[model_index][:m]
-        mixed = [yj[:m] for yj in evals.mixed[model_index]]
+        _, second, mixed = _sobol_columns(evals, model_index, m)
         return np.array([np.sum((second - yj) ** 2) / (2.0 * m) for yj in mixed])
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
-        second = evals.second[model_index][:n]
-        out = np.empty((n, len(evals.mixed[model_index])))
-        for j, yj in enumerate(evals.mixed[model_index]):
-            out[:, j] = 0.5 * (second - yj[:n]) ** 2
+        _, second, mixed = _sobol_columns(evals, model_index, n)
+        out = np.empty((n, len(mixed)))
+        for j, yj in enumerate(mixed):
+            out[:, j] = 0.5 * (second - yj) ** 2
         return out
 
 
@@ -184,7 +172,7 @@ STATISTICS = {
 
 
 # ---------------------------------------------------------------------------
-# Multifidelity combiners
+# The multifidelity combiner
 # ---------------------------------------------------------------------------
 
 
@@ -198,9 +186,7 @@ class EstimateReport:
     realized_cost: float
     plan: object
     mode: str = "linear"
-    pilot: dict | None = None
     seed: tuple | None = None
-    hierarchy: str = ""
 
     def to_dict(self):
         return {
@@ -209,9 +195,7 @@ class EstimateReport:
             "predicted_mse": float(self.predicted_mse),
             "realized_cost": float(self.realized_cost),
             "mode": self.mode,
-            "pilot": self.pilot,
             "seed": list(self.seed) if self.seed is not None else None,
-            "hierarchy": self.hierarchy,
             "plan": self.plan.to_dict() if hasattr(self.plan, "to_dict") else None,
         }
 
@@ -223,38 +207,34 @@ def _retained_chain(plan):
     return chain
 
 
-def _check_alignment(evals, plan, chain):
-    for i in chain:
-        have = evals.m[i]
-        if have < plan.m[i]:
-            raise ValueError(
-                f"evaluations for model {i} cover {have} samples, plan needs {plan.m[i]}"
-            )
+def mfmc_statistic(evals: NestedEvaluations, plan, statistic) -> EstimateReport:
+    """Telescoping multifidelity estimate of a plug-in statistic.
 
-
-def _telescope(evals, plan, level_estimate):
+    ``evals`` holds each model's outputs -- raw, bridged through
+    :func:`apply_bridges`, or Sobol-block columns. The plan should have been
+    computed from pilot statistics of the same outputs and statistic.
+    """
+    if plan.m[0] < statistic.min_samples:
+        raise ValueError(
+            f"{statistic.label} needs at least {statistic.min_samples} samples per level"
+        )
     chain = _retained_chain(plan)
-    _check_alignment(evals, plan, chain)
-    est = np.atleast_1d(np.asarray(level_estimate(chain[0], int(plan.m[0])), dtype=float))
+    for i in chain:
+        if evals.m[i] < plan.m[i]:
+            raise ValueError(
+                f"evaluations for model {i} cover {evals.m[i]} samples, plan needs {plan.m[i]}"
+            )
+    level = statistic.single_level
+    est = np.atleast_1d(np.asarray(level(evals, chain[0], int(plan.m[0])), dtype=float))
     for prev, i in zip(chain, chain[1:]):
         if plan.m[i] == plan.m[prev]:
             continue  # identical prefixes: the correction is exactly zero
-        hi = np.atleast_1d(level_estimate(i, int(plan.m[i])))
-        lo = np.atleast_1d(level_estimate(i, int(plan.m[prev])))
+        hi = np.atleast_1d(level(evals, i, int(plan.m[i])))
+        lo = np.atleast_1d(level(evals, i, int(plan.m[prev])))
         est = est + plan.alpha[i] * (hi - lo)
-    return est
-
-
-def mfmc_expectation(evals: NestedEvaluations, plan) -> EstimateReport:
-    """Telescoping multifidelity mean, per output component."""
-
-    def level(i, m):
-        return evals.outputs[i][:m].mean(axis=0)
-
-    value = _telescope(evals, plan, level)
     return EstimateReport(
-        statistic="expectation",
-        value=value,
+        statistic=statistic.label,
+        value=est,
         predicted_mse=plan.predicted_mse,
         realized_cost=evals.cost,
         plan=plan,
@@ -262,40 +242,13 @@ def mfmc_expectation(evals: NestedEvaluations, plan) -> EstimateReport:
     )
 
 
-def mfmc_statistic(evals, plan, statistic) -> EstimateReport:
-    """Telescoping multifidelity estimate of an arbitrary plug-in statistic.
-
-    ``evals`` is a NestedEvaluations, or a SobolEvaluations for statistics
-    that need the paired sample blocks. The plan should have been computed
-    from pilot statistics transformed for this same statistic.
-    """
-    if plan.m[0] < statistic.min_samples:
-        raise ValueError(
-            f"{statistic.label} needs at least {statistic.min_samples} samples per level"
-        )
-
-    def level(i, m):
-        return statistic.single_level(evals, i, m)
-
-    value = _telescope(evals, plan, level)
-    seed = getattr(getattr(evals, "samples", None), "seed", None)
-    if seed is None and hasattr(evals, "block"):
-        seed = evals.block.base.seed
-    return EstimateReport(
-        statistic=statistic.label,
-        value=value,
-        predicted_mse=plan.predicted_mse,
-        realized_cost=evals.cost,
-        plan=plan,
-        seed=seed,
-    )
-
-
 def apply_bridges(evals: NestedEvaluations, bridges) -> NestedEvaluations:
     """Map each low-fidelity model's outputs through its fitted bridge.
 
     ``bridges[i-1]`` handles model i. The high-fidelity outputs pass through
-    untouched. Only scalar-output hierarchies are supported.
+    untouched. Only scalar-output hierarchies are supported. The telescoping
+    corrections stay zero-mean, so estimates from bridged outputs stay
+    unbiased however rough the bridges are.
     """
     outputs = [np.array(evals.outputs[0])]
     for i in range(1, len(evals.outputs)):
@@ -312,57 +265,20 @@ def apply_bridges(evals: NestedEvaluations, bridges) -> NestedEvaluations:
     return NestedEvaluations(outputs, evals.m, evals.samples, evals.cost)
 
 
-def mfmc_nonlinear(evals: NestedEvaluations, plan, bridges, statistic=None) -> EstimateReport:
-    """Multifidelity estimate with bridged low-fidelity terms.
-
-    The high-fidelity level enters raw; every cheaper level enters through
-    its fitted 1-D bridge. With ``statistic`` unset this is the expectation
-    estimator; otherwise the statistic's single-level estimator is applied
-    to the raw high-fidelity outputs and to the bridged low-fidelity ones.
-    The correction terms still telescope, so the estimate stays unbiased no
-    matter how rough the bridges are.
-    """
-    if statistic is None:
-        statistic = STATISTICS["expectation"]
-    if statistic.needs_sobol_block:
-        raise ValueError("bridged estimation is not supported for Sobol statistics")
-    bridged = apply_bridges(evals, bridges)
-
-    def level(i, m):
-        source = evals if i == 0 else bridged
-        return statistic.single_level(source, i, m)
-
-    value = _telescope(evals, plan, level)
-    report = EstimateReport(
-        statistic=statistic.label,
-        value=value,
-        predicted_mse=plan.predicted_mse,
-        realized_cost=evals.cost,
-        plan=plan,
-        mode="nonlinear",
-        seed=getattr(evals.samples, "seed", None),
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Plan-aware evaluation helpers
-# ---------------------------------------------------------------------------
-
-
 def evaluate_for_plan(
-    hierarchy: ModelHierarchy, plan, samples: SampleSet, cache=None
+    hierarchy: ModelHierarchy, plan, samples, cost_factor: float = 1.0
 ) -> NestedEvaluations:
     """Evaluate exactly the models and sample counts an allocation plan asks for.
 
+    ``samples`` and ``cost_factor`` are as in :func:`evaluate_nested`.
     Models the plan dropped are skipped entirely (they may sit anywhere in
     the hierarchy); the returned object is indexed like the full hierarchy
     with empty arrays at dropped positions.
     """
     chain = _retained_chain(plan)
     sub = hierarchy.subset(chain)
-    sub_evals = evaluate_nested(sub, samples, plan.m[chain], cache=cache)
-    outputs = [np.empty((0, hierarchy.output_length))] * hierarchy.n_models
+    sub_evals = evaluate_nested(sub, samples, plan.m[chain], cost_factor)
+    outputs = [np.empty((0, sub_evals.outputs[0].shape[1]))] * hierarchy.n_models
     for pos, i in enumerate(chain):
         outputs[i] = sub_evals.outputs[pos]
     m_full = np.zeros(hierarchy.n_models, dtype=int)
@@ -370,26 +286,20 @@ def evaluate_for_plan(
     return NestedEvaluations(outputs, m_full, samples, sub_evals.cost)
 
 
-def evaluate_sobol_for_plan(
-    hierarchy: ModelHierarchy,
-    plan,
-    block: SobolSampleBlock,
-    cost_convention: str = "per-evaluation",
-) -> SobolEvaluations:
-    """Sobol-block analogue of :func:`evaluate_for_plan`."""
-    chain = _retained_chain(plan)
-    sub = hierarchy.subset(chain)
-    sub_evals = evaluate_sobol_nested(sub, block, plan.m[chain], cost_convention)
-    k = hierarchy.n_models
-    base = [np.empty(0)] * k
-    second = [np.empty(0)] * k
-    mixed = [[np.empty(0)] * block.dimension for _ in range(k)]
-    for pos, i in enumerate(chain):
-        base[i] = sub_evals.base[pos]
-        second[i] = sub_evals.second[pos]
-        mixed[i] = sub_evals.mixed[pos]
-    m_full = np.zeros(k, dtype=int)
-    m_full[chain] = plan.m[chain]
-    return SobolEvaluations(
-        base, second, mixed, m_full, block, sub_evals.cost, cost_convention
-    )
+# Kept for perfbench, which calls or traces these names; delete them with the
+# next benchmark change.
+
+
+def mfmc_expectation(evals, plan):
+    return mfmc_statistic(evals, plan, STATISTICS["expectation"])
+
+
+def mfmc_nonlinear(evals, plan, bridges, statistic=STATISTICS["expectation"]):
+    report = mfmc_statistic(apply_bridges(evals, bridges), plan, statistic)
+    report.mode = "nonlinear"
+    return report
+
+
+def evaluate_sobol_for_plan(hierarchy, plan, block, cost_convention="per-evaluation"):
+    factor = sobol_cost_factor(block.dimension, cost_convention)
+    return evaluate_for_plan(hierarchy, plan, block, factor)

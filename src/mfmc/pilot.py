@@ -2,16 +2,14 @@
 
 A small number N of shared samples is pushed through every model; the
 per-component standard deviations and correlations against the
-high-fidelity model are what the allocation solver consumes. Three flavors
-exist, differing only in what gets correlated:
-
-* raw moments -- the model outputs themselves (drives the expectation
-  estimator);
-* statistic-transformed -- per-sample contribution values of an arbitrary
-  statistic (variance, Sobol indices, ...);
-* bridge-transformed -- low-fidelity outputs mapped through a fitted 1-D
-  regression onto the high-fidelity scale, correlated against the *raw*
-  high-fidelity values.
+high-fidelity model are what the allocation solver consumes. One function,
+:func:`estimate_q_stats`, computes them from a statistic's per-sample
+contributions. What gets correlated is decided by the evaluations it is
+given: raw model outputs, low-fidelity outputs bridged onto the
+high-fidelity scale (:func:`~mfmc.estimators.apply_bridges`, which leaves
+model 0 raw), or the (d + 2)-column outputs of a Sobol block. ``kind``
+only labels the result: "raw", "q" (statistic contributions) or "g"
+(bridged).
 
 Components whose high-fidelity variance is exactly zero are flagged
 degenerate; their correlations are undefined and they are excluded from
@@ -27,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import STATISTICS, apply_bridges
-from .sampling import NestedEvaluations
 
 
 @dataclass(eq=False)
@@ -127,15 +124,19 @@ def _resolve_n(evals, n) -> int:
     return n
 
 
-def _stats_from_contributions(contribs, kind, n, statistic,
-                              hf_override=None) -> PilotStats:
-    """Sample deviations/correlations of per-sample contribution arrays.
+def estimate_q_stats(evals, statistic, n: int | None = None, kind: str = "q") -> PilotStats:
+    """Deviations/correlations of a statistic's per-sample contributions.
 
-    ``contribs[i]`` has shape (n, P). When ``hf_override`` is given it
-    replaces the model-0 contributions on the correlation's high-fidelity
-    side (used by the bridged flavor, where model 0 stays raw).
+    ``evals`` may be raw, bridged or Sobol-block evaluations; ``kind`` is
+    stored as the result's label.
     """
-    hf = contribs[0] if hf_override is None else hf_override
+    if isinstance(statistic, str):
+        statistic = STATISTICS[statistic]
+    n = _resolve_n(evals, n)
+    contribs = [
+        statistic.pilot_contributions(evals, i, n) for i in range(len(evals.m))
+    ]
+    hf = contribs[0]
     k = len(contribs)
     p = hf.shape[1]
     sigma = np.empty((k, p))
@@ -158,60 +159,22 @@ def _stats_from_contributions(contribs, kind, n, statistic,
         rho[i] = np.clip(r, -1.0, 1.0)
     if np.any(degenerate):
         rho[1:, degenerate] = np.nan
-    return PilotStats(kind, sigma, rho, n, statistic, degenerate)
-
-
-def estimate_moment_stats(evals: NestedEvaluations, n: int | None = None) -> PilotStats:
-    """Raw per-component deviations and correlations against model 0."""
-    n = _resolve_n(evals, n)
-    contribs = [np.asarray(out[:n], dtype=float) for out in evals.outputs]
-    return _stats_from_contributions(contribs, "raw", n, "expectation")
-
-
-def estimate_q_stats(evals, statistic, n: int | None = None) -> PilotStats:
-    """Deviations/correlations of a statistic's per-sample contributions.
-
-    With the expectation statistic (identity contributions) this reproduces
-    :func:`estimate_moment_stats` exactly.
-    """
-    if isinstance(statistic, str):
-        statistic = STATISTICS[statistic]
-    n = _resolve_n(evals, n)
-    contribs = [
-        statistic.pilot_contributions(evals, i, n) for i in range(len(evals.m))
-    ]
-    return _stats_from_contributions(contribs, "q", n, statistic.label)
-
-
-def estimate_g_stats(
-    evals: NestedEvaluations, bridges, n: int | None = None, statistic=None
-) -> PilotStats:
-    """Bridged deviations/correlations: raw model 0 against bridged companions.
-
-    ``bridges[i-1]`` must already be fitted for every low-fidelity model i,
-    on samples disjoint from the ones in ``evals`` (the caller owns that
-    split). Model 0's deviation stays the raw one; each companion's comes
-    from its bridged values, and the correlation pairs the two.
-    """
-    if statistic is None:
-        statistic = STATISTICS["expectation"]
-    elif isinstance(statistic, str):
-        statistic = STATISTICS[statistic]
-    if statistic.needs_sobol_block:
-        raise ValueError("bridged pilot statistics are not defined for Sobol statistics")
-    n = _resolve_n(evals, n)
-    bridged = apply_bridges(evals, bridges)
-    contribs = [
-        statistic.pilot_contributions(bridged, i, n) for i in range(len(evals.m))
-    ]
-    hf_raw = statistic.pilot_contributions(evals, 0, n)
-    stats = _stats_from_contributions(
-        contribs, "g", n, statistic.label, hf_override=hf_raw
-    )
-    return stats
+    return PilotStats(kind, sigma, rho, n, statistic.label, degenerate)
 
 
 def split_pilot_budget(total: int) -> tuple[int, int]:
     """Even split of a combined pilot budget into (correlation, training) sizes."""
     half = total // 2
     return total - half, half
+
+
+# Kept for perfbench, which calls or traces these names; delete them with the
+# next benchmark change.
+
+
+def estimate_moment_stats(evals, n=None):
+    return estimate_q_stats(evals, "expectation", n, kind="raw")
+
+
+def estimate_g_stats(evals, bridges, n=None, statistic="expectation"):
+    return estimate_q_stats(apply_bridges(evals, bridges), statistic, n, kind="g")

@@ -239,12 +239,7 @@ def fit_regressor(pairs, method: str = "gp", **kwargs):
     x, y = _as_xy(pairs)
     if method not in _METHODS:
         raise ValueError(f"unknown regressor method {method!r}")
-    return _METHODS[method](**kwargs).fit(x, y) if method == "gp" else _METHODS[method]().fit(x, y)
-
-
-def predict(regressor, x):
-    """Posterior (mean, variance) of a fitted bridge at x."""
-    return regressor.predict(x)
+    return _METHODS[method](**kwargs).fit(x, y)
 
 
 def regressor_from_dict(d):

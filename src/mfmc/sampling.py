@@ -11,14 +11,16 @@ position of that stream. Consequences we rely on everywhere:
   result.
 
 All models are evaluated on prefixes of one shared input sequence
-(nested sampling); the statistics machinery depends on that sharing.
+(nested sampling); the statistics machinery depends on that sharing. The
+one evaluation container is :class:`NestedEvaluations`. A Sobol block is
+just a wider input row: model i's outputs on it are (m[i], d + 2) columns
+(base, second, mixed_1..mixed_d), and its cost convention is a plain
+multiplier on the evaluation cost.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -55,15 +57,21 @@ class SampleSet:
     def n(self) -> int:
         return self.inputs.shape[0]
 
+    @property
+    def input_sets(self) -> tuple:
+        return (self.inputs,)
+
 
 @dataclass(eq=False)
 class NestedEvaluations:
     """Per-model outputs on nested prefixes of one shared input sequence.
 
     ``outputs[i]`` has shape (m[i], n_out) and was produced by model i on
-    the first m[i] rows of ``samples``. The sample means needed by the
-    telescoping estimators at any prefix length come from slicing these
-    arrays; no re-evaluation is ever required.
+    the first m[i] rows of ``samples``. On a :class:`SobolSampleBlock`,
+    n_out is d + 2 (base, second, mixed_1..mixed_d), stored column-major so
+    each column is contiguous. The sample means needed by the telescoping
+    estimators at any prefix length come from slicing these arrays; no
+    re-evaluation is ever required.
     """
 
     outputs: list
@@ -93,23 +101,13 @@ class SobolSampleBlock:
     def dimension(self) -> int:
         return len(self.mixed)
 
+    @property
+    def seed(self) -> tuple:
+        return self.base.seed
 
-@dataclass(eq=False)
-class SobolEvaluations:
-    """Per-model outputs on nested prefixes of a Sobol sample block.
-
-    ``base[i]``, ``second[i]`` are (m[i],) arrays; ``mixed[i][j]`` is the
-    (m[i],) output of model i on mixed set j. Only scalar-output models are
-    supported here.
-    """
-
-    base: list
-    second: list
-    mixed: list
-    m: np.ndarray
-    block: SobolSampleBlock
-    cost: float
-    cost_convention: str
+    @property
+    def input_sets(self) -> tuple:
+        return (self.base.inputs, self.second.inputs, *self.mixed)
 
 
 def draw_inputs(hierarchy: ModelHierarchy, m: int, seed, stream: int = BASE_STREAM) -> SampleSet:
@@ -163,29 +161,34 @@ def _evaluate_prefix(model: Model, inputs: np.ndarray, model_index: int) -> np.n
 
 
 def evaluate_nested(
-    hierarchy: ModelHierarchy,
-    samples: SampleSet,
-    m_vec,
-    cache: "EvaluationCache | None" = None,
+    hierarchy: ModelHierarchy, samples, m_vec, cost_factor: float = 1.0
 ) -> NestedEvaluations:
     """Evaluate model i on the first m_vec[i] rows of ``samples``.
 
+    ``samples`` is a :class:`SampleSet` or a :class:`SobolSampleBlock`; a
+    block's (d + 2) input sets become output columns of scalar models, and
+    ``cost_factor`` (see :func:`sobol_cost_factor`) scales the cost.
     m_vec must be nondecreasing over evaluated models; zeros are allowed
     only for a trailing run of dropped models. Equal consecutive entries are
     fine (the corresponding telescoping term is exactly zero downstream).
     """
     m = _validate_m_vec(m_vec, hierarchy.n_models, samples.n)
+    sets = samples.input_sets
+    if len(sets) > 1 and hierarchy.output_length != 1:
+        raise ValueError("Sobol evaluation requires scalar-output models")
+    width = hierarchy.output_length * len(sets)
     outputs = []
     for i, model in enumerate(hierarchy.models):
         if m[i] == 0:
-            outputs.append(np.empty((0, hierarchy.output_length)))
-            continue
-        if cache is not None:
-            out = cache.fetch_or_evaluate(hierarchy.label, samples, i, model, m[i])
+            outputs.append(np.empty((0, width)))
+        elif len(sets) == 1:
+            outputs.append(_evaluate_prefix(model, sets[0][: m[i]], i))
         else:
-            out = _evaluate_prefix(model, samples.inputs[: m[i]], i)
-        outputs.append(out)
-    cost = float(np.dot(hierarchy.costs, m))
+            out = np.empty((m[i], width), order="F")
+            for c, inputs in enumerate(sets):
+                out[:, c] = _evaluate_prefix(model, inputs[: m[i]], i)[:, 0]
+            outputs.append(out)
+    cost = float(np.dot(hierarchy.costs, m) * cost_factor)
     return NestedEvaluations(outputs, m, samples, cost)
 
 
@@ -216,61 +219,10 @@ def sobol_cost_factor(dimension: int, convention: str) -> float:
     raise ValueError(f"unknown Sobol cost convention {convention!r}")
 
 
-def evaluate_sobol_nested(
-    hierarchy: ModelHierarchy,
-    block: SobolSampleBlock,
-    m_vec,
-    cost_convention: str = "per-evaluation",
-) -> SobolEvaluations:
-    """Evaluate every model on nested prefixes of all Sobol input sets."""
-    if hierarchy.output_length != 1:
-        raise ValueError("Sobol evaluation requires scalar-output models")
-    m = _validate_m_vec(m_vec, hierarchy.n_models, block.n)
-    base, second, mixed = [], [], []
-    for i, model in enumerate(hierarchy.models):
-        if m[i] == 0:
-            base.append(np.empty(0))
-            second.append(np.empty(0))
-            mixed.append([np.empty(0)] * block.dimension)
-            continue
-        base.append(_evaluate_prefix(model, block.base.inputs[: m[i]], i)[:, 0])
-        second.append(_evaluate_prefix(model, block.second.inputs[: m[i]], i)[:, 0])
-        mixed.append(
-            [_evaluate_prefix(model, yj[: m[i]], i)[:, 0] for yj in block.mixed]
-        )
+# Kept for perfbench, which traces this name; delete it with the next
+# benchmark change.
+
+
+def evaluate_sobol_nested(hierarchy, block, m_vec, cost_convention="per-evaluation"):
     factor = sobol_cost_factor(block.dimension, cost_convention)
-    cost = float(np.dot(hierarchy.costs, m) * factor)
-    return SobolEvaluations(base, second, mixed, m, block, cost, cost_convention)
-
-
-class EvaluationCache:
-    """On-disk cache of model outputs keyed by (label, seed, model, row).
-
-    Stores one float64 ``.npy`` file per (hierarchy label, sample seed,
-    stream, model index); a fetch returns the first m rows, evaluating and
-    appending only the missing tail. Round-trips are bit-exact.
-    """
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, label: str, samples: SampleSet, model_index: int) -> Path:
-        key = f"{label}|{samples.seed}|{samples.stream}|{model_index}"
-        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return self.directory / f"{digest}.npy"
-
-    def fetch_or_evaluate(
-        self, label: str, samples: SampleSet, model_index: int, model: Model, m: int
-    ) -> np.ndarray:
-        path = self._path(label, samples, model_index)
-        cached = None
-        if path.exists():
-            cached = np.load(path)
-            if cached.shape[0] >= m:
-                return np.array(cached[:m])
-        start = 0 if cached is None else cached.shape[0]
-        tail = _evaluate_prefix(model, samples.inputs[start:m], model_index)
-        full = tail if cached is None else np.vstack([cached, tail])
-        np.save(path, full)
-        return np.array(full[:m])
+    return evaluate_nested(hierarchy, block, m_vec, factor)

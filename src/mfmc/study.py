@@ -32,11 +32,9 @@ from .allocation import (
 from .errors import MFMCError, UnknownNameError
 from .estimators import (
     STATISTICS,
+    apply_bridges,
     evaluate_for_plan,
-    evaluate_sobol_for_plan,
-    mfmc_nonlinear,
     mfmc_statistic,
-    sobol_indices_single_level,
 )
 from .hierarchy import (
     HIERARCHY_NAMES,
@@ -48,15 +46,9 @@ from .hierarchy import (
     quintic_variance,
     synthetic_field_grid,
 )
-from .pilot import PilotStats, estimate_g_stats, estimate_moment_stats, estimate_q_stats
+from .pilot import PilotStats, estimate_q_stats, split_pilot_budget
 from .regression import fit_regressor
-from .sampling import (
-    build_sobol_block,
-    draw_inputs,
-    evaluate_nested,
-    evaluate_sobol_nested,
-    sobol_cost_factor,
-)
+from .sampling import build_sobol_block, draw_inputs, evaluate_nested, sobol_cost_factor
 
 STAT_ORDER = {"expectation": 0, "variance": 1, "sobol-main": 2, "sobol-total": 3}
 MODES = ("linear", "nonlinear")
@@ -112,9 +104,9 @@ class StudyConfig:
         if self.output_weights is not None:
             self.output_weights = tuple(float(v) for v in self.output_weights)
         if self.pilot_budget is not None:
-            half = int(self.pilot_budget) // 2
-            self.pilot_size = int(self.pilot_budget) - half
-            self.regression_train_size = half
+            self.pilot_size, self.regression_train_size = split_pilot_budget(
+                int(self.pilot_budget)
+            )
 
     def validate(self):
         if self.hierarchy not in HIERARCHY_NAMES:
@@ -230,6 +222,79 @@ def _component_weights(config: StudyConfig, hierarchy, stat) -> np.ndarray:
     return w
 
 
+def _cost_factor(config: StudyConfig, hierarchy, stat) -> float:
+    """Cost units charged per input row of one model (see ``sobol_cost_factor``)."""
+    if stat.needs_sobol_block:
+        return sobol_cost_factor(hierarchy.input_dimension, config.sobol_cost_convention)
+    return 1.0
+
+
+def _draw(hierarchy, stat, n: int, seed):
+    """n input rows for ``stat``: a Sobol block for Sobol statistics, else plain draws."""
+    if stat.needs_sobol_block:
+        return build_sobol_block(hierarchy, n, seed)
+    return draw_inputs(hierarchy, n, seed)
+
+
+def _pilot_cost(config: StudyConfig, hierarchy, stat) -> float:
+    """Cost of the pilot stage: the pilot rows, plus the bridge training rows."""
+    k = hierarchy.n_models
+    factor = _cost_factor(config, hierarchy, stat)
+    cost = float(np.dot(hierarchy.costs, [config.pilot_size] * k) * factor)
+    if config.mode == "nonlinear":
+        cost += float(np.dot(hierarchy.costs, [config.regression_train_size] * k))
+    return cost
+
+
+def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
+    """Pilot draw, bridge fit and pilot statistics of replicate ``rep``.
+
+    Returns (stats, bridges, pilot cost); bridges is None in linear mode.
+    The pilot streams do not depend on the statistic, so every statistic of
+    a replicate sees the same pilot samples.
+    """
+    k = hierarchy.n_models
+    n = config.pilot_size
+    samples = _draw(hierarchy, stat, n, (config.seed, _PILOT, rep))
+    evals = evaluate_nested(hierarchy, samples, [n] * k, _cost_factor(config, hierarchy, stat))
+    kind = "raw" if stat.label == "expectation" else "q"
+    bridges = None
+    if config.mode == "nonlinear":
+        n_train = config.regression_train_size
+        train_samples = draw_inputs(hierarchy, n_train, (config.seed, _TRAIN, rep))
+        train = evaluate_nested(hierarchy, train_samples, [n_train] * k)
+        hf = train.outputs[0][:, 0]
+        bridges = [
+            fit_regressor(np.column_stack([train.outputs[i][:, 0], hf]))
+            for i in range(1, k)
+        ]
+        evals = apply_bridges(evals, bridges)
+        kind = "g"
+    stats = estimate_q_stats(evals, stat, kind=kind)
+    return stats, bridges, _pilot_cost(config, hierarchy, stat)
+
+
+def _absolute_budget(
+    config: StudyConfig, hierarchy, stat, stats, costs, weights, budget, pilot_cost
+) -> float:
+    """Estimation budget in absolute cost units.
+
+    ``budget`` is in the configured unit, or None in tolerance mode, where
+    it is derived from the pilot statistics. With ``include_pilot_cost``
+    the pilot cost is taken out of it.
+    """
+    if config.tolerance is not None:
+        budget_abs = budget_for_tolerance(stats, costs, config.tolerance, weights)
+        budget_abs = max(budget_abs, costs.w[0] * stat.min_samples)
+    elif config.budget_unit == "hf-equivalent":
+        budget_abs = float(budget) * hierarchy.costs[0]
+    else:
+        budget_abs = float(budget)
+    if config.include_pilot_cost:
+        budget_abs = budget_abs - pilot_cost
+    return budget_abs
+
+
 def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dict:
     """One full pilot -> allocation -> estimation pass.
 
@@ -240,72 +305,22 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     """
     hierarchy = config.build_hierarchy()
     stat = STATISTICS[stat_label]
-    stat_idx = STAT_ORDER[stat_label]
     w = hierarchy.costs
-    k = hierarchy.n_models
-    n_pilot = config.pilot_size
-    seed = config.seed
-    sobol = stat.needs_sobol_block
-    factor = (
-        sobol_cost_factor(hierarchy.input_dimension, config.sobol_cost_convention)
-        if sobol
-        else 1.0
-    )
-    eff_costs = CostModel(w * factor)
+    stats, bridges, pilot_cost = _pilot_stage(config, hierarchy, stat, rep)
 
-    if sobol:
-        pilot_block = build_sobol_block(hierarchy, n_pilot, (seed, _PILOT, rep))
-        pilot_evals = evaluate_sobol_nested(
-            hierarchy, pilot_block, [n_pilot] * k, config.sobol_cost_convention
-        )
-    else:
-        pilot_samples = draw_inputs(hierarchy, n_pilot, (seed, _PILOT, rep))
-        pilot_evals = evaluate_nested(hierarchy, pilot_samples, [n_pilot] * k)
-    pilot_cost = pilot_evals.cost
-
-    bridges = None
-    if config.mode == "nonlinear":
-        n_train = config.regression_train_size
-        train_samples = draw_inputs(hierarchy, n_train, (seed, _TRAIN, rep))
-        train_evals = evaluate_nested(hierarchy, train_samples, [n_train] * k)
-        hf = train_evals.outputs[0][:, 0]
-        bridges = [
-            fit_regressor(np.column_stack([train_evals.outputs[i][:, 0], hf]))
-            for i in range(1, k)
-        ]
-        pilot_cost += train_evals.cost
-        stats = estimate_g_stats(pilot_evals, bridges, statistic=stat)
-    elif stat_label == "expectation":
-        stats = estimate_moment_stats(pilot_evals)
-    else:
-        stats = estimate_q_stats(pilot_evals, stat)
-
+    factor = _cost_factor(config, hierarchy, stat)
+    costs = CostModel(w * factor)
     weights = _component_weights(config, hierarchy, stat)
-    if config.tolerance is not None:
-        budget_abs = budget_for_tolerance(stats, eff_costs, config.tolerance, weights)
-        budget_abs = max(budget_abs, eff_costs.w[0] * stat.min_samples)
-    elif config.budget_unit == "hf-equivalent":
-        budget_abs = float(budget) * w[0]
-    else:
-        budget_abs = float(budget)
-    if config.include_pilot_cost:
-        budget_abs = budget_abs - pilot_cost
-    plan = optimal_allocation(stats, eff_costs, budget_abs, weights, stat.min_samples)
+    budget_abs = _absolute_budget(
+        config, hierarchy, stat, stats, costs, weights, budget, pilot_cost
+    )
+    plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
 
-    est_seed = (seed, _ESTIMATE + stat_idx, rep)
-    m_max = int(plan.m.max())
-    if sobol:
-        est_block = build_sobol_block(hierarchy, m_max, est_seed)
-        est_evals = evaluate_sobol_for_plan(
-            hierarchy, plan, est_block, config.sobol_cost_convention
-        )
-    else:
-        est_samples = draw_inputs(hierarchy, m_max, est_seed)
-        est_evals = evaluate_for_plan(hierarchy, plan, est_samples)
-    if bridges is not None:
-        report = mfmc_nonlinear(est_evals, plan, bridges, stat)
-    else:
-        report = mfmc_statistic(est_evals, plan, stat)
+    est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
+    samples = _draw(hierarchy, stat, int(plan.m.max()), est_seed)
+    est_evals = evaluate_for_plan(hierarchy, plan, samples, factor)
+    bridged = est_evals if bridges is None else apply_bridges(est_evals, bridges)
+    report = mfmc_statistic(bridged, plan, stat)
 
     return {
         "replicate": rep,
@@ -495,7 +510,9 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     hierarchy = config.build_hierarchy()
     budget = None if config.budgets is None else config.budgets[0]
-    summary = {"config": config.to_dict(), "statistics": {}}
+    # The worker count never changes a result, so it is left out of the report.
+    settings = {k: v for k, v in config.to_dict().items() if k != "jobs"}
+    summary = {"config": settings, "statistics": {}}
     for stat_label in config.statistics:
         records = _run_batch(config, stat_label, budget)
         reference = reference_values(config, stat_label, hierarchy)
@@ -575,28 +592,17 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
     """
     config.validate()
     hierarchy = config.build_hierarchy()
-    hf = hierarchy.models[0]
+    hf = hierarchy.subset([0])
     n = int(config.reference_samples)
     table = {"_meta": {"hierarchy": config.hierarchy, "n_samples": n, "seed": config.seed}}
-    needs_block = any(STATISTICS[s].needs_sobol_block for s in config.statistics)
-    plain_stats = [s for s in config.statistics if not STATISTICS[s].needs_sobol_block]
-    if plain_stats:
-        samples = draw_inputs(hierarchy, n, (config.seed, _REFERENCE))
-        outputs = hf.evaluate_batch(samples.inputs)
-        if "expectation" in plain_stats:
-            table["expectation"] = [float(v) for v in outputs.mean(axis=0)]
-        if "variance" in plain_stats:
-            table["variance"] = [float(v) for v in np.var(outputs, axis=0, ddof=1)]
-    if needs_block:
-        block = build_sobol_block(hierarchy, n, (config.seed, _REFERENCE))
-        base = hf.evaluate_batch(block.base.inputs)[:, 0]
-        second = hf.evaluate_batch(block.second.inputs)[:, 0]
-        mixed = [hf.evaluate_batch(yj)[:, 0] for yj in block.mixed]
-        indices = sobol_indices_single_level(base, second, mixed)
-        if "sobol-main" in config.statistics:
-            table["sobol-main"] = [float(v) for v in indices["main"]]
-        if "sobol-total" in config.statistics:
-            table["sobol-total"] = [float(v) for v in indices["total"]]
+    evals = {}  # plain draws and the Sobol block are each evaluated once
+    for stat_label in config.statistics:
+        stat = STATISTICS[stat_label]
+        key = stat.needs_sobol_block
+        if key not in evals:
+            samples = _draw(hierarchy, stat, n, (config.seed, _REFERENCE))
+            evals[key] = evaluate_nested(hf, samples, [n])
+        table[stat_label] = [float(v) for v in stat.single_level(evals[key], 0, n)]
     if out_path is None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -606,53 +612,36 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
 
 
 def run_pilot(config: StudyConfig, out_dir=None) -> dict:
-    """Estimate and save the pilot statistics for each configured statistic."""
+    """Estimate and save the pilot statistics for each configured statistic.
+
+    These are the pilot statistics of replicate 0 of a study on the same
+    config.
+    """
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hierarchy = config.build_hierarchy()
-    k = hierarchy.n_models
-    n = config.pilot_size
     results = {}
     for stat_label in config.statistics:
-        stat = STATISTICS[stat_label]
-        if stat.needs_sobol_block:
-            block = build_sobol_block(hierarchy, n, (config.seed, _PILOT, 0))
-            evals = evaluate_sobol_nested(
-                hierarchy, block, [n] * k, config.sobol_cost_convention
-            )
-        else:
-            samples = draw_inputs(hierarchy, n, (config.seed, _PILOT, 0))
-            evals = evaluate_nested(hierarchy, samples, [n] * k)
-        if config.mode == "nonlinear":
-            n_train = config.regression_train_size
-            ts = draw_inputs(hierarchy, n_train, (config.seed, _TRAIN, 0))
-            tevals = evaluate_nested(hierarchy, ts, [n_train] * k)
-            hf = tevals.outputs[0][:, 0]
-            bridges = [
-                fit_regressor(np.column_stack([tevals.outputs[i][:, 0], hf]))
-                for i in range(1, k)
-            ]
-            stats = estimate_g_stats(evals, bridges, statistic=stat)
-        elif stat_label == "expectation":
-            stats = estimate_moment_stats(evals)
-        else:
-            stats = estimate_q_stats(evals, stat)
-        path = out / f"pilot_{stat_label}.json"
-        stats.save(path)
+        stats, _, _ = _pilot_stage(config, hierarchy, STATISTICS[stat_label], rep=0)
+        stats.save(out / f"pilot_{stat_label}.json")
         results[stat_label] = stats
     return results
 
 
 def run_allocate(config: StudyConfig, out_dir=None) -> dict:
-    """Allocate from previously saved pilot statistics, without new model runs."""
+    """Allocate from previously saved pilot statistics, without new model runs.
+
+    The plan equals the one replicate 0 of a study on the same config uses,
+    tolerance mode and ``include_pilot_cost`` included.
+    """
     config.validate()
-    if config.budgets is None or len(config.budgets) != 1:
+    if config.budgets is not None and len(config.budgets) != 1:
         raise ValueError("allocate needs exactly one budget")
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hierarchy = config.build_hierarchy()
-    w = hierarchy.costs
+    budget = None if config.budgets is None else config.budgets[0]
     plans = {}
     for stat_label in config.statistics:
         stat = STATISTICS[stat_label]
@@ -660,19 +649,13 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
         if not pilot_path.exists():
             raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
         stats = PilotStats.load(pilot_path)
-        factor = (
-            sobol_cost_factor(hierarchy.input_dimension, config.sobol_cost_convention)
-            if stat.needs_sobol_block
-            else 1.0
-        )
-        eff_costs = CostModel(w * factor)
+        costs = CostModel(hierarchy.costs * _cost_factor(config, hierarchy, stat))
         weights = _component_weights(config, hierarchy, stat)
-        budget_abs = (
-            config.budgets[0] * w[0]
-            if config.budget_unit == "hf-equivalent"
-            else config.budgets[0]
+        pilot_cost = _pilot_cost(config, hierarchy, stat)
+        budget_abs = _absolute_budget(
+            config, hierarchy, stat, stats, costs, weights, budget, pilot_cost
         )
-        plan = optimal_allocation(stats, eff_costs, budget_abs, weights, stat.min_samples)
+        plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
         plan.save(out / f"allocation_{stat_label}.json")
         plans[stat_label] = plan
     return plans

@@ -35,7 +35,7 @@ from mfmc.hierarchy import (
     synthetic_field_hierarchy,
 )
 from mfmc.pilot import pilot_stats_from_exact
-from mfmc.sampling import build_sobol_block, draw_inputs, evaluate_sobol_nested
+from mfmc.sampling import build_sobol_block, draw_inputs, evaluate_nested
 from mfmc.study import StudyConfig, run_replicate
 
 REPLICATES = 100
@@ -279,8 +279,8 @@ def test_criterion_6_sobol_indices(sobol_mfmc_records):
     # single-level estimates at one million samples
     h = ishigami_hierarchy().subset([0])
     block = build_sobol_block(h, 1_000_000, 999)
-    evals = evaluate_sobol_nested(h, block, [1_000_000])
-    out = sobol_indices_single_level(evals.base[0], evals.second[0], evals.mixed[0])
+    y = evaluate_nested(h, block, [1_000_000]).outputs[0]
+    out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)
     single_ok = np.all(np.abs(out["main_normalized"] - main_ref) < 0.005) and np.all(
         np.abs(out["total_normalized"] - total_ref) < 0.005
     )

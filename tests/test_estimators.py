@@ -8,7 +8,6 @@ from mfmc.estimators import (
     STATISTICS,
     apply_bridges,
     evaluate_for_plan,
-    evaluate_sobol_for_plan,
     mfmc_expectation,
     mfmc_nonlinear,
     mfmc_statistic,
@@ -31,7 +30,6 @@ from mfmc.sampling import (
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
-    evaluate_sobol_nested,
 )
 
 
@@ -111,8 +109,8 @@ def test_sobol_inactive_coordinate_total_effect_is_exactly_zero():
         (Uniform(0, 1), Uniform(0, 1), Uniform(0, 1)),
     )
     block = build_sobol_block(h, 64, 7)
-    evals = evaluate_sobol_nested(h, block, [64])
-    _, t3 = sobol_single_level(evals.base[0], evals.second[0], evals.mixed[0], 2)
+    y = evaluate_nested(h, block, [64]).outputs[0]
+    _, t3 = sobol_single_level(y[:, 0], y[:, 1], y[:, 2:].T, 2)
     assert t3 == 0.0
 
 
@@ -125,8 +123,8 @@ def test_sobol_additive_single_coordinate_main_effect():
         (Uniform(-1, 1), Uniform(-1, 1)),
     )
     block = build_sobol_block(h, 40_000, 11)
-    evals = evaluate_sobol_nested(h, block, [40_000])
-    out = sobol_indices_single_level(evals.base[0], evals.second[0], evals.mixed[0])
+    y = evaluate_nested(h, block, [40_000]).outputs[0]
+    out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)
     assert out["main_normalized"][1] == pytest.approx(1.0, abs=0.02)
     assert out["main_normalized"][0] == pytest.approx(0.0, abs=0.02)
     assert out["total_normalized"][1] == pytest.approx(1.0, abs=0.02)
@@ -137,8 +135,8 @@ def test_sobol_ishigami_moderate_sample_sanity():
 
     h = ishigami_hierarchy().subset([0])
     block = build_sobol_block(h, 200_000, 23)
-    evals = evaluate_sobol_nested(h, block, [200_000])
-    out = sobol_indices_single_level(evals.base[0], evals.second[0], evals.mixed[0])
+    y = evaluate_nested(h, block, [200_000]).outputs[0]
+    out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)
     main, total = ishigami_sobol_indices()
     assert np.allclose(out["main_normalized"], main, atol=0.02)
     assert np.allclose(out["total_normalized"], total, atol=0.02)

@@ -7,7 +7,6 @@ from mfmc.regression import (
     PiecewiseLinearBridge,
     fit_regressor,
     load_regressor,
-    predict,
     regressor_from_dict,
     save_regressor,
 )
@@ -95,6 +94,13 @@ def test_refuses_degenerate_inputs():
         fit_regressor(_pairs(np.arange(4.0), np.arange(4.0)))  # too few
 
 
+def test_fit_regressor_passes_keywords_to_every_bridge():
+    x = np.linspace(0, 1, 10)
+    assert fit_regressor(_pairs(x, x), "gp", nugget=1e-6).nugget == 1e-6
+    with pytest.raises(TypeError):
+        fit_regressor(_pairs(x, x), "piecewise-linear", nugget=1e-6)
+
+
 def test_unfitted_prediction_raises():
     with pytest.raises(NotFittedError):
         GaussianProcessBridge().predict(0.0)
@@ -105,7 +111,7 @@ def test_unfitted_prediction_raises():
 def test_scalar_prediction_returns_floats():
     x = np.linspace(0, 1, 10)
     reg = fit_regressor(_pairs(x, x))
-    mean, var = predict(reg, 0.5)
+    mean, var = reg.predict(0.5)
     assert isinstance(mean, float) and isinstance(var, float)
     assert mean == pytest.approx(0.5, abs=1e-3)
 

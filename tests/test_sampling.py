@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from mfmc.hierarchy import ishigami_hierarchy, synthetic_field_hierarchy, Model, ModelHierarchy, Normal
 from mfmc.sampling import (
-    EvaluationCache,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
-    evaluate_sobol_nested,
     sobol_cost_factor,
 )
 
@@ -119,29 +117,31 @@ def test_sobol_block_degenerate_identity():
 def test_sobol_cost_counts_d_plus_two_blocks():
     h = ishigami_hierarchy()
     block = build_sobol_block(h, 10, 3)
-    evals = evaluate_sobol_nested(h, block, [10, 10, 10], "per-evaluation")
     assert sobol_cost_factor(3, "per-evaluation") == 5.0
+    evals = evaluate_nested(h, block, [10, 10, 10], sobol_cost_factor(3, "per-evaluation"))
     assert evals.cost == pytest.approx(5 * 10 * (1 + 0.05 + 0.001))
-    per_sample = evaluate_sobol_nested(h, block, [10, 10, 10], "per-sample")
+    per_sample = evaluate_nested(h, block, [10, 10, 10], sobol_cost_factor(3, "per-sample"))
     assert per_sample.cost == pytest.approx(10 * (1 + 0.05 + 0.001))
     with pytest.raises(ValueError):
         sobol_cost_factor(3, "per-widget")
 
 
-def test_evaluation_cache_round_trip(tmp_path):
+def test_sobol_block_outputs_are_d_plus_two_contiguous_columns():
     h = ishigami_hierarchy()
-    s = draw_inputs(h, 50, 17)
-    cache = EvaluationCache(tmp_path)
-    first = evaluate_nested(h, s, [10, 20, 50], cache=cache)
-    again = evaluate_nested(h, s, [10, 20, 50], cache=cache)
-    # a longer draw reuses the cached prefix and appends only the tail
-    longer = draw_inputs(h, 60, 17)
-    grown = evaluate_nested(h, longer, [15, 30, 60], cache=cache)
-    direct = evaluate_nested(h, longer, [15, 30, 60])
-    for ya, yb in zip(first.outputs, again.outputs):
-        assert np.array_equal(ya, yb)
-    for ya, yb in zip(grown.outputs, direct.outputs):
-        assert np.array_equal(ya, yb)
+    block = build_sobol_block(h, 12, 4)
+    evals = evaluate_nested(h, block, [5, 12, 0])
+    sets = [block.base.inputs, block.second.inputs, *block.mixed]
+    for i, model in enumerate(h.models[:2]):
+        out = evals.outputs[i]
+        assert out.shape == (evals.m[i], 5)
+        for c, inputs in enumerate(sets):
+            assert out[:, c].flags.c_contiguous
+            assert np.array_equal(out[:, c], model.evaluate_batch(inputs[: evals.m[i]])[:, 0])
+    assert evals.outputs[2].shape == (0, 5)
+    assert evals.samples.seed == block.base.seed
+    field = synthetic_field_hierarchy(n_points=3)
+    with pytest.raises(ValueError):
+        evaluate_nested(field, build_sobol_block(field, 4, 1), [4] * field.n_models)
 
 
 class _Linear:

@@ -13,6 +13,7 @@ from mfmc.study import (
     replicate_sweep,
     run_allocate,
     run_pilot,
+    run_replicate,
     run_study,
 )
 
@@ -56,11 +57,16 @@ def test_run_study_outputs_are_byte_identical(tmp_path):
 
 
 def test_parallel_jobs_do_not_change_outputs(tmp_path):
-    serial = run_study(_tiny_config(tmp_path, out_dir=str(tmp_path / "s"), jobs=1))
-    parallel = run_study(_tiny_config(tmp_path, out_dir=str(tmp_path / "p"), jobs=2))
-    fa = (tmp_path / "s" / "replicates_expectation.csv").read_bytes()
-    fb = (tmp_path / "p" / "replicates_expectation.csv").read_bytes()
-    assert fa == fb
+    # Both runs write to the same directory so that the echoed out_dir matches.
+    outputs = []
+    for jobs in (1, 2):
+        run_study(_tiny_config(tmp_path, jobs=jobs))
+        out = tmp_path / "out"
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        for p in out.iterdir():
+            p.unlink()
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
 
 
 def test_cost_ledger_consistency(tmp_path):
@@ -203,6 +209,35 @@ def test_pilot_then_allocate_without_reevaluation(tmp_path):
     assert (out / "allocation_expectation.json").exists()
     assert plans["expectation"].m[0] >= 1
     assert plans["variance"].m[0] >= 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"statistics": ("expectation",)},
+        {"statistics": ("variance",), "budgets": (200.0,), "include_pilot_cost": True},
+        {
+            "hierarchy": "quintic",
+            "mode": "nonlinear",
+            "pilot_budget": 60,
+            "budgets": (200.0,),
+            "include_pilot_cost": True,
+        },
+        {"statistics": ("expectation", "sobol-total"), "budgets": None, "tolerance": 0.3},
+    ],
+)
+def test_pilot_then_allocate_matches_replicate_zero(tmp_path, overrides):
+    config = _tiny_config(tmp_path, **overrides)
+    run_pilot(config)
+    plans = run_allocate(config)
+    budget = None if config.budgets is None else config.budgets[0]
+    for stat in config.statistics:
+        rec = run_replicate(config, stat, budget, 0)
+        plan = plans[stat]
+        assert np.array_equal(plan.m, rec["m"])
+        assert np.array_equal(plan.retained, rec["retained"])
+        assert plan.predicted_mse == rec["predicted_mse"]
+        assert plan.budget == rec["budget_abs"]
 
 
 def test_cli_estimate_and_errors(tmp_path, capsys):
