@@ -90,11 +90,12 @@ class GaussianProcessBridge:
         )
         tau_grid = [float(self.nugget)] if self.nugget is not None else list(NUGGET_GRID)
         n = x.size
+        eye = np.eye(n)
         best = None
         for ell in ell_grid:
             corr = np.exp(-0.5 * d2 / ell**2)
             for tau in tau_grid:
-                kmat = corr + tau * np.eye(n)
+                kmat = corr + tau * eye
                 try:
                     chol = np.linalg.cholesky(kmat)
                 except np.linalg.LinAlgError:
@@ -103,17 +104,16 @@ class GaussianProcessBridge:
                 s2 = float(a @ a) / n
                 nll = n * np.log(max(s2, 1e-300)) + 2.0 * np.log(np.diag(chol)).sum()
                 if best is None or nll < best[0]:
-                    best = (nll, ell, tau, chol)
+                    best = (nll, ell, tau, chol, a)
         if best is None:
             raise np.linalg.LinAlgError(
                 "kernel factorization failed for every hyperparameter candidate; "
                 "increase the nugget"
             )
-        _, ell, tau, chol = best
+        _, ell, tau, chol, z = best
         self.length_scale = ell
         self.nugget = tau
         self._chol = chol
-        z = np.linalg.solve(chol, resid)
         self._weights = np.linalg.solve(chol.T, z)
         self._signal_variance = float(z @ z) / n
         self.fitted = True

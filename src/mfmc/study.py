@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -69,7 +70,8 @@ class StudyConfig:
     one of ``budgets``/``tolerance`` must be set. ``pilot_budget``, when
     given, is split evenly into the correlation-pilot size and the bridge
     training size. Pilot cost is reported separately and only subtracted
-    from the estimation budget when ``include_pilot_cost`` is set.
+    from a given budget when ``include_pilot_cost`` is set; a tolerance
+    budget is never reduced by it.
     """
 
     hierarchy: str = "ishigami"
@@ -246,12 +248,33 @@ def _pilot_cost(config: StudyConfig, hierarchy, stat) -> float:
     return cost
 
 
+@functools.lru_cache(maxsize=1)
+def _fit_bridges(hierarchy_name: str, n_points: int, n_train: int, seed, rep: int) -> tuple:
+    """GP bridges of replicate ``rep``, one per low-fidelity model.
+
+    Each is fitted on (low, high) output pairs from the training stream
+    (seed, _TRAIN, rep). The arguments are everything the fit reads (model
+    costs do not enter it), so a cached result is never stale; the single
+    entry lets the statistics of one replicate share a fit while memory
+    stays bounded. The cached bridges are only read, never refitted.
+    """
+    hierarchy = get_hierarchy(hierarchy_name, n_points=n_points)
+    k = hierarchy.n_models
+    samples = draw_inputs(hierarchy, n_train, (seed, _TRAIN, rep))
+    train = evaluate_nested(hierarchy, samples, [n_train] * k)
+    hf = train.outputs[0][:, 0]
+    return tuple(
+        fit_regressor(np.column_stack([train.outputs[i][:, 0], hf])) for i in range(1, k)
+    )
+
+
 def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
-    """Pilot draw, bridge fit and pilot statistics of replicate ``rep``.
+    """Pilot draw, bridges and pilot statistics of replicate ``rep``.
 
     Returns (stats, bridges, pilot cost); bridges is None in linear mode.
-    The pilot streams do not depend on the statistic, so every statistic of
-    a replicate sees the same pilot samples.
+    The pilot and training streams do not depend on the statistic, so every
+    statistic of a replicate sees the same pilot samples and the same
+    bridges, which ``_fit_bridges`` fits once per replicate.
     """
     k = hierarchy.n_models
     n = config.pilot_size
@@ -260,14 +283,9 @@ def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
     kind = "raw" if stat.label == "expectation" else "q"
     bridges = None
     if config.mode == "nonlinear":
-        n_train = config.regression_train_size
-        train_samples = draw_inputs(hierarchy, n_train, (config.seed, _TRAIN, rep))
-        train = evaluate_nested(hierarchy, train_samples, [n_train] * k)
-        hf = train.outputs[0][:, 0]
-        bridges = [
-            fit_regressor(np.column_stack([train.outputs[i][:, 0], hf]))
-            for i in range(1, k)
-        ]
+        bridges = _fit_bridges(
+            config.hierarchy, config.n_points, config.regression_train_size, config.seed, rep
+        )
         evals = apply_bridges(evals, bridges)
         kind = "g"
     stats = estimate_q_stats(evals, stat, kind=kind)
@@ -280,13 +298,15 @@ def _absolute_budget(
     """Estimation budget in absolute cost units.
 
     ``budget`` is in the configured unit, or None in tolerance mode, where
-    it is derived from the pilot statistics. With ``include_pilot_cost``
-    the pilot cost is taken out of it.
+    the estimation budget the tolerance needs is derived from the pilot
+    statistics. With ``include_pilot_cost`` the pilot cost is taken out of
+    a given budget; a tolerance budget is left whole, since the pilot is
+    already paid for, and the pilot cost still counts in the cost ledger.
     """
     if config.tolerance is not None:
         budget_abs = budget_for_tolerance(stats, costs, config.tolerance, weights)
-        budget_abs = max(budget_abs, costs.w[0] * stat.min_samples)
-    elif config.budget_unit == "hf-equivalent":
+        return max(budget_abs, costs.w[0] * stat.min_samples)
+    if config.budget_unit == "hf-equivalent":
         budget_abs = float(budget) * hierarchy.costs[0]
     else:
         budget_abs = float(budget)
@@ -342,27 +362,29 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
 
 
 def _replicate_task(payload):
+    """Every configured statistic of one replicate, in order, so they share its bridges."""
     config = StudyConfig.from_dict(payload["config"])
-    return run_replicate(config, payload["statistic"], payload["budget"], payload["replicate"])
+    return [
+        run_replicate(config, stat_label, payload["budget"], payload["replicate"])
+        for stat_label in config.statistics
+    ]
 
 
-def _run_batch(config: StudyConfig, stat_label: str, budget) -> list:
+def _run_replicates(config: StudyConfig, budget) -> list:
+    """Records of every replicate, one list per configured statistic.
+
+    One task runs one replicate; each list is in replicate order.
+    """
     payloads = [
-        {
-            "config": config.to_dict(),
-            "statistic": stat_label,
-            "budget": budget,
-            "replicate": r,
-        }
+        {"config": config.to_dict(), "budget": budget, "replicate": r}
         for r in range(config.replicates)
     ]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_replicate_task, payloads))
+            per_replicate = list(pool.map(_replicate_task, payloads))
     else:
-        records = [_replicate_task(p) for p in payloads]
-    records.sort(key=lambda rec: rec["replicate"])
-    return records
+        per_replicate = [_replicate_task(p) for p in payloads]
+    return list(zip(*per_replicate))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +520,11 @@ def _stat_summary(config, records, reference, weights):
 def run_study(config: StudyConfig, out_dir=None) -> dict:
     """Run all configured statistics at one budget (or tolerance); write reports.
 
-    Produces, in the output directory: ``allocation_<stat>.csv`` with the
-    averaged sample counts, coefficients, and correlations per model;
+    Each replicate runs every statistic in turn (replicates are spread over
+    ``jobs`` worker processes), so in nonlinear mode the statistics of a
+    replicate share one bridge fit. Produces, in the output directory:
+    ``allocation_<stat>.csv`` with the averaged sample counts,
+    coefficients, and correlations per model;
     ``replicates_<stat>.csv`` with one row per replicate and component; and
     ``summary.json`` with empirical errors against the reference values.
     """
@@ -513,8 +538,7 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     # The worker count never changes a result, so it is left out of the report.
     settings = {k: v for k, v in config.to_dict().items() if k != "jobs"}
     summary = {"config": settings, "statistics": {}}
-    for stat_label in config.statistics:
-        records = _run_batch(config, stat_label, budget)
+    for stat_label, records in zip(config.statistics, _run_replicates(config, budget)):
         reference = reference_values(config, stat_label, hierarchy)
         weights = _component_weights(config, hierarchy, STATISTICS[stat_label])
         _write_replicates_csv(out / f"replicates_{stat_label}.csv", records)

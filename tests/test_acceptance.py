@@ -183,23 +183,28 @@ def test_criterion_5_quintic_nonlinear_bridge():
         regression_train_size=100, seed=1717,
     )
     truth = 0.5
-    mse_pairs = {}
+    budgets = (40.0, 80.0, 160.0)
+    lin_vals = {b: [] for b in budgets}
+    nl_vals = {b: [] for b in budgets}
     rho_raw = []
     rho_bridged = []
-    for budget in (40.0, 80.0, 160.0):
-        lin_vals, nl_vals = [], []
-        for r in range(REPLICATES):
+    # Budgets inside replicates, so the three budgets of a replicate share its bridge fit.
+    for r in range(REPLICATES):
+        for budget in budgets:
             rec_l = run_replicate(lin, "expectation", budget, r)
             rec_n = run_replicate(nl, "expectation", budget, r)
-            lin_vals.append(rec_l["values"][0])
-            nl_vals.append(rec_n["values"][0])
+            lin_vals[budget].append(rec_l["values"][0])
+            nl_vals[budget].append(rec_n["values"][0])
             if budget == 40.0:
                 rho_raw.append(rec_l["rho"][2, 0])
                 rho_bridged.append(rec_n["rho"][2, 0])
-        mse_pairs[budget] = (
-            float(np.mean((np.array(lin_vals) - truth) ** 2)),
-            float(np.mean((np.array(nl_vals) - truth) ** 2)),
+    mse_pairs = {
+        b: (
+            float(np.mean((np.array(lin_vals[b]) - truth) ** 2)),
+            float(np.mean((np.array(nl_vals[b]) - truth) ** 2)),
         )
+        for b in budgets
+    }
     rho_raw = float(np.mean(rho_raw))
     rho_bridged = float(np.mean(rho_bridged))
     corr_ok = rho_bridged >= 0.98 and rho_raw <= 0.92

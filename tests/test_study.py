@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfmc import study
 from mfmc.cli import main
 from mfmc.errors import MFMCError, UnknownNameError
+from mfmc.regression import GaussianProcessBridge
 from mfmc.study import (
     StudyConfig,
     make_reference,
@@ -69,6 +71,67 @@ def test_parallel_jobs_do_not_change_outputs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _bridged_config(tmp_path, **overrides):
+    settings = dict(
+        hierarchy="quintic", mode="nonlinear", statistics=("expectation", "variance"),
+        budgets=(40.0,), replicates=3, pilot_size=30, regression_train_size=20,
+    )
+    return _tiny_config(tmp_path, **{**settings, **overrides})
+
+
+def _same_record(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if a[key] is None or isinstance(a[key], str):
+            assert a[key] == b[key], key
+        else:
+            assert np.array_equal(a[key], b[key]), key
+
+
+def test_bridges_fit_once_per_replicate(tmp_path, monkeypatch):
+    fits = []
+    original = GaussianProcessBridge.fit
+
+    def counted(self, x, y):
+        fits.append(x)
+        return original(self, x, y)
+
+    monkeypatch.setattr(GaussianProcessBridge, "fit", counted)
+    study._fit_bridges.cache_clear()
+    config = _bridged_config(tmp_path)
+    run_study(config)
+    # one GP per low-fidelity model and replicate, shared by both statistics
+    assert len(fits) == config.replicates * (3 - 1)
+
+
+def test_bridge_memo_never_stale(tmp_path):
+    variants = {
+        "base": _bridged_config(tmp_path),
+        "seed": _bridged_config(tmp_path, seed=8),
+        "train": _bridged_config(tmp_path, regression_train_size=25),
+    }
+    calls = [
+        ("base", "expectation", 0), ("seed", "expectation", 0), ("base", "variance", 0),
+        ("train", "expectation", 0), ("train", "variance", 0), ("base", "expectation", 1),
+        ("base", "variance", 0), ("seed", "variance", 1), ("seed", "expectation", 1),
+    ]
+    interleaved = [run_replicate(variants[v], stat, 40.0, rep) for v, stat, rep in calls]
+    for (v, stat, rep), rec in zip(calls, interleaved):
+        study._fit_bridges.cache_clear()
+        _same_record(rec, run_replicate(variants[v], stat, 40.0, rep))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_multi_statistic_study_matches_single_statistic_studies(tmp_path, jobs):
+    joint = run_study(_bridged_config(tmp_path, jobs=jobs), out_dir=tmp_path / "joint")
+    for stat in ("expectation", "variance"):
+        out = tmp_path / stat
+        single = run_study(_bridged_config(tmp_path, statistics=(stat,)), out_dir=out)
+        for name in (f"replicates_{stat}.csv", f"allocation_{stat}.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "joint" / name).read_bytes()
+        assert single["statistics"][stat] == joint["statistics"][stat]
+
+
 def test_cost_ledger_consistency(tmp_path):
     config = _tiny_config(tmp_path)
     summary = run_study(config)
@@ -123,6 +186,20 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
     with pytest.raises(ValueError) as info:
         StudyConfig(**overrides).validate()
     assert all(word in str(info.value) for word in words)
+
+
+def test_tolerance_budget_is_not_cut_by_pilot_cost(tmp_path):
+    # The pilot (cost 105.1 here) is already paid when the tolerance budget
+    # (about 17) is derived, so folding its cost in must not shrink that budget.
+    config = _tiny_config(
+        tmp_path, budgets=None, tolerance=0.1, pilot_size=100, include_pilot_cost=True
+    )
+    rec = run_replicate(config, "expectation", None, 0)
+    alone = run_replicate(_tiny_config(tmp_path, budgets=None, tolerance=0.1, pilot_size=100),
+                          "expectation", None, 0)
+    assert rec["budget_abs"] == alone["budget_abs"] > 0
+    assert np.array_equal(rec["m"], alone["m"])
+    assert rec["pilot_cost"] > rec["budget_abs"]
 
 
 def test_tolerance_mode_derives_budget(tmp_path):
@@ -224,6 +301,13 @@ def test_pilot_then_allocate_without_reevaluation(tmp_path):
             "include_pilot_cost": True,
         },
         {"statistics": ("expectation", "sobol-total"), "budgets": None, "tolerance": 0.3},
+        {
+            "statistics": ("expectation", "variance"),
+            "budgets": None,
+            "tolerance": 0.1,
+            "pilot_size": 100,
+            "include_pilot_cost": True,
+        },
     ],
 )
 def test_pilot_then_allocate_matches_replicate_zero(tmp_path, overrides):
