@@ -3,9 +3,11 @@
 The brute-force routines here are written independently of the library
 internals on purpose: they enumerate or integrate directly from the error
 formula so that the analytic solver has something honest to be checked
-against. The one exception is ``exhaustive_allocation``, which reuses the
+against. The exceptions are ``exhaustive_allocation``, which reuses the
 library's per-chain solver and rounding but enumerates and rounds every
-admissible chain, so the chain search has an exact reference.
+admissible chain, so the chain search has an exact reference, and
+``exhaustive_gp_fit``, which scores every GP hyperparameter candidate
+exactly, so the screened grid search has one.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from mfmc.allocation import (
     predicted_mse,
 )
 from mfmc.errors import InfeasibleBudgetError
+from mfmc.regression import LENGTH_SCALE_GRID, NUGGET_GRID
 
 
 def telescoping_mse(sigma, rho, m, alpha=None):
@@ -198,6 +201,46 @@ def exhaustive_allocation(stats, costs, budget, weights=None, min_samples=1):
     )
     plan.predicted_mse = predicted_mse(plan, stats, weights)
     return plan
+
+
+def exhaustive_gp_fit(x, y, length_scale=None, nugget=None):
+    """Reference ``GaussianProcessBridge.fit`` for non-constant targets:
+    factor the kernel of every grid candidate, score it exactly, and keep the
+    first strict minimum in grid order. Returns the fitted state as a dict;
+    raises ``LinAlgError`` when no candidate can be factored."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    span = float(np.ptp(x))
+    resid = y - float(y.mean())
+    d2 = (x[:, None] - x[None, :]) ** 2
+    ell_grid = [float(length_scale)] if length_scale is not None else list(LENGTH_SCALE_GRID * span)
+    tau_grid = [float(nugget)] if nugget is not None else list(NUGGET_GRID)
+    n = x.size
+    eye = np.eye(n)
+    best = None
+    for ell in ell_grid:
+        corr = np.exp(-0.5 * d2 / ell**2)
+        for tau in tau_grid:
+            kmat = corr + tau * eye
+            try:
+                chol = np.linalg.cholesky(kmat)
+            except np.linalg.LinAlgError:
+                continue
+            a = np.linalg.solve(chol, resid)
+            s2 = float(a @ a) / n
+            nll = n * np.log(max(s2, 1e-300)) + 2.0 * np.log(np.diag(chol)).sum()
+            if best is None or nll < best[0]:
+                best = (nll, ell, tau, chol, a)
+    if best is None:
+        raise np.linalg.LinAlgError("no candidate kernel can be factored")
+    _, ell, tau, chol, z = best
+    return {
+        "length_scale": ell,
+        "nugget": tau,
+        "chol": chol,
+        "weights": np.linalg.solve(chol.T, z),
+        "signal_variance": float(z @ z) / n,
+    }
 
 
 @pytest.fixture
