@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NotFittedError
 from .hierarchy import ModelHierarchy
-from .sampling import NestedEvaluations, evaluate_nested, sobol_cost_factor
+from .sampling import NestedEvaluations, _row_blocks, evaluate_nested, sobol_cost_factor
 
 
 def single_level_variance(samples) -> float:
@@ -100,6 +100,14 @@ class ExpectationStatistic:
 
 
 class VarianceStatistic:
+    """Per-component unbiased variance.
+
+    ``single_level`` equals ``np.var(outputs[:m], axis=0, ddof=1)`` bit for
+    bit. On vector outputs it works in row blocks (``sampling._row_blocks``)
+    and never holds a second (m, p) array, so its working memory is one
+    block however large m grows.
+    """
+
     label = "variance"
     min_samples = 2
     needs_sobol_block = False
@@ -107,7 +115,23 @@ class VarianceStatistic:
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         if m < 2:
             raise ValueError("variance needs at least 2 samples")
-        return np.var(evals.outputs[model_index][:m], axis=0, ddof=1)
+        x = evals.outputs[model_index][:m]
+        # numpy sums a C-contiguous float array of width >= 2 down axis 0 one
+        # row after another, so a block that carries the running sum in as its
+        # first row adds in np.var's order and matches it bit for bit. Width 1
+        # and other layouts are summed pairwise, which blocking would reorder,
+        # so they call np.var directly.
+        if x.shape[1] < 2 or not x.flags.c_contiguous or x.dtype != np.float64:
+            return np.var(x, axis=0, ddof=1)
+        mean = np.add.reduce(x, axis=0) / m
+        blocks = _row_blocks(m, x.shape[1])
+        buf = np.zeros((blocks[0].stop + 1, x.shape[1]))
+        for rows in blocks:
+            dev = buf[1 : rows.stop - rows.start + 1]
+            np.subtract(x[rows], mean, out=dev)
+            np.square(dev, out=dev)
+            buf[0] = np.add.reduce(buf[: len(dev) + 1], axis=0)
+        return buf[0] / (m - 1)
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
         # Squared deviation from the model's own pilot mean: a per-sample

@@ -32,6 +32,11 @@ from .hierarchy import Model, ModelHierarchy
 BASE_STREAM = 0
 SECOND_STREAM = 1
 
+# Elements per block of the row-blocked passes over model outputs (the
+# finiteness check here, the variance in ``estimators``): their working
+# memory is one block, however many rows the outputs have.
+_BLOCK_ELEMENTS = 65536
+
 
 def _seed_tuple(seed) -> tuple[int, ...]:
     if isinstance(seed, (tuple, list)):
@@ -145,18 +150,34 @@ def _validate_m_vec(m_vec, n_models, n_rows):
     return m
 
 
+def _row_blocks(n_rows: int, width: int) -> list:
+    """Consecutive row slices covering ``n_rows`` rows of ``width`` columns.
+
+    Each block holds about ``_BLOCK_ELEMENTS`` elements and at least one
+    row; the first block is the longest, so it sizes a reusable buffer.
+    """
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
 def _evaluate_prefix(model: Model, inputs: np.ndarray, model_index: int) -> np.ndarray:
+    """One ``evaluate_batch`` call, checked for non-finite values one row block at a time."""
     out = model.evaluate_batch(inputs)
-    bad = ~np.all(np.isfinite(out), axis=1)
-    if np.any(bad):
-        row = int(np.flatnonzero(bad)[0])
-        raise EvaluationError(
-            f"model {model.label!r} (index {model_index}) produced a non-finite "
-            f"output at sample {row}",
-            model_index=model_index,
-            model_label=model.label,
-            sample_index=row,
-        )
+    blocks = _row_blocks(*out.shape)
+    if not blocks:
+        return out
+    finite = np.empty((blocks[0].stop, out.shape[1]), dtype=bool)
+    for rows in blocks:
+        ok = np.isfinite(out[rows], out=finite[: rows.stop - rows.start])
+        if not ok.all():
+            row = rows.start + int(np.flatnonzero(~ok.all(axis=1))[0])
+            raise EvaluationError(
+                f"model {model.label!r} (index {model_index}) produced a non-finite "
+                f"output at sample {row}",
+                model_index=model_index,
+                model_label=model.label,
+                sample_index=row,
+            )
     return out
 
 
@@ -204,6 +225,9 @@ def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SobolSampleBlo
         yj[:, j] = s.inputs[:, j]
         mixed.append(yj)
     return SobolSampleBlock(s, s2, tuple(mixed))
+
+
+SOBOL_COST_CONVENTIONS = ("per-evaluation", "per-sample")
 
 
 def sobol_cost_factor(dimension: int, convention: str) -> float:

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,13 @@ from .hierarchy import (
 )
 from .pilot import PilotStats, estimate_q_stats, split_pilot_budget
 from .regression import fit_regressor
-from .sampling import build_sobol_block, draw_inputs, evaluate_nested, sobol_cost_factor
+from .sampling import (
+    SOBOL_COST_CONVENTIONS,
+    build_sobol_block,
+    draw_inputs,
+    evaluate_nested,
+    sobol_cost_factor,
+)
 
 STAT_ORDER = {"expectation": 0, "variance": 1, "sobol-main": 2, "sobol-total": 3}
 MODES = ("linear", "nonlinear")
@@ -131,19 +138,38 @@ class StudyConfig:
                 f"regression_train_size must be >= 5 in nonlinear mode, "
                 f"got {self.regression_train_size}"
             )
-        if self.costs is not None:
-            n_models = get_hierarchy(self.hierarchy, n_points=self.n_points).n_models
-            if len(self.costs) != n_models:
+        hierarchy = get_hierarchy(self.hierarchy, n_points=self.n_points)
+        if self.costs is not None and len(self.costs) != hierarchy.n_models:
+            raise ValueError(
+                f"costs has {len(self.costs)} entries but hierarchy "
+                f"{self.hierarchy!r} has {hierarchy.n_models} models"
+            )
+        if self.output_weights is not None:
+            if not all(math.isfinite(v) and v > 0 for v in self.output_weights):
                 raise ValueError(
-                    f"costs has {len(self.costs)} entries but hierarchy "
-                    f"{self.hierarchy!r} has {n_models} models"
+                    f"output_weights must be finite and > 0, got {list(self.output_weights)}"
                 )
+            for name in self.statistics:
+                _component_weights(self, hierarchy, STATISTICS[name])
         if (self.budgets is None) == (self.tolerance is None):
             raise ValueError("exactly one of budgets/tolerance must be set")
+        if self.budgets is not None and not all(math.isfinite(b) and b > 0 for b in self.budgets):
+            raise ValueError(f"budgets must be finite and > 0, got {list(self.budgets)}")
+        if self.tolerance is not None and not (
+            math.isfinite(self.tolerance) and self.tolerance > 0
+        ):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.budget_unit not in ("hf-equivalent", "absolute"):
             raise ValueError("budget_unit must be 'hf-equivalent' or 'absolute'")
+        if self.sobol_cost_convention not in SOBOL_COST_CONVENTIONS:
+            raise UnknownNameError(
+                f"unknown sobol_cost_convention {self.sobol_cost_convention!r}; "
+                f"available: {', '.join(SOBOL_COST_CONVENTIONS)}"
+            )
         if self.mode == "nonlinear" and any(
             STATISTICS[s].needs_sobol_block for s in self.statistics
         ):
@@ -220,7 +246,7 @@ def _component_weights(config: StudyConfig, hierarchy, stat) -> np.ndarray:
         return default
     w = np.asarray(config.output_weights, dtype=float)
     if w.shape != (p,):
-        raise ValueError(f"output_weights must have {p} entries for {stat.label}")
+        raise ValueError(f"output_weights must have {p} entries for {stat.label}, got {w.size}")
     return w
 
 

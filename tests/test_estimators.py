@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import telescoping_mse
 from mfmc.allocation import AllocationPlan, CostModel, optimal_allocation
@@ -26,6 +30,7 @@ from mfmc.hierarchy import (
 from mfmc.pilot import estimate_moment_stats, pilot_stats_from_exact
 from mfmc.regression import fit_regressor
 from mfmc.sampling import (
+    _BLOCK_ELEMENTS,
     NestedEvaluations,
     build_sobol_block,
     draw_inputs,
@@ -89,6 +94,62 @@ def test_single_level_variance_values():
     assert single_level_variance(np.full(9, 2.5)) == 0.0
     with pytest.raises(ValueError):
         single_level_variance([1.0])
+
+
+def _variance_layouts(rng, n, width):
+    """(name, array) pairs of n x width outputs in the layouts a plugin may get."""
+    scale = 10.0 ** rng.uniform(-3, 3, size=width)
+    offset = 10.0 ** rng.uniform(-3, 3, size=width)
+    wide = rng.normal(size=(n + 5, 2 * width)) * np.repeat(scale, 2) + np.repeat(offset, 2)
+    c_order = np.ascontiguousarray(wide[:n, :width])
+    return [
+        ("C order", c_order),
+        ("F order", np.asfortranarray(c_order)),
+        ("strided columns", wide[:n, ::2]),
+        ("row prefix", wide[:, :width].copy()),
+    ]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 17, 200])
+def test_variance_statistic_is_bit_identical_to_np_var(width):
+    rows_per_block = max(1, _BLOCK_ELEMENTS // width)
+    edges = [rows_per_block - 1, rows_per_block, rows_per_block + 1, 3 * rows_per_block + 2]
+    rng = np.random.default_rng(width)
+    for n in [2, *(e for e in edges if e >= 2)]:
+        for name, x in _variance_layouts(rng, n, width):
+            # single_level slices its own prefix, so the "row prefix" layout
+            # holds 5 more rows than it is asked for
+            evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
+            got = STATISTICS["variance"].single_level(evals, 0, n)
+            assert np.array_equal(got, np.var(x[:n], axis=0, ddof=1)), (name, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3000),
+    width=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.integers(0, 3),
+)
+def test_variance_statistic_matches_np_var_property(n, width, seed, layout):
+    name, x = _variance_layouts(np.random.default_rng(seed), n, width)[layout]
+    evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
+    got = STATISTICS["variance"].single_level(evals, 0, n)
+    assert np.array_equal(got, np.var(x[:n], axis=0, ddof=1)), name
+
+
+def test_variance_statistic_memory_is_bounded():
+    x = np.random.default_rng(4).normal(size=(20_000, 200))
+    evals = NestedEvaluations([x], np.array([20_000]), None, 0.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        STATISTICS["variance"].single_level(evals, 0, 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # np.var's squared deviations alone would be 20,000 x 200 x 8 bytes = 32 MB
+    assert peak < 4e6
 
 
 def test_large_sample_ishigami_variance():

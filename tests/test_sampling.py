@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfmc.errors import EvaluationError
 from mfmc.hierarchy import ishigami_hierarchy, synthetic_field_hierarchy, Model, ModelHierarchy, Normal
 from mfmc.sampling import (
+    _BLOCK_ELEMENTS,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -176,3 +180,45 @@ def test_prefix_mean_covariance_cancellation():
     cov = prod.sum() / (reps - 1)
     stderr = prod.std(ddof=1) / np.sqrt(reps)
     assert abs(cov) < 3 * stderr
+
+
+def _table_hierarchy(*tables):
+    """A hierarchy whose model i returns the leading rows of ``tables[i]``."""
+    models = tuple(
+        Model(lambda z, t=t: t[: z.shape[0]], 1.0 / 10**i, f"table{i}", vectorized=True)
+        for i, t in enumerate(tables)
+    )
+    return ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=tables[0].shape[1])
+
+
+def test_evaluate_nested_memory_beyond_outputs_is_bounded():
+    table = np.random.default_rng(5).normal(size=(20_000, 200))
+    h = _table_hierarchy(table)
+    samples = draw_inputs(h, 20_000, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        evals = evaluate_nested(h, samples, [20_000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(evals.outputs[0], table)
+    # a one-shot finiteness mask would be 20,000 x 200 bytes = 4 MB
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("width", [1, 200])
+@pytest.mark.parametrize("where", ["row 0", "later block start", "last row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_nested_names_first_non_finite_sample(width, where, bad):
+    rows_per_block = max(1, _BLOCK_ELEMENTS // width)
+    n = 3 * rows_per_block + 7
+    row = {"row 0": 0, "later block start": 2 * rows_per_block, "last row": n - 1}[where]
+    table = np.ones((n, width))
+    table[row, width // 2] = bad
+    table[n - 1, 0] = np.nan  # a later bad value must not be the one reported
+    h = _table_hierarchy(np.ones((n, width)), table)
+    with pytest.raises(EvaluationError) as info:
+        evaluate_nested(h, draw_inputs(h, n, 2), [n // 2, n])
+    assert info.value.model_index == 1
+    assert info.value.sample_index == row

@@ -188,6 +188,38 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
     assert all(word in str(info.value) for word in words)
 
 
+@pytest.mark.parametrize(
+    "overrides, error, key",
+    [
+        ({"statistics": ("expectation", "sobol-main"), "output_weights": (1.0,)},
+         ValueError, "output_weights"),
+        ({"statistics": ("expectation", "sobol-main"), "output_weights": (1.0, 1.0, 1.0)},
+         ValueError, "output_weights"),
+        ({"hierarchy": "synthetic-field", "n_points": 5, "output_weights": (1.0,) * 4},
+         ValueError, "output_weights"),
+        ({"output_weights": (0.0,)}, ValueError, "output_weights"),
+        ({"output_weights": (-1.0,)}, ValueError, "output_weights"),
+        ({"output_weights": (float("nan"),)}, ValueError, "output_weights"),
+        ({"output_weights": (float("inf"),)}, ValueError, "output_weights"),
+        ({"budgets": None, "tolerance": 0.0}, ValueError, "tolerance"),
+        ({"budgets": None, "tolerance": -0.1}, ValueError, "tolerance"),
+        ({"budgets": None, "tolerance": float("nan")}, ValueError, "tolerance"),
+        ({"budgets": None, "tolerance": float("inf")}, ValueError, "tolerance"),
+        ({"budgets": (0.0,)}, ValueError, "budgets"),
+        ({"budgets": (-5.0,)}, ValueError, "budgets"),
+        ({"budgets": (float("nan"),)}, ValueError, "budgets"),
+        ({"budgets": (float("inf"),)}, ValueError, "budgets"),
+        ({"budgets": (10.0, float("nan"))}, ValueError, "budgets"),
+        ({"sobol_cost_convention": "per-run"}, UnknownNameError, "sobol_cost_convention"),
+        ({"jobs": 0}, ValueError, "jobs"),
+        ({"jobs": -1}, ValueError, "jobs"),
+    ],
+)
+def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
+    with pytest.raises(error, match=key):
+        StudyConfig(**overrides).validate()
+
+
 def test_tolerance_budget_is_not_cut_by_pilot_cost(tmp_path):
     # The pilot (cost 105.1 here) is already paid when the tolerance budget
     # (about 17) is derived, so folding its cost in must not shrink that budget.
