@@ -28,7 +28,15 @@ import numpy as np
 
 from .errors import NotFittedError
 from .hierarchy import ModelHierarchy
-from .sampling import NestedEvaluations, _row_blocks, evaluate_nested, sobol_cost_factor
+from .sampling import (
+    NestedEvaluations,
+    PrefixSums,
+    _fold_column_sums,
+    _nested_cost,
+    _row_blocks,
+    evaluate_nested,
+    sobol_cost_factor,
+)
 
 
 def single_level_variance(samples) -> float:
@@ -88,12 +96,21 @@ def sobol_indices_single_level(base, second, mixed):
 
 
 class ExpectationStatistic:
+    """Per-component mean.
+
+    ``single_level`` reads only a column sum at a prefix, which a
+    :class:`~mfmc.sampling.PrefixSums` supplies without holding the outputs
+    (``reads_column_sums``); on :class:`~mfmc.sampling.NestedEvaluations`
+    it equals ``outputs[:m].mean(axis=0)`` bit for bit.
+    """
+
     label = "expectation"
     min_samples = 1
     needs_sobol_block = False
+    reads_column_sums = True
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
-        return evals.outputs[model_index][:m].mean(axis=0)
+        return evals.column_sum(model_index, m) / m
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
         return np.asarray(evals.outputs[model_index][:n], dtype=float)
@@ -111,6 +128,7 @@ class VarianceStatistic:
     label = "variance"
     min_samples = 2
     needs_sobol_block = False
+    reads_column_sums = False
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         if m < 2:
@@ -152,6 +170,7 @@ class SobolMainStatistic:
     label = "sobol-main"
     min_samples = 2
     needs_sobol_block = True
+    reads_column_sums = False
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         base, second, mixed = _sobol_columns(evals, model_index, m)
@@ -174,6 +193,7 @@ class SobolTotalStatistic:
     label = "sobol-total"
     min_samples = 2
     needs_sobol_block = True
+    reads_column_sums = False
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         _, second, mixed = _sobol_columns(evals, model_index, m)
@@ -308,6 +328,32 @@ def evaluate_for_plan(
     m_full = np.zeros(hierarchy.n_models, dtype=int)
     m_full[chain] = plan.m[chain]
     return NestedEvaluations(outputs, m_full, samples, sub_evals.cost)
+
+
+def sum_for_plan(hierarchy: ModelHierarchy, plan, samples) -> PrefixSums:
+    """The column sums :func:`mfmc_statistic` reads from an expectation plan.
+
+    Each retained model is evaluated on plain ``samples`` one row block at
+    a time and folded into running column sums, kept at its own count and
+    at the previous retained model's count; no model's outputs are ever
+    held whole. Costs and error checks are those of
+    :func:`evaluate_for_plan`, and the expectation it gives is the same bit
+    for bit when outputs are C-contiguous and at least 2 wide (see
+    ``sampling._fold_column_sums``).
+    """
+    chain = _retained_chain(plan)
+    width = hierarchy.output_length
+    sums = {}
+    for pos, i in enumerate(chain):
+        prev = chain[pos - 1] if pos else i
+        stops = {int(plan.m[prev]), int(plan.m[i])}
+        folded = _fold_column_sums(hierarchy.models[i], samples.inputs, i, width, stops)
+        for stop, total in folded.items():
+            sums[i, stop] = total
+    m_full = np.zeros(hierarchy.n_models, dtype=int)
+    m_full[chain] = plan.m[chain]
+    cost = _nested_cost(hierarchy.costs[chain], plan.m[chain], 1.0)
+    return PrefixSums(sums, m_full, samples, cost)
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the

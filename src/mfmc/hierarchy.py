@@ -79,8 +79,12 @@ class Model:
     ``evaluator`` must be deterministic: the same input yields bit-identical
     output. If ``vectorized`` is true the evaluator maps an (n, d) batch to
     an (n, n_out) batch; otherwise it maps a single length-d vector to a
-    length-n_out vector and batching is handled by a row loop. Evaluators
-    must tolerate concurrent callers (pure functions do).
+    length-n_out vector and batching is handled by a row loop. A vectorized
+    evaluator's output row must depend only on its input row, not on the
+    other rows of the batch or its size: the library may evaluate a sample
+    in row blocks (see ``sampling._fold_column_sums``) and relies on getting
+    the rows one call would give. Evaluators must tolerate concurrent
+    callers (pure functions do).
     """
 
     evaluator: Callable

@@ -12,10 +12,12 @@ position of that stream. Consequences we rely on everywhere:
 
 All models are evaluated on prefixes of one shared input sequence
 (nested sampling); the statistics machinery depends on that sharing. The
-one evaluation container is :class:`NestedEvaluations`. A Sobol block is
+evaluation container is :class:`NestedEvaluations`. A Sobol block is
 just a wider input row: model i's outputs on it are (m[i], d + 2) columns
 (base, second, mixed_1..mixed_d), and its cost convention is a plain
-multiplier on the evaluation cost.
+multiplier on the evaluation cost. :class:`PrefixSums` keeps only the
+column sums of vector outputs at given prefixes, folded row block by row
+block, for statistics that read nothing else (the expectation).
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ BASE_STREAM = 0
 SECOND_STREAM = 1
 
 # Elements per block of the row-blocked passes over model outputs (the
-# finiteness check here, the variance in ``estimators``): their working
-# memory is one block, however many rows the outputs have.
+# finiteness check and the column-sum fold here, the variance in
+# ``estimators``): their working memory is one block, however many rows the
+# outputs have.
 _BLOCK_ELEMENTS = 65536
 
 
@@ -83,6 +86,29 @@ class NestedEvaluations:
     m: np.ndarray
     samples: SampleSet
     cost: float
+
+    def column_sum(self, model_index: int, m: int) -> np.ndarray:
+        """Column sums of model ``model_index``'s outputs on the first m rows."""
+        return np.add.reduce(self.outputs[model_index][:m], axis=0)
+
+
+@dataclass(eq=False)
+class PrefixSums:
+    """Column sums of each model's outputs at chosen prefixes, without the outputs.
+
+    ``sums[i, s]`` is the column sum of model i's outputs on the first s
+    rows of ``samples``; ``m`` and ``cost`` are as in
+    :class:`NestedEvaluations`. Built by :func:`_fold_column_sums`, which
+    never holds more than one row block of outputs.
+    """
+
+    sums: dict
+    m: np.ndarray
+    samples: SampleSet
+    cost: float
+
+    def column_sum(self, model_index: int, m: int) -> np.ndarray:
+        return self.sums[model_index, m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,27 +176,45 @@ def _validate_m_vec(m_vec, n_models, n_rows):
     return m
 
 
-def _row_blocks(n_rows: int, width: int) -> list:
+def _row_blocks(n_rows: int, width: int, cuts=()) -> list:
     """Consecutive row slices covering ``n_rows`` rows of ``width`` columns.
 
-    Each block holds about ``_BLOCK_ELEMENTS`` elements and at least one
-    row; the first block is the longest, so it sizes a reusable buffer.
+    Each block holds at most about ``_BLOCK_ELEMENTS`` elements and at least
+    one row. Blocks also end at every row count in ``cuts``. Without cuts
+    the first block is the longest, so it sizes a reusable buffer.
     """
     step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+    edges = sorted({*range(0, n_rows, step), *cuts, n_rows})
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _evaluate_prefix(model: Model, inputs: np.ndarray, model_index: int) -> np.ndarray:
-    """One ``evaluate_batch`` call, checked for non-finite values one row block at a time."""
+def _evaluate_checked(
+    model: Model, inputs: np.ndarray, model_index: int, width: int, start: int = 0
+) -> np.ndarray:
+    """One ``evaluate_batch`` call on sample rows ``start``.. onwards, checked.
+
+    The output must have one row per input row and ``width`` columns, and
+    every value must be finite (checked one row block at a time). A failure
+    raises :class:`EvaluationError` naming the model and, for a non-finite
+    value, the sample.
+    """
     out = model.evaluate_batch(inputs)
+    if out.shape != (inputs.shape[0], width):
+        raise EvaluationError(
+            f"model {model.label!r} (index {model_index}) returned outputs of shape "
+            f"{out.shape} for {inputs.shape[0]} input rows; expected "
+            f"({inputs.shape[0]}, {width})",
+            model_index=model_index,
+            model_label=model.label,
+        )
     blocks = _row_blocks(*out.shape)
     if not blocks:
         return out
-    finite = np.empty((blocks[0].stop, out.shape[1]), dtype=bool)
+    finite = np.empty((blocks[0].stop, width), dtype=bool)
     for rows in blocks:
         ok = np.isfinite(out[rows], out=finite[: rows.stop - rows.start])
         if not ok.all():
-            row = rows.start + int(np.flatnonzero(~ok.all(axis=1))[0])
+            row = start + rows.start + int(np.flatnonzero(~ok.all(axis=1))[0])
             raise EvaluationError(
                 f"model {model.label!r} (index {model_index}) produced a non-finite "
                 f"output at sample {row}",
@@ -179,6 +223,38 @@ def _evaluate_prefix(model: Model, inputs: np.ndarray, model_index: int) -> np.n
                 sample_index=row,
             )
     return out
+
+
+def _fold_column_sums(
+    model: Model, inputs: np.ndarray, model_index: int, width: int, stops
+) -> dict:
+    """Column sums of the model's outputs on ``inputs[:s]`` for every s in ``stops``.
+
+    The model is evaluated one row block at a time, blocks end at every
+    stop, and each checked block is folded into a running sum that it
+    carries in as its first row. numpy sums a C-contiguous float64 array of
+    width >= 2 down axis 0 one row after another, so when the evaluator
+    returns such blocks a sum equals ``np.add.reduce(outputs[:s], axis=0)``
+    of one whole call bit for bit. Width 1 is summed pairwise, which
+    blocking would reorder; callers fold only wider outputs.
+    """
+    blocks = _row_blocks(max(stops), width, stops)
+    buf = np.empty((max(b.stop - b.start for b in blocks) + 1, width))
+    sums = {}
+    for rows in blocks:
+        out = _evaluate_checked(model, inputs[rows], model_index, width, rows.start)
+        n = rows.stop - rows.start
+        buf[1 : n + 1] = out
+        first = 1 if rows.start == 0 else 0  # the first block has no running sum yet
+        buf[0] = np.add.reduce(buf[first : n + 1], axis=0)
+        if rows.stop in stops:
+            sums[rows.stop] = buf[0].copy()
+    return sums
+
+
+def _nested_cost(costs, m, cost_factor: float) -> float:
+    """Cost of evaluating model i on m[i] rows, at ``cost_factor`` units per row."""
+    return float(np.dot(costs, m) * cost_factor)
 
 
 def evaluate_nested(
@@ -203,14 +279,13 @@ def evaluate_nested(
         if m[i] == 0:
             outputs.append(np.empty((0, width)))
         elif len(sets) == 1:
-            outputs.append(_evaluate_prefix(model, sets[0][: m[i]], i))
+            outputs.append(_evaluate_checked(model, sets[0][: m[i]], i, width))
         else:
             out = np.empty((m[i], width), order="F")
             for c, inputs in enumerate(sets):
-                out[:, c] = _evaluate_prefix(model, inputs[: m[i]], i)[:, 0]
+                out[:, c] = _evaluate_checked(model, inputs[: m[i]], i, 1)[:, 0]
             outputs.append(out)
-    cost = float(np.dot(hierarchy.costs, m) * cost_factor)
-    return NestedEvaluations(outputs, m, samples, cost)
+    return NestedEvaluations(outputs, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
 
 
 def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SobolSampleBlock:

@@ -37,6 +37,7 @@ from .estimators import (
     apply_bridges,
     evaluate_for_plan,
     mfmc_statistic,
+    sum_for_plan,
 )
 from .hierarchy import (
     HIERARCHY_NAMES,
@@ -364,7 +365,12 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
 
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
     samples = _draw(hierarchy, stat, int(plan.m.max()), est_seed)
-    est_evals = evaluate_for_plan(hierarchy, plan, samples, factor)
+    if bridges is None and stat.reads_column_sums and hierarchy.output_length >= 2:
+        # Vector outputs are folded into column sums block by block and never
+        # held whole. Width 1 is not: numpy sums it pairwise, not row by row.
+        est_evals = sum_for_plan(hierarchy, plan, samples)
+    else:
+        est_evals = evaluate_for_plan(hierarchy, plan, samples, factor)
     bridged = est_evals if bridges is None else apply_bridges(est_evals, bridges)
     report = mfmc_statistic(bridged, plan, stat)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import telescoping_mse
 from mfmc.allocation import AllocationPlan, CostModel, optimal_allocation
-from mfmc.errors import NotFittedError
+from mfmc.errors import EvaluationError, NotFittedError
 from mfmc.estimators import (
     STATISTICS,
     apply_bridges,
@@ -18,6 +18,7 @@ from mfmc.estimators import (
     single_level_variance,
     sobol_indices_single_level,
     sobol_single_level,
+    sum_for_plan,
 )
 from mfmc.hierarchy import (
     Model,
@@ -32,6 +33,7 @@ from mfmc.regression import fit_regressor
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
+    SampleSet,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -385,3 +387,139 @@ def test_unbiased_mean_field_estimates(rng):
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean) < 4 * stderr)
+
+
+class _RowWise:
+    """Width-p outputs that depend only on the input row, built from exact ufuncs."""
+
+    def __init__(self, width, seed):
+        rng = np.random.default_rng(seed)
+        self.a = rng.normal(size=(3, width)) * 10.0 ** rng.uniform(-3, 3, size=width)
+        self.offset = 10.0 ** rng.uniform(-3, 3, size=width)
+
+    def __call__(self, z):
+        return (
+            self.offset
+            + self.a[0] * z[:, 0:1]
+            + self.a[1] * z[:, 1:2] ** 2
+            + self.a[2] * z[:, 0:1] * z[:, 2:3]
+        )
+
+
+def _row_wise_hierarchy(width):
+    models = tuple(
+        Model(_RowWise(width, seed), cost, f"rw{seed}", vectorized=True)
+        for seed, cost in zip(range(3), (1.0, 0.1, 0.01))
+    )
+    return ModelHierarchy(models, (Normal(0.0, 1.0),) * 3, output_length=width)
+
+
+def _streamed_and_materialized(h, m, seed):
+    plan = _manual_plan(m, np.random.default_rng(seed).uniform(0.2, 1.2, (3, h.output_length)))
+    samples = draw_inputs(h, int(max(m)), seed)
+    stat = STATISTICS["expectation"]
+    streamed = sum_for_plan(h, plan, samples)
+    materialized = evaluate_for_plan(h, plan, samples)
+    return (
+        mfmc_statistic(streamed, plan, stat),
+        mfmc_statistic(materialized, plan, stat),
+        streamed,
+        materialized,
+    )
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 200])
+@pytest.mark.parametrize(
+    "case", ["around a block edge", "small first stop", "equal counts", "dropped middle model"]
+)
+def test_streamed_expectation_is_bit_identical_to_materialized(width, case):
+    e = max(1, _BLOCK_ELEMENTS // width)
+    m = {
+        "around a block edge": [e - 1, e, e + 1],
+        "small first stop": [1, e + 1, 2 * e - 1],
+        "equal counts": [e, e, 2 * e + 1],
+        "dropped middle model": [e + 1, 0, 3 * e - 1],
+    }[case]
+    a, b, streamed, materialized = _streamed_and_materialized(_row_wise_hierarchy(width), m, width)
+    assert np.array_equal(a.value, b.value)
+    assert a.realized_cost == b.realized_cost
+    assert np.array_equal(streamed.m, materialized.m)
+    for i, s in streamed.sums:
+        assert np.array_equal(streamed.column_sum(i, s), materialized.column_sum(i, s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width=st.integers(2, 300),
+    counts=st.lists(st.integers(1, 3000), min_size=3, max_size=3),
+    drop_middle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_expectation_matches_materialized_property(width, counts, drop_middle, seed):
+    m = sorted(counts)
+    if drop_middle:
+        m[1] = 0
+    a, b, _, _ = _streamed_and_materialized(_row_wise_hierarchy(width), m, seed)
+    assert np.array_equal(a.value, b.value)
+    assert a.realized_cost == b.realized_cost
+
+
+def test_streamed_expectation_matches_materialized_synthetic_field():
+    h = synthetic_field_hierarchy(200)
+    a, b, _, _ = _streamed_and_materialized(h, [700, 4000, 20_000], 3)
+    assert np.array_equal(a.value, b.value)
+
+
+class _BadRows:
+    """Width-p ones, with (row, column, value) overrides; the input is the row index."""
+
+    def __init__(self, width, bad=()):
+        self.width = width
+        self.bad = bad
+
+    def __call__(self, z):
+        out = np.ones((z.shape[0], self.width))
+        for row, col, value in self.bad:
+            out[z[:, 0] == row, col] = value
+        return out
+
+
+def _index_samples(n):
+    return SampleSet(np.arange(n, dtype=float)[:, None], (0,), 0, (Normal(0.0, 1.0),))
+
+
+@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("where", ["later block start", "inside a later block", "last row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_streamed_expectation_names_first_non_finite_sample(width, where, bad):
+    e = max(1, _BLOCK_ELEMENTS // width)
+    n = 3 * e + 7
+    row = {"later block start": 2 * e, "inside a later block": 2 * e + 5, "last row": n - 1}[where]
+    # a later bad value, and one in a later model, must not be the one reported
+    later = [(n - 1, 0, np.nan)] if row < n - 1 else []
+    models = (
+        Model(_BadRows(width), 1.0, "hf", vectorized=True),
+        Model(_BadRows(width, [(row, width // 2, bad), *later]), 0.1, "mid", vectorized=True),
+        Model(_BadRows(width, [(0, 0, np.nan)]), 0.01, "lo", vectorized=True),
+    )
+    h = ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=width)
+    plan = _manual_plan([e // 2, n, n], np.ones((3, width)))
+    errors = []
+    for evaluate in (sum_for_plan, evaluate_for_plan):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(h, plan, _index_samples(n))
+        errors.append(info.value)
+    for err in errors:
+        assert (err.model_index, err.model_label, err.sample_index) == (1, "mid", row)
+
+
+def test_streamed_expectation_names_model_with_wrong_output_shape():
+    models = (
+        Model(_BadRows(2), 1.0, "hf", vectorized=True),
+        Model(lambda z: np.ones((min(z.shape[0], 10), 2)), 0.1, "short", vectorized=True),
+    )
+    h = ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=2)
+    plan = _manual_plan([20, 50], np.ones((2, 2)))
+    with pytest.raises(EvaluationError, match="shape") as info:
+        sum_for_plan(h, plan, _index_samples(50))
+    assert (info.value.model_index, info.value.model_label) == (1, "short")

@@ -9,6 +9,7 @@ from mfmc.errors import EvaluationError
 from mfmc.hierarchy import ishigami_hierarchy, synthetic_field_hierarchy, Model, ModelHierarchy, Normal
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
+    _row_blocks,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -222,3 +223,50 @@ def test_evaluate_nested_names_first_non_finite_sample(width, where, bad):
         evaluate_nested(h, draw_inputs(h, n, 2), [n // 2, n])
     assert info.value.model_index == 1
     assert info.value.sample_index == row
+
+
+def _shape_drift_case(case):
+    """(hierarchy, samples) whose model 1 returns outputs of the wrong shape."""
+    dists = (Normal(0.0, 1.0), Normal(0.0, 1.0))
+    if case == "too few rows":
+        models = (
+            Model(lambda z: z[:, [0]], 1.0, "hf", vectorized=True),
+            Model(lambda z: z[:5, [0]], 0.1, "short", vectorized=True),
+        )
+        h = ModelHierarchy(models, dists)
+        return h, draw_inputs(h, 50, 1)
+    if case == "narrow vector output":
+        models = (
+            Model(lambda z: z.copy(), 1.0, "hf", vectorized=True),
+            Model(lambda z: z[:, [0]], 0.1, "narrow", vectorized=True),
+        )
+        h = ModelHierarchy(models, dists, output_length=2)
+        return h, draw_inputs(h, 50, 1)
+    models = (
+        Model(lambda z: z[:, [0]], 1.0, "hf", vectorized=True),
+        Model(lambda z: z.copy(), 0.1, "wide", vectorized=True),
+    )
+    h = ModelHierarchy(models, dists)
+    return h, build_sobol_block(h, 50, 1)
+
+
+@pytest.mark.parametrize("case", ["too few rows", "narrow vector output", "wide Sobol output"])
+def test_evaluate_nested_names_model_with_wrong_output_shape(case):
+    h, samples = _shape_drift_case(case)
+    with pytest.raises(EvaluationError, match="shape") as info:
+        evaluate_nested(h, samples, [50, 50])
+    assert info.value.model_index == 1
+    assert info.value.model_label == h.models[1].label
+
+
+@pytest.mark.parametrize("width", [1, 2, 200])
+def test_row_blocks_end_at_every_cut(width):
+    step = max(1, _BLOCK_ELEMENTS // width)
+    cuts = {1, step - 1, step, step + 1, 2 * step + 3}
+    blocks = _row_blocks(3 * step, width, cuts)
+    assert blocks[0].start == 0 and blocks[-1].stop == 3 * step
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert all(0 < b.stop - b.start <= step for b in blocks)
+    assert cuts <= {b.stop for b in blocks}
+    assert [b.stop - b.start for b in _row_blocks(3 * step + 1, width)] == [step] * 3 + [1]
+    assert _row_blocks(0, width) == []

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -473,3 +474,49 @@ def test_replicate_csv_floats_have_full_precision(tmp_path):
     value = rows[1].split(",")[4]
     assert float(value) == float(f"{float(value):.17g}")
     assert len(value.split(".")[-1]) > 8  # not truncated to a short format
+
+
+def _field_config(**overrides):
+    base = dict(hierarchy="synthetic-field", n_points=200, budgets=(700.0,), replicates=1)
+    base.update(overrides)
+    return StudyConfig(**base)
+
+
+def test_streamed_expectation_replicate_memory_is_bounded():
+    config = _field_config()
+    run_replicate(config, "expectation", 700.0, 0)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rec = run_replicate(config, "expectation", 700.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = int(np.sum(rec["m"])) * 200 * 8
+    assert outputs > 100e6  # what holding every model's outputs would take
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize(
+    "overrides, stat, streamed",
+    [
+        ({}, "expectation", True),
+        ({}, "variance", False),
+        ({"n_points": 1}, "expectation", False),
+        ({"hierarchy": "ishigami"}, "expectation", False),
+    ],
+    ids=["field expectation", "field variance", "one-point field", "ishigami"],
+)
+def test_replicate_streams_only_vector_expectations(monkeypatch, overrides, stat, streamed):
+    config = _field_config(budgets=(20.0,), **overrides)
+    expected = run_replicate(config, stat, 20.0, 0)
+    calls = []
+
+    def materialized(hierarchy, plan, samples):
+        calls.append(plan)
+        return study.evaluate_for_plan(hierarchy, plan, samples)
+
+    monkeypatch.setattr(study, "sum_for_plan", materialized)
+    got = run_replicate(config, stat, 20.0, 0)
+    assert len(calls) == streamed
+    _same_record(expected, got)
