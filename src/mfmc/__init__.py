@@ -46,7 +46,6 @@ from .hierarchy import (
     ModelHierarchy,
     Normal,
     Uniform,
-    evaluate,
     get_hierarchy,
     ishigami_hierarchy,
     ishigami_mean,

@@ -112,6 +112,18 @@ class AllocationPlan:
     r: np.ndarray
     m_real: np.ndarray
 
+    @property
+    def chain(self) -> list:
+        """Indices of the models the plan evaluates, in hierarchy order.
+
+        A model is in the chain when it is retained with a count of at least
+        one; the first entry is always the high-fidelity model 0.
+        """
+        chain = [i for i in range(len(self.m)) if self.retained[i] and self.m[i] > 0]
+        if not chain or chain[0] != 0:
+            raise ValueError("plan must retain the high-fidelity model with m >= 1")
+        return chain
+
     def to_dict(self):
         return {
             "m": [int(v) for v in self.m],
@@ -496,9 +508,7 @@ def predicted_mse(plan: AllocationPlan, stats, weights=None) -> float:
     the optimal-coefficient form is used. Vector outputs are combined with
     the integration weights.
     """
-    chain = [i for i in range(len(plan.m)) if plan.retained[i] and plan.m[i] > 0]
-    if not chain or chain[0] != 0 or plan.m[0] < 1:
-        raise ValueError("plan must allocate at least one high-fidelity sample")
+    chain = plan.chain
     m = plan.m
     if isinstance(stats, AggregatedStats) or plan.alpha is None:
         agg = _as_aggregated(stats, weights)

@@ -31,10 +31,10 @@ from .hierarchy import ModelHierarchy
 from .sampling import (
     NestedEvaluations,
     PrefixSums,
-    _fold_column_sums,
-    _nested_cost,
+    _evaluate_counts,
     _row_blocks,
-    evaluate_nested,
+    _sum_counts,
+    _validate_m_vec,
     sobol_cost_factor,
 )
 
@@ -244,13 +244,6 @@ class EstimateReport:
         }
 
 
-def _retained_chain(plan):
-    chain = [i for i in range(len(plan.m)) if plan.retained[i] and plan.m[i] > 0]
-    if not chain or chain[0] != 0:
-        raise ValueError("plan must retain the high-fidelity model with m >= 1")
-    return chain
-
-
 def mfmc_statistic(evals: NestedEvaluations, plan, statistic) -> EstimateReport:
     """Telescoping multifidelity estimate of a plug-in statistic.
 
@@ -262,7 +255,7 @@ def mfmc_statistic(evals: NestedEvaluations, plan, statistic) -> EstimateReport:
         raise ValueError(
             f"{statistic.label} needs at least {statistic.min_samples} samples per level"
         )
-    chain = _retained_chain(plan)
+    chain = plan.chain
     for i in chain:
         if evals.m[i] < plan.m[i]:
             raise ValueError(
@@ -309,6 +302,15 @@ def apply_bridges(evals: NestedEvaluations, bridges) -> NestedEvaluations:
     return NestedEvaluations(outputs, evals.m, evals.samples, evals.cost)
 
 
+def _plan_counts(hierarchy: ModelHierarchy, plan, samples) -> np.ndarray:
+    """The plan's counts indexed like the hierarchy, 0 where a model is skipped,
+    with the chain's counts checked against the sample rows."""
+    chain = plan.chain
+    m = np.zeros(hierarchy.n_models, dtype=int)
+    m[chain] = _validate_m_vec(plan.m[chain], len(chain), samples.n)
+    return m
+
+
 def evaluate_for_plan(
     hierarchy: ModelHierarchy, plan, samples, cost_factor: float = 1.0
 ) -> NestedEvaluations:
@@ -319,41 +321,21 @@ def evaluate_for_plan(
     the hierarchy); the returned object is indexed like the full hierarchy
     with empty arrays at dropped positions.
     """
-    chain = _retained_chain(plan)
-    sub = hierarchy.subset(chain)
-    sub_evals = evaluate_nested(sub, samples, plan.m[chain], cost_factor)
-    outputs = [np.empty((0, sub_evals.outputs[0].shape[1]))] * hierarchy.n_models
-    for pos, i in enumerate(chain):
-        outputs[i] = sub_evals.outputs[pos]
-    m_full = np.zeros(hierarchy.n_models, dtype=int)
-    m_full[chain] = plan.m[chain]
-    return NestedEvaluations(outputs, m_full, samples, sub_evals.cost)
+    m = _plan_counts(hierarchy, plan, samples)
+    return _evaluate_counts(hierarchy, samples, m, cost_factor)
 
 
 def sum_for_plan(hierarchy: ModelHierarchy, plan, samples) -> PrefixSums:
     """The column sums :func:`mfmc_statistic` reads from an expectation plan.
 
     Each retained model is evaluated on plain ``samples`` one row block at
-    a time and folded into running column sums, kept at its own count and
-    at the previous retained model's count; no model's outputs are ever
+    a time and folded into running column sums; no model's outputs are ever
     held whole. Costs and error checks are those of
     :func:`evaluate_for_plan`, and the expectation it gives is the same bit
     for bit when outputs are C-contiguous and at least 2 wide (see
     ``sampling._fold_column_sums``).
     """
-    chain = _retained_chain(plan)
-    width = hierarchy.output_length
-    sums = {}
-    for pos, i in enumerate(chain):
-        prev = chain[pos - 1] if pos else i
-        stops = {int(plan.m[prev]), int(plan.m[i])}
-        folded = _fold_column_sums(hierarchy.models[i], samples.inputs, i, width, stops)
-        for stop, total in folded.items():
-            sums[i, stop] = total
-    m_full = np.zeros(hierarchy.n_models, dtype=int)
-    m_full[chain] = plan.m[chain]
-    cost = _nested_cost(hierarchy.costs[chain], plan.m[chain], 1.0)
-    return PrefixSums(sums, m_full, samples, cost)
+    return _sum_counts(hierarchy, samples, _plan_counts(hierarchy, plan, samples))
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, UnknownNameError
+from .errors import UnknownNameError
 
 DEFAULT_BENCHMARK_COSTS = (1.0, 0.05, 0.001)
 
@@ -46,9 +46,6 @@ class Uniform:
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.uniform(self.low, self.high, size=n)
 
-    def to_dict(self):
-        return {"kind": "uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
 class Normal:
@@ -59,17 +56,6 @@ class Normal:
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.normal(self.mean, self.std, size=n)
-
-    def to_dict(self):
-        return {"kind": "normal", "mean": self.mean, "std": self.std}
-
-
-def distribution_from_dict(d) -> Uniform | Normal:
-    if d["kind"] == "uniform":
-        return Uniform(d["low"], d["high"])
-    if d["kind"] == "normal":
-        return Normal(d["mean"], d["std"])
-    raise UnknownNameError(f"unknown distribution kind {d['kind']!r}")
 
 
 @dataclass(frozen=True)
@@ -154,40 +140,6 @@ class ModelHierarchy:
     @property
     def costs(self) -> np.ndarray:
         return np.array([m.cost for m in self.models])
-
-    def with_costs(self, costs) -> "ModelHierarchy":
-        costs = tuple(float(c) for c in costs)
-        if len(costs) != self.n_models:
-            raise ValueError(f"expected {self.n_models} costs, got {len(costs)}")
-        models = tuple(
-            Model(m.evaluator, c, m.label, m.vectorized, m.input_dimension)
-            for m, c in zip(self.models, costs)
-        )
-        return ModelHierarchy(
-            models, self.input_distributions, self.output_length, self.output_weights, self.label
-        )
-
-    def subset(self, indices) -> "ModelHierarchy":
-        """Hierarchy restricted to the given model indices (order preserved)."""
-        models = tuple(self.models[i] for i in indices)
-        return ModelHierarchy(
-            models, self.input_distributions, self.output_length, self.output_weights, self.label
-        )
-
-
-def evaluate(model: Model, x) -> np.ndarray:
-    """Evaluate one model at a single input vector, with finiteness checks."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D input vector, got shape {x.shape}")
-    out = model.evaluate_batch(x[None, :])[0]
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(
-            f"model {model.label!r} produced a non-finite output at input {x!r}",
-            model_label=model.label,
-            sample_index=0,
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

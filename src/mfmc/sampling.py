@@ -253,23 +253,23 @@ def _fold_column_sums(
 
 
 def _nested_cost(costs, m, cost_factor: float) -> float:
-    """Cost of evaluating model i on m[i] rows, at ``cost_factor`` units per row."""
-    return float(np.dot(costs, m) * cost_factor)
+    """Cost of evaluating model i on m[i] rows, at ``cost_factor`` units per row.
 
-
-def evaluate_nested(
-    hierarchy: ModelHierarchy, samples, m_vec, cost_factor: float = 1.0
-) -> NestedEvaluations:
-    """Evaluate model i on the first m_vec[i] rows of ``samples``.
-
-    ``samples`` is a :class:`SampleSet` or a :class:`SobolSampleBlock`; a
-    block's (d + 2) input sets become output columns of scalar models, and
-    ``cost_factor`` (see :func:`sobol_cost_factor`) scales the cost.
-    m_vec must be nondecreasing over evaluated models; zeros are allowed
-    only for a trailing run of dropped models. Equal consecutive entries are
-    fine (the corresponding telescoping term is exactly zero downstream).
+    The sum runs over the evaluated models (m[i] > 0) only: a dot product
+    over zero entries can group the terms differently and round otherwise.
     """
-    m = _validate_m_vec(m_vec, hierarchy.n_models, samples.n)
+    live = np.flatnonzero(m)
+    return float(np.dot(costs[live], m[live]) * cost_factor)
+
+
+def _evaluate_counts(
+    hierarchy: ModelHierarchy, samples, m, cost_factor: float = 1.0
+) -> NestedEvaluations:
+    """Model i on the first m[i] rows of ``samples``, checked; m[i] == 0 skips it.
+
+    ``m`` is indexed like the hierarchy and already validated; the rest is
+    as in :func:`evaluate_nested`.
+    """
     sets = samples.input_sets
     if len(sets) > 1 and hierarchy.output_length != 1:
         raise ValueError("Sobol evaluation requires scalar-output models")
@@ -286,6 +286,41 @@ def evaluate_nested(
                 out[:, c] = _evaluate_checked(model, inputs[: m[i]], i, 1)[:, 0]
             outputs.append(out)
     return NestedEvaluations(outputs, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
+
+
+def _sum_counts(hierarchy: ModelHierarchy, samples: SampleSet, m) -> PrefixSums:
+    """:func:`_evaluate_counts` folded into column sums, never holding outputs.
+
+    Each evaluated model is summed at its own count and at the previous
+    evaluated model's, the prefixes the telescoping combiner reads.
+    """
+    sums = {}
+    prev = 0
+    for i, model in enumerate(hierarchy.models):
+        if m[i] == 0:
+            continue
+        stops = {int(m[prev]), int(m[i])}
+        folded = _fold_column_sums(model, samples.inputs, i, hierarchy.output_length, stops)
+        for stop, total in folded.items():
+            sums[i, stop] = total
+        prev = i
+    return PrefixSums(sums, m, samples, _nested_cost(hierarchy.costs, m, 1.0))
+
+
+def evaluate_nested(
+    hierarchy: ModelHierarchy, samples, m_vec, cost_factor: float = 1.0
+) -> NestedEvaluations:
+    """Evaluate model i on the first m_vec[i] rows of ``samples``.
+
+    ``samples`` is a :class:`SampleSet` or a :class:`SobolSampleBlock`; a
+    block's (d + 2) input sets become output columns of scalar models, and
+    ``cost_factor`` (see :func:`sobol_cost_factor`) scales the cost.
+    m_vec must be nondecreasing over evaluated models; zeros are allowed
+    only for a trailing run of dropped models. Equal consecutive entries are
+    fine (the corresponding telescoping term is exactly zero downstream).
+    """
+    m = _validate_m_vec(m_vec, hierarchy.n_models, samples.n)
+    return _evaluate_counts(hierarchy, samples, m, cost_factor)
 
 
 def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SobolSampleBlock:

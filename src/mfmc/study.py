@@ -53,6 +53,7 @@ from .pilot import PilotStats, estimate_q_stats, split_pilot_budget
 from .regression import fit_regressor
 from .sampling import (
     SOBOL_COST_CONVENTIONS,
+    _sum_counts,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -319,27 +320,37 @@ def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
     return stats, bridges, _pilot_cost(config, hierarchy, stat)
 
 
-def _absolute_budget(
-    config: StudyConfig, hierarchy, stat, stats, costs, weights, budget, pilot_cost
-) -> float:
-    """Estimation budget in absolute cost units.
+def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost):
+    """(plan, absolute estimation budget, component weights) of one statistic.
 
-    ``budget`` is in the configured unit, or None in tolerance mode, where
-    the estimation budget the tolerance needs is derived from the pilot
+    The one plan stage of ``run_replicate`` and ``run_allocate``. ``budget``
+    is in the configured unit, or None in tolerance mode, where the
+    estimation budget the tolerance needs is derived from the pilot
     statistics. With ``include_pilot_cost`` the pilot cost is taken out of
     a given budget; a tolerance budget is left whole, since the pilot is
     already paid for, and the pilot cost still counts in the cost ledger.
     """
+    costs = CostModel(hierarchy.costs * _cost_factor(config, hierarchy, stat))
+    weights = _component_weights(config, hierarchy, stat)
     if config.tolerance is not None:
         budget_abs = budget_for_tolerance(stats, costs, config.tolerance, weights)
-        return max(budget_abs, costs.w[0] * stat.min_samples)
-    if config.budget_unit == "hf-equivalent":
-        budget_abs = float(budget) * hierarchy.costs[0]
+        budget_abs = max(budget_abs, costs.w[0] * stat.min_samples)
     else:
-        budget_abs = float(budget)
-    if config.include_pilot_cost:
-        budget_abs = budget_abs - pilot_cost
-    return budget_abs
+        if config.budget_unit == "hf-equivalent":
+            budget_abs = float(budget) * hierarchy.costs[0]
+        else:
+            budget_abs = float(budget)
+        if config.include_pilot_cost:
+            budget_abs = budget_abs - pilot_cost
+    plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
+    return plan, budget_abs, weights
+
+
+def _streams_sums(stat, hierarchy, bridges) -> bool:
+    """Whether ``stat`` is estimated from folded column sums, never holding outputs:
+    it reads nothing else, no bridge maps the outputs, and they are at least
+    2 wide (numpy sums width 1 pairwise, not row after row)."""
+    return bridges is None and stat.reads_column_sums and hierarchy.output_length >= 2
 
 
 def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dict:
@@ -352,24 +363,15 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     """
     hierarchy = config.build_hierarchy()
     stat = STATISTICS[stat_label]
-    w = hierarchy.costs
     stats, bridges, pilot_cost = _pilot_stage(config, hierarchy, stat, rep)
-
-    factor = _cost_factor(config, hierarchy, stat)
-    costs = CostModel(w * factor)
-    weights = _component_weights(config, hierarchy, stat)
-    budget_abs = _absolute_budget(
-        config, hierarchy, stat, stats, costs, weights, budget, pilot_cost
-    )
-    plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
+    plan, budget_abs, weights = _plan_stage(config, hierarchy, stat, stats, budget, pilot_cost)
 
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
     samples = _draw(hierarchy, stat, int(plan.m.max()), est_seed)
-    if bridges is None and stat.reads_column_sums and hierarchy.output_length >= 2:
-        # Vector outputs are folded into column sums block by block and never
-        # held whole. Width 1 is not: numpy sums it pairwise, not row by row.
+    if _streams_sums(stat, hierarchy, bridges):
         est_evals = sum_for_plan(hierarchy, plan, samples)
     else:
+        factor = _cost_factor(config, hierarchy, stat)
         est_evals = evaluate_for_plan(hierarchy, plan, samples, factor)
     bridged = est_evals if bridges is None else apply_bridges(est_evals, bridges)
     report = mfmc_statistic(bridged, plan, stat)
@@ -378,7 +380,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
         "replicate": rep,
         "statistic": stat_label,
         "mode": config.mode,
-        "budget_p": budget_abs / w[0],
+        "budget_p": budget_abs / hierarchy.costs[0],
         "budget_abs": budget_abs,
         "values": np.atleast_1d(report.value),
         "predicted_mse": float(plan.predicted_mse),
@@ -644,12 +646,16 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
     """Large plain-sampling reference values from the high-fidelity model.
 
     Writes a JSON table mapping each configured statistic to its reference
-    vector, computed at ``reference_samples`` draws.
+    vector, computed at ``reference_samples`` draws of model 0. Where
+    ``run_replicate`` would stream (``_streams_sums``), the outputs are
+    folded into column sums and never held, unless another statistic on
+    the same draws reads them.
     """
     config.validate()
     hierarchy = config.build_hierarchy()
-    hf = hierarchy.subset([0])
     n = int(config.reference_samples)
+    m = np.zeros(hierarchy.n_models, dtype=int)
+    m[0] = n
     table = {"_meta": {"hierarchy": config.hierarchy, "n_samples": n, "seed": config.seed}}
     evals = {}  # plain draws and the Sobol block are each evaluated once
     for stat_label in config.statistics:
@@ -657,7 +663,13 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
         key = stat.needs_sobol_block
         if key not in evals:
             samples = _draw(hierarchy, stat, n, (config.seed, _REFERENCE))
-            evals[key] = evaluate_nested(hf, samples, [n])
+            # Fold into column sums unless a statistic on the same draws reads outputs.
+            fold = all(
+                _streams_sums(STATISTICS[s], hierarchy, None)
+                for s in config.statistics
+                if STATISTICS[s].needs_sobol_block == key
+            )
+            evals[key] = (_sum_counts if fold else evaluate_nested)(hierarchy, samples, m)
         table[stat_label] = [float(v) for v in stat.single_level(evals[key], 0, n)]
     if out_path is None:
         out = Path(config.out_dir)
@@ -705,13 +717,8 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
         if not pilot_path.exists():
             raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
         stats = PilotStats.load(pilot_path)
-        costs = CostModel(hierarchy.costs * _cost_factor(config, hierarchy, stat))
-        weights = _component_weights(config, hierarchy, stat)
         pilot_cost = _pilot_cost(config, hierarchy, stat)
-        budget_abs = _absolute_budget(
-            config, hierarchy, stat, stats, costs, weights, budget, pilot_cost
-        )
-        plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
+        plan, _, _ = _plan_stage(config, hierarchy, stat, stats, budget, pilot_cost)
         plan.save(out / f"allocation_{stat_label}.json")
         plans[stat_label] = plan
     return plans

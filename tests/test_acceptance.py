@@ -282,7 +282,8 @@ def test_criterion_6_sobol_indices(sobol_mfmc_records):
     )
 
     # single-level estimates at one million samples
-    h = ishigami_hierarchy().subset([0])
+    ishigami = ishigami_hierarchy()
+    h = ModelHierarchy(ishigami.models[:1], ishigami.input_distributions)
     block = build_sobol_block(h, 1_000_000, 999)
     y = evaluate_nested(h, block, [1_000_000]).outputs[0]
     out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)

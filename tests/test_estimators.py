@@ -196,7 +196,8 @@ def test_sobol_additive_single_coordinate_main_effect():
 def test_sobol_ishigami_moderate_sample_sanity():
     from mfmc.hierarchy import ishigami_sobol_indices
 
-    h = ishigami_hierarchy().subset([0])
+    ishigami = ishigami_hierarchy()
+    h = ModelHierarchy(ishigami.models[:1], ishigami.input_distributions)
     block = build_sobol_block(h, 200_000, 23)
     y = evaluate_nested(h, block, [200_000]).outputs[0]
     out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)
@@ -491,26 +492,32 @@ def _index_samples(n):
 @pytest.mark.parametrize("width", [2, 200])
 @pytest.mark.parametrize("where", ["later block start", "inside a later block", "last row"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_streamed_expectation_names_first_non_finite_sample(width, where, bad):
+@pytest.mark.parametrize("case", ["all models", "dropped middle model"])
+def test_streamed_expectation_names_first_non_finite_sample(width, where, bad, case):
     e = max(1, _BLOCK_ELEMENTS // width)
     n = 3 * e + 7
     row = {"later block start": 2 * e, "inside a later block": 2 * e + 5, "last row": n - 1}[where]
-    # a later bad value, and one in a later model, must not be the one reported
+    # a later bad value, and one in a later or a dropped model, must not be the one reported
     later = [(n - 1, 0, np.nan)] if row < n - 1 else []
+    reported = [(row, width // 2, bad), *later]
+    if case == "all models":
+        m, mid_bad, lo_bad, expected = [e // 2, n, n], reported, [(0, 0, np.nan)], (1, "mid")
+    else:
+        m, mid_bad, lo_bad, expected = [e // 2, 0, n], [(0, 0, np.nan)], reported, (2, "lo")
     models = (
         Model(_BadRows(width), 1.0, "hf", vectorized=True),
-        Model(_BadRows(width, [(row, width // 2, bad), *later]), 0.1, "mid", vectorized=True),
-        Model(_BadRows(width, [(0, 0, np.nan)]), 0.01, "lo", vectorized=True),
+        Model(_BadRows(width, mid_bad), 0.1, "mid", vectorized=True),
+        Model(_BadRows(width, lo_bad), 0.01, "lo", vectorized=True),
     )
     h = ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=width)
-    plan = _manual_plan([e // 2, n, n], np.ones((3, width)))
+    plan = _manual_plan(m, np.ones((3, width)))
     errors = []
     for evaluate in (sum_for_plan, evaluate_for_plan):
         with pytest.raises(EvaluationError) as info:
             evaluate(h, plan, _index_samples(n))
         errors.append(info.value)
     for err in errors:
-        assert (err.model_index, err.model_label, err.sample_index) == (1, "mid", row)
+        assert (err.model_index, err.model_label, err.sample_index) == (*expected, row)
 
 
 def test_streamed_expectation_names_model_with_wrong_output_shape():

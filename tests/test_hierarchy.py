@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mfmc.errors import EvaluationError, UnknownNameError
+from mfmc.errors import UnknownNameError
 from mfmc.hierarchy import (
-    Model,
-    evaluate,
     get_hierarchy,
     ishigami_hierarchy,
     ishigami_mean,
@@ -24,8 +22,9 @@ from mfmc.sampling import draw_inputs, evaluate_nested
 
 def test_ishigami_point_values():
     h = ishigami_hierarchy()
-    assert evaluate(h.models[0], np.zeros(3))[0] == pytest.approx(0.0, abs=1e-15)
-    assert evaluate(h.models[0], np.array([math.pi / 2, 0.0, 0.0]))[0] == pytest.approx(1.0)
+    y = h.models[0].evaluate_batch(np.array([[0.0, 0.0, 0.0], [math.pi / 2, 0.0, 0.0]]))
+    assert y[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert y[1, 0] == pytest.approx(1.0)
 
 
 def test_ishigami_model_difference_is_quarter_sin_squared(rng):
@@ -37,31 +36,23 @@ def test_ishigami_model_difference_is_quarter_sin_squared(rng):
 
 def test_quintic_point_values():
     h = quintic_hierarchy()
-    assert evaluate(h.models[2], np.array([0.0, 0.0, 1.0]))[0] == pytest.approx(20.0)
-    assert evaluate(h.models[0], np.array([0.0, 0.0, math.pi]))[0] == pytest.approx(
+    assert h.models[2].evaluate_batch(np.array([[0.0, 0.0, 1.0]]))[0, 0] == pytest.approx(20.0)
+    assert h.models[0].evaluate_batch(np.array([[0.0, 0.0, math.pi]]))[0, 0] == pytest.approx(
         math.pi**5 / 10.0
     )
 
 
-def test_evaluate_rejects_wrong_input_shape():
+def test_evaluate_batch_rejects_wrong_input_length():
     h = ishigami_hierarchy()
-    with pytest.raises(ValueError):
-        evaluate(h.models[0], np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        evaluate(h.models[0], np.zeros(2))  # wrong input length
-
-
-def test_evaluate_propagates_nonfinite_output():
-    bad = Model(lambda z: np.full((z.shape[0], 1), np.nan), 1.0, "bad", vectorized=True)
-    with pytest.raises(EvaluationError):
-        evaluate(bad, np.zeros(2))
+    with pytest.raises(ValueError, match="expects inputs of length 3"):
+        h.models[0].evaluate_batch(np.zeros((2, 2)))
 
 
 def test_evaluation_determinism():
     h = quintic_hierarchy()
-    x = np.array([0.3, -1.2, 2.2])
-    a = evaluate(h.models[0], x)
-    b = evaluate(h.models[0], x)
+    x = np.array([[0.3, -1.2, 2.2]])
+    a = h.models[0].evaluate_batch(x)
+    b = h.models[0].evaluate_batch(x)
     assert np.array_equal(a, b)
 
 

@@ -9,6 +9,7 @@ from mfmc import study
 from mfmc.cli import main
 from mfmc.errors import MFMCError, UnknownNameError
 from mfmc.regression import GaussianProcessBridge
+from mfmc.sampling import draw_inputs
 from mfmc.study import (
     StudyConfig,
     make_reference,
@@ -495,6 +496,24 @@ def test_streamed_expectation_replicate_memory_is_bounded():
     outputs = int(np.sum(rec["m"])) * 200 * 8
     assert outputs > 100e6  # what holding every model's outputs would take
     assert peak < 16e6
+
+
+def test_reference_expectation_memory_is_bounded(tmp_path):
+    n = 50_000
+    config = _field_config(reference_samples=n)
+    make_reference(config, tmp_path / "warm.json")  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = make_reference(config, tmp_path / "ref.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # the high-fidelity outputs alone would take 80 MB
+    h = config.build_hierarchy()
+    samples = draw_inputs(h, n, (config.seed, study._REFERENCE))
+    outputs = h.models[0].evaluate_batch(samples.inputs)
+    assert np.array_equal(table["expectation"], np.add.reduce(outputs, axis=0) / n)
 
 
 @pytest.mark.parametrize(
