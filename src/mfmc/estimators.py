@@ -32,7 +32,8 @@ from .sampling import (
     NestedEvaluations,
     PrefixSums,
     _evaluate_counts,
-    _row_blocks,
+    _fold_moments,
+    _fold_sum,
     _sum_counts,
     _validate_m_vec,
     sobol_cost_factor,
@@ -100,14 +101,14 @@ class ExpectationStatistic:
 
     ``single_level`` reads only a column sum at a prefix, which a
     :class:`~mfmc.sampling.PrefixSums` supplies without holding the outputs
-    (``reads_column_sums``); on :class:`~mfmc.sampling.NestedEvaluations`
-    it equals ``outputs[:m].mean(axis=0)`` bit for bit.
+    (``fold``); on :class:`~mfmc.sampling.NestedEvaluations` it equals
+    ``outputs[:m].mean(axis=0)`` bit for bit.
     """
 
     label = "expectation"
     min_samples = 1
     needs_sobol_block = False
-    reads_column_sums = True
+    fold = staticmethod(_fold_sum)
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         return evals.column_sum(model_index, m) / m
@@ -119,37 +120,31 @@ class ExpectationStatistic:
 class VarianceStatistic:
     """Per-component unbiased variance.
 
-    ``single_level`` equals ``np.var(outputs[:m], axis=0, ddof=1)`` bit for
-    bit. On vector outputs it works in row blocks (``sampling._row_blocks``)
-    and never holds a second (m, p) array, so its working memory is one
-    block however large m grows.
+    Scalar outputs keep ``np.var(outputs[:m], axis=0, ddof=1)``. Wider
+    outputs are folded in row blocks (``sampling._fold_moments``): each
+    block is shifted by the model's first output row, its mean and centred
+    sum of squares are taken in two passes while it is in cache, and it is
+    merged into the running moments (Chan, Golub & LeVeque, 1979). So a
+    :class:`~mfmc.sampling.PrefixSums` supplies the state without holding
+    the outputs (``fold``), and on held outputs the same fold runs over the
+    held rows, with the same value bit for bit whatever their memory
+    layout. The working memory is two blocks however large m grows, and
+    the shift keeps the digits ``np.var`` loses to a large offset.
     """
 
     label = "variance"
     min_samples = 2
     needs_sobol_block = False
-    reads_column_sums = False
+    fold = staticmethod(_fold_moments)
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         if m < 2:
             raise ValueError("variance needs at least 2 samples")
-        x = evals.outputs[model_index][:m]
-        # numpy sums a C-contiguous float array of width >= 2 down axis 0 one
-        # row after another, so a block that carries the running sum in as its
-        # first row adds in np.var's order and matches it bit for bit. Width 1
-        # and other layouts are summed pairwise, which blocking would reorder,
-        # so they call np.var directly.
-        if x.shape[1] < 2 or not x.flags.c_contiguous or x.dtype != np.float64:
-            return np.var(x, axis=0, ddof=1)
-        mean = np.add.reduce(x, axis=0) / m
-        blocks = _row_blocks(m, x.shape[1])
-        buf = np.zeros((blocks[0].stop + 1, x.shape[1]))
-        for rows in blocks:
-            dev = buf[1 : rows.stop - rows.start + 1]
-            np.subtract(x[rows], mean, out=dev)
-            np.square(dev, out=dev)
-            buf[0] = np.add.reduce(buf[: len(dev) + 1], axis=0)
-        return buf[0] / (m - 1)
+        if evals.width == 1:
+            # never streamed: numpy sums one column pairwise, and np.var stays
+            # the scalar estimate
+            return np.var(evals.outputs[model_index][:m], axis=0, ddof=1)
+        return evals.moments(model_index, m).m2 / (m - 1)
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
         # Squared deviation from the model's own pilot mean: a per-sample
@@ -170,7 +165,7 @@ class SobolMainStatistic:
     label = "sobol-main"
     min_samples = 2
     needs_sobol_block = True
-    reads_column_sums = False
+    fold = None
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         base, second, mixed = _sobol_columns(evals, model_index, m)
@@ -193,7 +188,7 @@ class SobolTotalStatistic:
     label = "sobol-total"
     min_samples = 2
     needs_sobol_block = True
-    reads_column_sums = False
+    fold = None
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
         _, second, mixed = _sobol_columns(evals, model_index, m)
@@ -325,17 +320,24 @@ def evaluate_for_plan(
     return _evaluate_counts(hierarchy, samples, m, cost_factor)
 
 
-def sum_for_plan(hierarchy: ModelHierarchy, plan, samples) -> PrefixSums:
-    """The column sums :func:`mfmc_statistic` reads from an expectation plan.
+def sum_for_plan(hierarchy: ModelHierarchy, plan, samples, statistic) -> PrefixSums:
+    """What :func:`mfmc_statistic` reads of ``statistic`` from a plan, without outputs.
 
-    Each retained model is evaluated on plain ``samples`` one row block at
-    a time and folded into running column sums; no model's outputs are ever
-    held whole. Costs and error checks are those of
-    :func:`evaluate_for_plan`, and the expectation it gives is the same bit
-    for bit when outputs are C-contiguous and at least 2 wide (see
-    ``sampling._fold_column_sums``).
+    ``statistic`` must have a ``fold`` (the expectation or the variance),
+    and the outputs must be at least 2 wide. Each retained model is
+    evaluated on plain ``samples`` one row block at a time and folded into
+    its state at the prefixes the combiner reads; no model's outputs are
+    ever held whole. Costs and error checks are those of
+    :func:`evaluate_for_plan`, and the estimate is the same bit for bit
+    (see ``sampling._fold_sum`` and ``sampling._fold_moments``).
     """
-    return _sum_counts(hierarchy, samples, _plan_counts(hierarchy, plan, samples))
+    if statistic.fold is None or hierarchy.output_length < 2:
+        raise ValueError(
+            f"only a statistic with a fold on outputs at least 2 wide streams, not "
+            f"{statistic.label} on {hierarchy.output_length}-wide outputs; use evaluate_for_plan"
+        )
+    m = _plan_counts(hierarchy, plan, samples)
+    return _sum_counts(hierarchy, samples, m, (statistic.fold,))
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the

@@ -68,7 +68,7 @@ class Model:
     length-n_out vector and batching is handled by a row loop. A vectorized
     evaluator's output row must depend only on its input row, not on the
     other rows of the batch or its size: the library may evaluate a sample
-    in row blocks (see ``sampling._fold_column_sums``) and relies on getting
+    in row blocks (see ``sampling._sum_counts``) and relies on getting
     the rows one call would give. Evaluators must tolerate concurrent
     callers (pure functions do).
     """

@@ -15,14 +15,17 @@ All models are evaluated on prefixes of one shared input sequence
 evaluation container is :class:`NestedEvaluations`. A Sobol block is
 just a wider input row: model i's outputs on it are (m[i], d + 2) columns
 (base, second, mixed_1..mixed_d), and its cost convention is a plain
-multiplier on the evaluation cost. :class:`PrefixSums` keeps only the
-column sums of vector outputs at given prefixes, folded row block by row
-block, for statistics that read nothing else (the expectation).
+multiplier on the evaluation cost. :class:`PrefixSums` keeps, instead of
+vector outputs, only what the expectation and the variance read of them at
+given prefixes: column sums, and shifted moments (count, mean, centred sum
+of squares). Both are folded row block by row block on one fixed grid, so
+held outputs and streamed blocks give the same values bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +38,8 @@ BASE_STREAM = 0
 SECOND_STREAM = 1
 
 # Elements per block of the row-blocked passes over model outputs (the
-# finiteness check and the column-sum fold here, the variance in
-# ``estimators``): their working memory is one block, however many rows the
-# outputs have.
+# finiteness check and the folds of column sums and moments): their working
+# memory is one block, however many rows the outputs have.
 _BLOCK_ELEMENTS = 65536
 
 
@@ -87,28 +89,44 @@ class NestedEvaluations:
     samples: SampleSet
     cost: float
 
+    @property
+    def width(self) -> int:
+        return self.outputs[0].shape[1]
+
     def column_sum(self, model_index: int, m: int) -> np.ndarray:
         """Column sums of model ``model_index``'s outputs on the first m rows."""
         return np.add.reduce(self.outputs[model_index][:m], axis=0)
 
+    def moments(self, model_index: int, m: int) -> _Moments:
+        """Shifted moments of model ``model_index``'s outputs on the first m rows,
+        folded over the held rows exactly as :class:`PrefixSums` folds streamed ones."""
+        x = self.outputs[model_index][:m]
+        blocks = ((rows.start, x[rows]) for rows in _row_blocks(m, x.shape[1]))
+        return _fold_prefixes(blocks, {m}, (_fold_moments,), x.shape[1])[m][_fold_moments]
+
 
 @dataclass(eq=False)
 class PrefixSums:
-    """Column sums of each model's outputs at chosen prefixes, without the outputs.
+    """Folded states of each model's outputs at chosen prefixes, without the outputs.
 
-    ``sums[i, s]`` is the column sum of model i's outputs on the first s
-    rows of ``samples``; ``m`` and ``cost`` are as in
-    :class:`NestedEvaluations`. Built by :func:`_fold_column_sums`, which
-    never holds more than one row block of outputs.
+    ``sums[i, s][fold]`` is the state of ``fold`` (:func:`_fold_sum` or
+    :func:`_fold_moments`) over model i's outputs on the first s rows of
+    ``samples``; ``m`` and ``cost`` are as in :class:`NestedEvaluations`.
+    Built by :func:`_sum_counts`, which never holds more than one row block
+    of outputs.
     """
 
     sums: dict
     m: np.ndarray
     samples: SampleSet
     cost: float
+    width: int
 
     def column_sum(self, model_index: int, m: int) -> np.ndarray:
-        return self.sums[model_index, m]
+        return self.sums[model_index, m][_fold_sum]
+
+    def moments(self, model_index: int, m: int) -> _Moments:
+        return self.sums[model_index, m][_fold_moments]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,15 +194,19 @@ def _validate_m_vec(m_vec, n_models, n_rows):
     return m
 
 
-def _row_blocks(n_rows: int, width: int, cuts=()) -> list:
+def _block_rows(width: int) -> int:
+    """Rows per block: about ``_BLOCK_ELEMENTS`` elements, and at least one row."""
+    return max(1, _BLOCK_ELEMENTS // max(width, 1))
+
+
+def _row_blocks(n_rows: int, width: int) -> list:
     """Consecutive row slices covering ``n_rows`` rows of ``width`` columns.
 
-    Each block holds at most about ``_BLOCK_ELEMENTS`` elements and at least
-    one row. Blocks also end at every row count in ``cuts``. Without cuts
-    the first block is the longest, so it sizes a reusable buffer.
+    The blocks start at ``range(0, n_rows, _block_rows(width))``: a fixed
+    grid, so the blocks of a prefix are those of the whole but the last.
     """
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    edges = sorted({*range(0, n_rows, step), *cuts, n_rows})
+    step = _block_rows(width)
+    edges = [*range(0, n_rows, step), n_rows]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
@@ -225,31 +247,95 @@ def _evaluate_checked(
     return out
 
 
-def _fold_column_sums(
-    model: Model, inputs: np.ndarray, model_index: int, width: int, stops
-) -> dict:
-    """Column sums of the model's outputs on ``inputs[:s]`` for every s in ``stops``.
+class _Moments(NamedTuple):
+    """Moments of the rows folded so far, each shifted by ``shift``."""
 
-    The model is evaluated one row block at a time, blocks end at every
-    stop, and each checked block is folded into a running sum that it
-    carries in as its first row. numpy sums a C-contiguous float64 array of
-    width >= 2 down axis 0 one row after another, so when the evaluator
-    returns such blocks a sum equals ``np.add.reduce(outputs[:s], axis=0)``
-    of one whole call bit for bit. Width 1 is summed pairwise, which
-    blocking would reorder; callers fold only wider outputs.
+    shift: np.ndarray  # the first row folded
+    n: int
+    mean: np.ndarray  # of the shifted rows
+    m2: np.ndarray  # centred sum of squares
+
+
+def _fold_sum(total, block: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``total`` (None before the first block) plus the column sums of ``block``.
+
+    The block is copied into ``buf`` under the running sum, which it carries
+    in as its first row. numpy sums a C-contiguous float64 array of width
+    >= 2 down axis 0 one row after another, so the result equals
+    ``np.add.reduce(outputs[:s], axis=0)`` of all rows so far bit for bit.
+    Width 1 is summed pairwise, which blocking would reorder; only wider
+    outputs are streamed.
     """
-    blocks = _row_blocks(max(stops), width, stops)
-    buf = np.empty((max(b.stop - b.start for b in blocks) + 1, width))
-    sums = {}
-    for rows in blocks:
-        out = _evaluate_checked(model, inputs[rows], model_index, width, rows.start)
-        n = rows.stop - rows.start
-        buf[1 : n + 1] = out
-        first = 1 if rows.start == 0 else 0  # the first block has no running sum yet
-        buf[0] = np.add.reduce(buf[first : n + 1], axis=0)
-        if rows.stop in stops:
-            sums[rows.stop] = buf[0].copy()
-    return sums
+    k = len(block)
+    buf[1 : k + 1] = block
+    if total is None:
+        return np.add.reduce(buf[1 : k + 1], axis=0)
+    buf[0] = total
+    return np.add.reduce(buf[: k + 1], axis=0)
+
+
+def _pairwise_row_sum(y: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``y``, adding its back half onto its front half in
+    place until one row is left (so ``y`` is overwritten).
+
+    The rounding error grows with log2 of the rows, where a row-after-row
+    sum of squares can drift with their number: 3e-13 relative was seen
+    at 32,768 rows of outputs offset by 1e10.
+    """
+    k = len(y)
+    while k > 1:
+        half = k // 2
+        y[:half] += y[k - half : k]
+        k -= half
+    return y[0].copy()
+
+
+def _fold_moments(state, block: np.ndarray, buf: np.ndarray) -> _Moments:
+    """``state`` (None before the first block) merged with the moments of ``block``.
+
+    Every row is shifted by the first row folded, so the sums stay on the
+    scale of the spread whatever the offset of the outputs. The shifted
+    copy goes into ``buf``, C-contiguous whatever the block's layout; one
+    pass over it gives the block's mean, a second its centred sum of
+    squares (:func:`_pairwise_row_sum`). Both are merged into the running
+    state by the pairwise update of Chan, Golub & LeVeque (1979).
+    """
+    k = len(block)
+    shift = block[0].copy() if state is None else state.shift
+    y = np.subtract(block, shift, out=buf[:k])
+    mean = np.add.reduce(y, axis=0) / k
+    np.subtract(y, mean, out=y)
+    m2 = _pairwise_row_sum(np.square(y, out=y))
+    if state is None:
+        return _Moments(shift, k, mean, m2)
+    n = state.n + k
+    delta = mean - state.mean
+    return _Moments(
+        shift, n, state.mean + delta * (k / n), state.m2 + m2 + delta**2 * (state.n * k / n)
+    )
+
+
+def _fold_prefixes(blocks, stops, folds, width: int) -> dict:
+    """``{s: {fold: state}}``: each fold's state over the first s rows, for s in ``stops``.
+
+    ``blocks`` yields (start, rows) pairs on the grid of :func:`_row_blocks`,
+    from row 0 to the last stop. Each block is folded into the running
+    states; a stop inside a block folds the block's first rows into a copy
+    of them. So a state depends only on its rows, never on the other stops
+    or on where the rows came from.
+    """
+    buf = np.empty((_block_rows(width) + 1, width))
+    states = dict.fromkeys(folds)
+    out = {}
+    for start, rows in blocks:
+        stop = start + len(rows)
+        for s in stops:
+            if start < s < stop:
+                out[s] = {f: f(states[f], rows[: s - start], buf) for f in folds}
+        states = {f: f(states[f], rows, buf) for f in folds}
+        if stop in stops:
+            out[stop] = states
+    return out
 
 
 def _nested_cost(costs, m, cost_factor: float) -> float:
@@ -288,23 +374,29 @@ def _evaluate_counts(
     return NestedEvaluations(outputs, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
 
 
-def _sum_counts(hierarchy: ModelHierarchy, samples: SampleSet, m) -> PrefixSums:
-    """:func:`_evaluate_counts` folded into column sums, never holding outputs.
+def _sum_counts(hierarchy: ModelHierarchy, samples: SampleSet, m, folds) -> PrefixSums:
+    """:func:`_evaluate_counts` folded by each of ``folds``, never holding outputs.
 
-    Each evaluated model is summed at its own count and at the previous
-    evaluated model's, the prefixes the telescoping combiner reads.
+    Each evaluated model is called one row block at a time, each block is
+    checked and folded, and the states are kept at the model's own count
+    and at the previous evaluated model's, the prefixes the telescoping
+    combiner reads. One walk per model serves every fold.
     """
+    width = hierarchy.output_length
     sums = {}
     prev = 0
     for i, model in enumerate(hierarchy.models):
         if m[i] == 0:
             continue
         stops = {int(m[prev]), int(m[i])}
-        folded = _fold_column_sums(model, samples.inputs, i, hierarchy.output_length, stops)
-        for stop, total in folded.items():
-            sums[i, stop] = total
+        blocks = (
+            (rows.start, _evaluate_checked(model, samples.inputs[rows], i, width, rows.start))
+            for rows in _row_blocks(max(stops), width)
+        )
+        for stop, states in _fold_prefixes(blocks, stops, folds, width).items():
+            sums[i, stop] = states
         prev = i
-    return PrefixSums(sums, m, samples, _nested_cost(hierarchy.costs, m, 1.0))
+    return PrefixSums(sums, m, samples, _nested_cost(hierarchy.costs, m, 1.0), width)
 
 
 def evaluate_nested(

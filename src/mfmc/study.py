@@ -133,6 +133,14 @@ class StudyConfig:
             raise UnknownNameError(f"unknown mode {self.mode!r}; available: {MODES}")
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        if self.pilot_budget is not None and (
+            self.pilot_size < 3 or (self.mode == "nonlinear" and self.regression_train_size < 5)
+        ):
+            raise ValueError(
+                f"pilot_budget {self.pilot_budget} is too small to split: it gives "
+                f"pilot_size {self.pilot_size} (needs >= 3) and regression_train_size "
+                f"{self.regression_train_size} (needs >= 5 in nonlinear mode)"
+            )
         if self.pilot_size < 3:
             raise ValueError(f"pilot_size must be >= 3, got {self.pilot_size}")
         if self.mode == "nonlinear" and self.regression_train_size < 5:
@@ -163,6 +171,12 @@ class StudyConfig:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        min_samples = max((STATISTICS[s].min_samples for s in self.statistics), default=1)
+        if self.reference_samples < min_samples:
+            raise ValueError(
+                f"reference_samples must be >= {min_samples} for statistics "
+                f"{list(self.statistics)}, got {self.reference_samples}"
+            )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.budget_unit not in ("hf-equivalent", "absolute"):
@@ -347,10 +361,10 @@ def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost)
 
 
 def _streams_sums(stat, hierarchy, bridges) -> bool:
-    """Whether ``stat`` is estimated from folded column sums, never holding outputs:
-    it reads nothing else, no bridge maps the outputs, and they are at least
-    2 wide (numpy sums width 1 pairwise, not row after row)."""
-    return bridges is None and stat.reads_column_sums and hierarchy.output_length >= 2
+    """Whether ``stat`` is estimated from folded states, never holding outputs:
+    it has a fold (the expectation and the variance), no bridge maps the
+    outputs, and they are at least 2 wide (scalars keep numpy's pairwise sums)."""
+    return bridges is None and stat.fold is not None and hierarchy.output_length >= 2
 
 
 def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dict:
@@ -369,7 +383,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
     samples = _draw(hierarchy, stat, int(plan.m.max()), est_seed)
     if _streams_sums(stat, hierarchy, bridges):
-        est_evals = sum_for_plan(hierarchy, plan, samples)
+        est_evals = sum_for_plan(hierarchy, plan, samples, stat)
     else:
         factor = _cost_factor(config, hierarchy, stat)
         est_evals = evaluate_for_plan(hierarchy, plan, samples, factor)
@@ -647,9 +661,9 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
 
     Writes a JSON table mapping each configured statistic to its reference
     vector, computed at ``reference_samples`` draws of model 0. Where
-    ``run_replicate`` would stream (``_streams_sums``), the outputs are
-    folded into column sums and never held, unless another statistic on
-    the same draws reads them.
+    ``run_replicate`` would stream (``_streams_sums``) every statistic on
+    the same draws, one walk over the outputs folds the states of all of
+    them, and the outputs are never held.
     """
     config.validate()
     hierarchy = config.build_hierarchy()
@@ -663,13 +677,13 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
         key = stat.needs_sobol_block
         if key not in evals:
             samples = _draw(hierarchy, stat, n, (config.seed, _REFERENCE))
-            # Fold into column sums unless a statistic on the same draws reads outputs.
-            fold = all(
-                _streams_sums(STATISTICS[s], hierarchy, None)
-                for s in config.statistics
-                if STATISTICS[s].needs_sobol_block == key
-            )
-            evals[key] = (_sum_counts if fold else evaluate_nested)(hierarchy, samples, m)
+            same_draws = [
+                STATISTICS[s] for s in config.statistics if STATISTICS[s].needs_sobol_block == key
+            ]
+            if all(_streams_sums(s, hierarchy, None) for s in same_draws):
+                evals[key] = _sum_counts(hierarchy, samples, m, [s.fold for s in same_draws])
+            else:
+                evals[key] = evaluate_nested(hierarchy, samples, m)
         table[stat_label] = [float(v) for v in stat.single_level(evals[key], 0, n)]
     if out_path is None:
         out = Path(config.out_dir)

@@ -98,10 +98,10 @@ def test_single_level_variance_values():
         single_level_variance([1.0])
 
 
-def _variance_layouts(rng, n, width):
+def _variance_layouts(rng, n, width, offset_decades=(-3, 3)):
     """(name, array) pairs of n x width outputs in the layouts a plugin may get."""
     scale = 10.0 ** rng.uniform(-3, 3, size=width)
-    offset = 10.0 ** rng.uniform(-3, 3, size=width)
+    offset = 10.0 ** rng.uniform(*offset_decades, size=width)
     wide = rng.normal(size=(n + 5, 2 * width)) * np.repeat(scale, 2) + np.repeat(offset, 2)
     c_order = np.ascontiguousarray(wide[:n, :width])
     return [
@@ -112,18 +112,68 @@ def _variance_layouts(rng, n, width):
     ]
 
 
+def _longdouble_variance(x):
+    """Two-pass unbiased variance in extended precision, with the second pass's
+    correction for the rounded mean (so offsets cost it no digits)."""
+    dev = x.astype(np.longdouble) - x.astype(np.longdouble).mean(axis=0)
+    n = x.shape[0]
+    return ((dev**2).sum(axis=0) - dev.sum(axis=0) ** 2 / n) / (n - 1)
+
+
+def _relative_error(got, reference):
+    return float(np.max(np.abs(got - reference) / reference))
+
+
+def _streamed_variance(x, n):
+    """The variance of ``x[:n]`` through ``sum_for_plan``: a one-model
+    hierarchy whose evaluator returns rows of ``x`` by input row index."""
+    model = Model(lambda z: x[z[:, 0].astype(int)], 1.0, "rows", vectorized=True)
+    h = ModelHierarchy((model,), (Normal(0.0, 1.0),), output_length=x.shape[1])
+    plan = _manual_plan([n], np.ones((1, x.shape[1])))
+    stat = STATISTICS["variance"]
+    return mfmc_statistic(sum_for_plan(h, plan, _index_samples(n), stat), plan, stat).value
+
+
+def _check_variance(x, n):
+    """Width 1: np.var bit for bit. Width >= 2: one value bit for bit in
+    every layout and streamed, within 2e-14 of the extended-precision
+    reference. Returns that value's relative error."""
+    evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
+    got = STATISTICS["variance"].single_level(evals, 0, n)
+    if x.shape[1] == 1:
+        assert np.array_equal(got, np.var(x[:n], axis=0, ddof=1))
+        return None
+    c_order = np.ascontiguousarray(x[:n])
+    assert np.array_equal(got, _streamed_variance(c_order, n))
+    for other in (c_order, np.asfortranarray(c_order)):
+        same = NestedEvaluations([other], np.array([n]), None, 0.0)
+        assert np.array_equal(got, STATISTICS["variance"].single_level(same, 0, n))
+    error = _relative_error(got, _longdouble_variance(x[:n]))
+    assert error < 2e-14
+    return error
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 17, 200])
-def test_variance_statistic_is_bit_identical_to_np_var(width):
+def test_variance_statistic_is_bit_identical_across_layouts_and_streams(width):
     rows_per_block = max(1, _BLOCK_ELEMENTS // width)
     edges = [rows_per_block - 1, rows_per_block, rows_per_block + 1, 3 * rows_per_block + 2]
     rng = np.random.default_rng(width)
     for n in [2, *(e for e in edges if e >= 2)]:
-        for name, x in _variance_layouts(rng, n, width):
+        for _, x in _variance_layouts(rng, n, width):
             # single_level slices its own prefix, so the "row prefix" layout
             # holds 5 more rows than it is asked for
-            evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
-            got = STATISTICS["variance"].single_level(evals, 0, n)
-            assert np.array_equal(got, np.var(x[:n], axis=0, ddof=1)), (name, n)
+            _check_variance(x, n)
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 200])
+def test_variance_statistic_keeps_its_digits_under_a_large_offset(width):
+    # outputs offset by 1e8-1e10 with a spread of 1e-3-1e3: np.var sums them
+    # unshifted and misses the bound the fold keeps
+    rng = np.random.default_rng(100 + width)
+    n = 3 * max(1, _BLOCK_ELEMENTS // width) + 2
+    _, x = _variance_layouts(rng, n, width, offset_decades=(8, 10))[0]
+    assert _check_variance(x, n) < 2e-14
+    assert _relative_error(np.var(x, axis=0, ddof=1), _longdouble_variance(x)) > 2e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,12 +182,11 @@ def test_variance_statistic_is_bit_identical_to_np_var(width):
     width=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
     layout=st.integers(0, 3),
+    offset_decades=st.sampled_from([(-3, 3), (8, 10)]),
 )
-def test_variance_statistic_matches_np_var_property(n, width, seed, layout):
-    name, x = _variance_layouts(np.random.default_rng(seed), n, width)[layout]
-    evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
-    got = STATISTICS["variance"].single_level(evals, 0, n)
-    assert np.array_equal(got, np.var(x[:n], axis=0, ddof=1)), name
+def test_variance_statistic_matches_reference_property(n, width, seed, layout, offset_decades):
+    _, x = _variance_layouts(np.random.default_rng(seed), n, width, offset_decades)[layout]
+    _check_variance(x, n)
 
 
 def test_variance_statistic_memory_is_bounded():
@@ -415,11 +464,11 @@ def _row_wise_hierarchy(width):
     return ModelHierarchy(models, (Normal(0.0, 1.0),) * 3, output_length=width)
 
 
-def _streamed_and_materialized(h, m, seed):
+def _streamed_and_materialized(h, m, seed, stat_label="expectation"):
     plan = _manual_plan(m, np.random.default_rng(seed).uniform(0.2, 1.2, (3, h.output_length)))
     samples = draw_inputs(h, int(max(m)), seed)
-    stat = STATISTICS["expectation"]
-    streamed = sum_for_plan(h, plan, samples)
+    stat = STATISTICS[stat_label]
+    streamed = sum_for_plan(h, plan, samples, stat)
     materialized = evaluate_for_plan(h, plan, samples)
     return (
         mfmc_statistic(streamed, plan, stat),
@@ -429,24 +478,49 @@ def _streamed_and_materialized(h, m, seed):
     )
 
 
-@pytest.mark.parametrize("width", [2, 3, 17, 200])
-@pytest.mark.parametrize(
-    "case", ["around a block edge", "small first stop", "equal counts", "dropped middle model"]
-)
-def test_streamed_expectation_is_bit_identical_to_materialized(width, case):
+def _edge_counts(width, case):
     e = max(1, _BLOCK_ELEMENTS // width)
-    m = {
+    return {
         "around a block edge": [e - 1, e, e + 1],
-        "small first stop": [1, e + 1, 2 * e - 1],
+        "small first stop": [2, e + 1, 2 * e - 1],
         "equal counts": [e, e, 2 * e + 1],
         "dropped middle model": [e + 1, 0, 3 * e - 1],
     }[case]
+
+
+_EDGE_CASES = ["around a block edge", "small first stop", "equal counts", "dropped middle model"]
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 200])
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_streamed_expectation_is_bit_identical_to_materialized(width, case):
+    m = _edge_counts(width, case)
+    if case == "small first stop":
+        m[0] = 1
     a, b, streamed, materialized = _streamed_and_materialized(_row_wise_hierarchy(width), m, width)
     assert np.array_equal(a.value, b.value)
     assert a.realized_cost == b.realized_cost
     assert np.array_equal(streamed.m, materialized.m)
     for i, s in streamed.sums:
         assert np.array_equal(streamed.column_sum(i, s), materialized.column_sum(i, s))
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 200])
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_streamed_variance_is_bit_identical_to_materialized(width, case):
+    m = _edge_counts(width, case)
+    a, b, streamed, materialized = _streamed_and_materialized(
+        _row_wise_hierarchy(width), m, width, "variance"
+    )
+    assert np.array_equal(a.value, b.value)
+    assert a.realized_cost == b.realized_cost
+    assert np.array_equal(streamed.m, materialized.m)
+    for i, s in streamed.sums:
+        for got, held in zip(streamed.moments(i, s), materialized.moments(i, s)):
+            assert np.array_equal(got, held)
+    # the first model's estimate is its own variance: check it against np.var
+    top = STATISTICS["variance"].single_level(streamed, 0, m[0])
+    assert np.allclose(top, np.var(materialized.outputs[0][: m[0]], axis=0, ddof=1), rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -465,10 +539,43 @@ def test_streamed_expectation_matches_materialized_property(width, counts, drop_
     assert a.realized_cost == b.realized_cost
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    width=st.integers(2, 300),
+    counts=st.lists(st.integers(2, 3000), min_size=3, max_size=3),
+    drop_middle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_variance_matches_materialized_property(width, counts, drop_middle, seed):
+    m = sorted(counts)
+    if drop_middle:
+        m[1] = 0
+    a, b, _, _ = _streamed_and_materialized(_row_wise_hierarchy(width), m, seed, "variance")
+    assert np.array_equal(a.value, b.value)
+    assert a.realized_cost == b.realized_cost
+
+
 def test_streamed_expectation_matches_materialized_synthetic_field():
     h = synthetic_field_hierarchy(200)
     a, b, _, _ = _streamed_and_materialized(h, [700, 4000, 20_000], 3)
     assert np.array_equal(a.value, b.value)
+
+
+def test_streamed_variance_matches_materialized_synthetic_field():
+    h = synthetic_field_hierarchy(200)
+    a, b, _, _ = _streamed_and_materialized(h, [700, 4000, 20_000], 3, "variance")
+    assert np.array_equal(a.value, b.value)
+
+
+def test_streamed_estimates_refuse_scalar_outputs_and_unfolded_statistics():
+    h = ishigami_hierarchy()
+    plan = _manual_plan([4, 8, 16], np.ones((3, 1)))
+    samples = draw_inputs(h, 16, 0)
+    with pytest.raises(ValueError, match="1-wide"):
+        sum_for_plan(h, plan, samples, STATISTICS["variance"])
+    field = synthetic_field_hierarchy(5)
+    with pytest.raises(ValueError, match="sobol-main"):
+        sum_for_plan(field, plan, draw_inputs(field, 16, 0), STATISTICS["sobol-main"])
 
 
 class _BadRows:
@@ -489,11 +596,7 @@ def _index_samples(n):
     return SampleSet(np.arange(n, dtype=float)[:, None], (0,), 0, (Normal(0.0, 1.0),))
 
 
-@pytest.mark.parametrize("width", [2, 200])
-@pytest.mark.parametrize("where", ["later block start", "inside a later block", "last row"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("case", ["all models", "dropped middle model"])
-def test_streamed_expectation_names_first_non_finite_sample(width, where, bad, case):
+def _check_first_non_finite_named(stat_label, width, where, bad, case):
     e = max(1, _BLOCK_ELEMENTS // width)
     n = 3 * e + 7
     row = {"later block start": 2 * e, "inside a later block": 2 * e + 5, "last row": n - 1}[where]
@@ -511,8 +614,9 @@ def test_streamed_expectation_names_first_non_finite_sample(width, where, bad, c
     )
     h = ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=width)
     plan = _manual_plan(m, np.ones((3, width)))
+    stat = STATISTICS[stat_label]
     errors = []
-    for evaluate in (sum_for_plan, evaluate_for_plan):
+    for evaluate in (lambda *args: sum_for_plan(*args, stat), evaluate_for_plan):
         with pytest.raises(EvaluationError) as info:
             evaluate(h, plan, _index_samples(n))
         errors.append(info.value)
@@ -520,7 +624,23 @@ def test_streamed_expectation_names_first_non_finite_sample(width, where, bad, c
         assert (err.model_index, err.model_label, err.sample_index) == (*expected, row)
 
 
-def test_streamed_expectation_names_model_with_wrong_output_shape():
+@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("where", ["later block start", "inside a later block", "last row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", ["all models", "dropped middle model"])
+def test_streamed_expectation_names_first_non_finite_sample(width, where, bad, case):
+    _check_first_non_finite_named("expectation", width, where, bad, case)
+
+
+@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("where", ["later block start", "inside a later block", "last row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", ["all models", "dropped middle model"])
+def test_streamed_variance_names_first_non_finite_sample(width, where, bad, case):
+    _check_first_non_finite_named("variance", width, where, bad, case)
+
+
+def _check_wrong_output_shape_named(stat_label):
     models = (
         Model(_BadRows(2), 1.0, "hf", vectorized=True),
         Model(lambda z: np.ones((min(z.shape[0], 10), 2)), 0.1, "short", vectorized=True),
@@ -528,5 +648,13 @@ def test_streamed_expectation_names_model_with_wrong_output_shape():
     h = ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=2)
     plan = _manual_plan([20, 50], np.ones((2, 2)))
     with pytest.raises(EvaluationError, match="shape") as info:
-        sum_for_plan(h, plan, _index_samples(50))
+        sum_for_plan(h, plan, _index_samples(50), STATISTICS[stat_label])
     assert (info.value.model_index, info.value.model_label) == (1, "short")
+
+
+def test_streamed_expectation_names_model_with_wrong_output_shape():
+    _check_wrong_output_shape_named("expectation")
+
+
+def test_streamed_variance_names_model_with_wrong_output_shape():
+    _check_wrong_output_shape_named("variance")

@@ -260,13 +260,15 @@ def test_evaluate_nested_names_model_with_wrong_output_shape(case):
 
 
 @pytest.mark.parametrize("width", [1, 2, 200])
-def test_row_blocks_end_at_every_cut(width):
+def test_row_blocks_lie_on_a_fixed_grid(width):
     step = max(1, _BLOCK_ELEMENTS // width)
-    cuts = {1, step - 1, step, step + 1, 2 * step + 3}
-    blocks = _row_blocks(3 * step, width, cuts)
-    assert blocks[0].start == 0 and blocks[-1].stop == 3 * step
-    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-    assert all(0 < b.stop - b.start <= step for b in blocks)
-    assert cuts <= {b.stop for b in blocks}
+    for n in [1, step - 1, step, step + 1, 3 * step + 1]:
+        blocks = _row_blocks(n, width)
+        assert [b.start for b in blocks] == list(range(0, n, step))
+        assert blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(0 < b.stop - b.start <= step for b in blocks)
+    # a prefix is cut where the whole is, up to its own end
+    assert _row_blocks(2 * step + 5, width)[:2] == _row_blocks(3 * step, width)[:2]
     assert [b.stop - b.start for b in _row_blocks(3 * step + 1, width)] == [step] * 3 + [1]
     assert _row_blocks(0, width) == []

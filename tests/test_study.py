@@ -9,7 +9,9 @@ from mfmc import study
 from mfmc.cli import main
 from mfmc.errors import MFMCError, UnknownNameError
 from mfmc.regression import GaussianProcessBridge
-from mfmc.sampling import draw_inputs
+from mfmc.estimators import STATISTICS
+from mfmc.hierarchy import Model
+from mfmc.sampling import NestedEvaluations, draw_inputs
 from mfmc.study import (
     StudyConfig,
     make_reference,
@@ -215,6 +217,12 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"sobol_cost_convention": "per-run"}, UnknownNameError, "sobol_cost_convention"),
         ({"jobs": 0}, ValueError, "jobs"),
         ({"jobs": -1}, ValueError, "jobs"),
+        ({"reference_samples": 0}, ValueError, "reference_samples"),
+        ({"statistics": ("expectation", "variance"), "reference_samples": 1},
+         ValueError, "reference_samples"),
+        ({"statistics": ("sobol-main",), "reference_samples": 1}, ValueError, "reference_samples"),
+        ({"pilot_budget": 4}, ValueError, "pilot_budget"),
+        ({"mode": "nonlinear", "pilot_budget": 9}, ValueError, "pilot_budget"),
     ],
 )
 def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
@@ -483,19 +491,27 @@ def _field_config(**overrides):
     return StudyConfig(**base)
 
 
-def test_streamed_expectation_replicate_memory_is_bounded():
-    config = _field_config()
-    run_replicate(config, "expectation", 700.0, 0)  # warm up imports and caches
+def _replicate_peak(stat, budget):
+    config = _field_config(budgets=(budget,))
+    run_replicate(config, stat, budget, 0)  # warm up imports and caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rec = run_replicate(config, "expectation", 700.0, 0)
+        rec = run_replicate(config, stat, budget, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     outputs = int(np.sum(rec["m"])) * 200 * 8
     assert outputs > 100e6  # what holding every model's outputs would take
-    assert peak < 16e6
+    return peak
+
+
+def test_streamed_expectation_replicate_memory_is_bounded():
+    assert _replicate_peak("expectation", 700.0) < 16e6
+
+
+def test_streamed_variance_replicate_memory_is_bounded():
+    assert _replicate_peak("variance", 800.0) < 16e6
 
 
 def test_reference_expectation_memory_is_bounded(tmp_path):
@@ -516,22 +532,55 @@ def test_reference_expectation_memory_is_bounded(tmp_path):
     assert np.array_equal(table["expectation"], np.add.reduce(outputs, axis=0) / n)
 
 
+@pytest.mark.parametrize("statistics", [("variance",), ("expectation", "variance")])
+def test_reference_variance_memory_is_bounded(tmp_path, monkeypatch, statistics):
+    n = 50_000
+    config = _field_config(reference_samples=n, statistics=statistics)
+    make_reference(config, tmp_path / "warm.json")  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = make_reference(config, tmp_path / "ref.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # the high-fidelity outputs alone would take 80 MB
+    h = config.build_hierarchy()
+    samples = draw_inputs(h, n, (config.seed, study._REFERENCE))
+    held = NestedEvaluations([h.models[0].evaluate_batch(samples.inputs)], [n], samples, 0.0)
+    for label in statistics:
+        expected = STATISTICS[label].single_level(held, 0, n)
+        assert np.array_equal(table[label], expected)
+    # one walk over the high-fidelity model serves every statistic
+    rows = []
+    evaluate_batch = Model.evaluate_batch
+
+    def counted(model, inputs):
+        rows.append(len(inputs))
+        return evaluate_batch(model, inputs)
+
+    monkeypatch.setattr(Model, "evaluate_batch", counted)
+    make_reference(config, tmp_path / "counted.json")
+    assert sum(rows) == n
+
+
 @pytest.mark.parametrize(
     "overrides, stat, streamed",
     [
         ({}, "expectation", True),
-        ({}, "variance", False),
+        ({}, "variance", True),
         ({"n_points": 1}, "expectation", False),
+        ({"n_points": 1}, "variance", False),
         ({"hierarchy": "ishigami"}, "expectation", False),
     ],
-    ids=["field expectation", "field variance", "one-point field", "ishigami"],
+    ids=["field expectation", "field variance", "one-point field", "one-point variance", "ishigami"],
 )
-def test_replicate_streams_only_vector_expectations(monkeypatch, overrides, stat, streamed):
+def test_replicate_streams_only_vector_moments(monkeypatch, overrides, stat, streamed):
     config = _field_config(budgets=(20.0,), **overrides)
     expected = run_replicate(config, stat, 20.0, 0)
     calls = []
 
-    def materialized(hierarchy, plan, samples):
+    def materialized(hierarchy, plan, samples, statistic):
         calls.append(plan)
         return study.evaluate_for_plan(hierarchy, plan, samples)
 
