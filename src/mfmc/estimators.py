@@ -121,9 +121,9 @@ class VarianceStatistic:
     """Per-component unbiased variance.
 
     Scalar outputs keep ``np.var(outputs[:m], axis=0, ddof=1)``. Wider
-    outputs are folded in row blocks (``sampling._fold_moments``): each
-    block is shifted by the model's first output row, its mean and centred
-    sum of squares are taken in two passes while it is in cache, and it is
+    outputs are folded in row blocks (``sampling._fold_moments``): the
+    first block is shifted by the model's first output row and centred on
+    its mean, each later block is shifted by the running mean, and each is
     merged into the running moments (Chan, Golub & LeVeque, 1979). So a
     :class:`~mfmc.sampling.PrefixSums` supplies the state without holding
     the outputs (``fold``), and on held outputs the same fold runs over the

@@ -280,19 +280,30 @@ def synthetic_field_grid(n_points: int) -> np.ndarray:
 
 
 class _FieldModel:
-    """Picklable vector-field evaluator over a fixed grid."""
+    """Picklable vector-field evaluator over a fixed grid x.
+
+    Level 3 is s0 sin(pi x); level 2 adds s1 cos(pi x), and level 1 also
+    0.1 s2 x. sin(pi x) and cos(pi x) are computed once. Each term is an
+    outer product (``np.einsum``) added in place into the first, so there
+    are no broadcast products: the products and the additions are those of
+    ``s[:, 0:1] * sin(pi x) + s[:, 1:2] * cos(pi x) + 0.1 * s[:, 2:3] * x``
+    in the same order, with the same values but for the sign of an exact
+    zero: einsum gives +0.0 where that expression can give -0.0, from a
+    product that is exactly zero (an input of +-0.0, or an underflow).
+    """
 
     def __init__(self, grid, level):
         self.grid = np.asarray(grid, dtype=float)
         self.level = level
+        self.sin = np.sin(np.pi * self.grid)
+        self.cos = np.cos(np.pi * self.grid)
 
     def __call__(self, s):
-        x = self.grid[None, :]
-        out = s[:, 0:1] * np.sin(np.pi * x)
+        out = np.einsum("i,j->ij", s[:, 0], self.sin)
         if self.level <= 2:
-            out = out + s[:, 1:2] * np.cos(np.pi * x)
+            out += np.einsum("i,j->ij", s[:, 1], self.cos)
         if self.level <= 1:
-            out = out + 0.1 * s[:, 2:3] * x
+            out += np.einsum("i,j->ij", 0.1 * s[:, 2], self.grid)
         return out
 
 

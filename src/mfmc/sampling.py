@@ -24,6 +24,7 @@ held outputs and streamed blocks give the same values bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -210,16 +211,12 @@ def _row_blocks(n_rows: int, width: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _evaluate_checked(
-    model: Model, inputs: np.ndarray, model_index: int, width: int, start: int = 0
+def _evaluate_shaped(
+    model: Model, inputs: np.ndarray, model_index: int, width: int
 ) -> np.ndarray:
-    """One ``evaluate_batch`` call on sample rows ``start``.. onwards, checked.
-
-    The output must have one row per input row and ``width`` columns, and
-    every value must be finite (checked one row block at a time). A failure
-    raises :class:`EvaluationError` naming the model and, for a non-finite
-    value, the sample.
-    """
+    """One ``evaluate_batch`` call, its output checked to have one row per
+    input row and ``width`` columns; a mismatch raises
+    :class:`EvaluationError` naming the model."""
     out = model.evaluate_batch(inputs)
     if out.shape != (inputs.shape[0], width):
         raise EvaluationError(
@@ -229,10 +226,20 @@ def _evaluate_checked(
             model_index=model_index,
             model_label=model.label,
         )
+    return out
+
+
+def _check_finite(out: np.ndarray, model: Model, model_index: int, start: int = 0) -> None:
+    """Raise :class:`EvaluationError` naming the first non-finite row of ``out``,
+    the outputs of ``model`` on sample rows ``start``.. onwards.
+
+    The scan runs one row block at a time, so its working memory is one
+    block of booleans however many rows ``out`` has.
+    """
     blocks = _row_blocks(*out.shape)
     if not blocks:
-        return out
-    finite = np.empty((blocks[0].stop, width), dtype=bool)
+        return
+    finite = np.empty((blocks[0].stop, out.shape[1]), dtype=bool)
     for rows in blocks:
         ok = np.isfinite(out[rows], out=finite[: rows.stop - rows.start])
         if not ok.all():
@@ -244,6 +251,17 @@ def _evaluate_checked(
                 model_label=model.label,
                 sample_index=row,
             )
+
+
+def _evaluate_checked(
+    model: Model, inputs: np.ndarray, model_index: int, width: int
+) -> np.ndarray:
+    """:func:`_evaluate_shaped`, then every value checked finite by
+    :func:`_check_finite`: the check for outputs that are held whole.
+    Streamed blocks read it off their folded state instead (see
+    :func:`_fold_prefixes`)."""
+    out = _evaluate_shaped(model, inputs, model_index, width)
+    _check_finite(out, model, model_index)
     return out
 
 
@@ -293,29 +311,51 @@ def _pairwise_row_sum(y: np.ndarray) -> np.ndarray:
 def _fold_moments(state, block: np.ndarray, buf: np.ndarray) -> _Moments:
     """``state`` (None before the first block) merged with the moments of ``block``.
 
-    Every row is shifted by the first row folded, so the sums stay on the
-    scale of the spread whatever the offset of the outputs. The shifted
-    copy goes into ``buf``, C-contiguous whatever the block's layout; one
-    pass over it gives the block's mean, a second its centred sum of
-    squares (:func:`_pairwise_row_sum`). Both are merged into the running
-    state by the pairwise update of Chan, Golub & LeVeque (1979).
+    The rows are shifted so the sums stay on the scale of the spread
+    whatever the offset of the outputs; the shifted copy goes into ``buf``,
+    C-contiguous whatever the block's layout. The first block is shifted
+    by its first row, which stays the state's ``shift``, and centred on its
+    mean in a second pass; that mean is summed pairwise
+    (:func:`_pairwise_row_sum`), since its error enters every later merge.
+    Every later block is shifted in one subtract by the running mean ``c``;
+    from the sum ``s1`` and the pairwise sum of squares of the shifted rows
+    ``y``, its centred sum of squares is ``sum(y**2) - s1 * (s1 / k)`` and
+    its mean ``c + s1 / k``. Near the running mean, ``s1`` is small and the
+    difference loses few digits. The block is merged into the state by the
+    pairwise update of Chan, Golub & LeVeque (1979).
     """
     k = len(block)
-    shift = block[0].copy() if state is None else state.shift
-    y = np.subtract(block, shift, out=buf[:k])
-    mean = np.add.reduce(y, axis=0) / k
-    np.subtract(y, mean, out=y)
-    m2 = _pairwise_row_sum(np.square(y, out=y))
     if state is None:
-        return _Moments(shift, k, mean, m2)
+        shift = block[0].copy()
+        y = np.subtract(block, shift, out=buf[:k])
+        mean = _pairwise_row_sum(y.copy()) / k
+        np.subtract(y, mean, out=y)
+        return _Moments(shift, k, mean, _pairwise_row_sum(np.square(y, out=y)))
+    c = state.shift + state.mean
+    y = np.subtract(block, c, out=buf[:k])
+    s1 = np.add.reduce(y, axis=0)
+    mean = (c - state.shift) + s1 / k
+    m2 = _pairwise_row_sum(np.square(y, out=y)) - s1 * (s1 / k)
     n = state.n + k
     delta = mean - state.mean
     return _Moments(
-        shift, n, state.mean + delta * (k / n), state.m2 + m2 + delta**2 * (state.n * k / n)
+        state.shift,
+        n,
+        state.mean + delta * (k / n),
+        state.m2 + m2 + delta**2 * (state.n * k / n),
     )
 
 
-def _fold_prefixes(blocks, stops, folds, width: int) -> dict:
+def _finite_state(state) -> bool:
+    """Whether a fold's state is finite: the column sums of :func:`_fold_sum`,
+    the mean of :func:`_fold_moments`. A NaN or an infinity in the rows
+    folded makes its column's sum NaN or infinite, so a finite state proves
+    the rows finite. A non-finite one may still come from finite rows whose
+    sum overflowed."""
+    return bool(np.isfinite(state.mean if isinstance(state, _Moments) else state).all())
+
+
+def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
     """``{s: {fold: state}}``: each fold's state over the first s rows, for s in ``stops``.
 
     ``blocks`` yields (start, rows) pairs on the grid of :func:`_row_blocks`,
@@ -323,16 +363,25 @@ def _fold_prefixes(blocks, stops, folds, width: int) -> dict:
     states; a stop inside a block folds the block's first rows into a copy
     of them. So a state depends only on its rows, never on the other stops
     or on where the rows came from.
+
+    ``check(rows, start=start)``, if given, runs on a block only when a
+    state it was folded into is not finite (:func:`_finite_state`), so
+    finite rows are never scanned element by element. The fold's
+    arithmetic on a bad block raises no warning (``inf - inf``); ``check``
+    reports the block.
     """
     buf = np.empty((_block_rows(width) + 1, width))
     states = dict.fromkeys(folds)
     out = {}
     for start, rows in blocks:
         stop = start + len(rows)
-        for s in stops:
-            if start < s < stop:
-                out[s] = {f: f(states[f], rows[: s - start], buf) for f in folds}
-        states = {f: f(states[f], rows, buf) for f in folds}
+        with np.errstate(invalid="ignore"):
+            for s in stops:
+                if start < s < stop:
+                    out[s] = {f: f(states[f], rows[: s - start], buf) for f in folds}
+            states = {f: f(states[f], rows, buf) for f in folds}
+        if check is not None and not all(map(_finite_state, states.values())):
+            check(rows, start=start)
         if stop in stops:
             out[stop] = states
     return out
@@ -377,10 +426,14 @@ def _evaluate_counts(
 def _sum_counts(hierarchy: ModelHierarchy, samples: SampleSet, m, folds) -> PrefixSums:
     """:func:`_evaluate_counts` folded by each of ``folds``, never holding outputs.
 
-    Each evaluated model is called one row block at a time, each block is
-    checked and folded, and the states are kept at the model's own count
-    and at the previous evaluated model's, the prefixes the telescoping
-    combiner reads. One walk per model serves every fold.
+    Each evaluated model is called one row block at a time; each block's
+    shape is checked at evaluation, and the block is folded. Its finiteness
+    is read off the folded states: only a block whose state is not finite
+    is scanned (:func:`_check_finite`), which names the first non-finite
+    sample as the held path does, or finds finite rows whose sums
+    overflowed and lets them fold on. The states are kept at the model's
+    own count and at the previous evaluated model's, the prefixes the
+    telescoping combiner reads. One walk per model serves every fold.
     """
     width = hierarchy.output_length
     sums = {}
@@ -390,10 +443,11 @@ def _sum_counts(hierarchy: ModelHierarchy, samples: SampleSet, m, folds) -> Pref
             continue
         stops = {int(m[prev]), int(m[i])}
         blocks = (
-            (rows.start, _evaluate_checked(model, samples.inputs[rows], i, width, rows.start))
+            (rows.start, _evaluate_shaped(model, samples.inputs[rows], i, width))
             for rows in _row_blocks(max(stops), width)
         )
-        for stop, states in _fold_prefixes(blocks, stops, folds, width).items():
+        check = functools.partial(_check_finite, model=model, model_index=i)
+        for stop, states in _fold_prefixes(blocks, stops, folds, width, check).items():
             sums[i, stop] = states
         prev = i
     return PrefixSums(sums, m, samples, _nested_cost(hierarchy.costs, m, 1.0), width)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfmc.sampling
 from conftest import telescoping_mse
 from mfmc.allocation import AllocationPlan, CostModel, optimal_allocation
 from mfmc.errors import EvaluationError, NotFittedError
@@ -134,9 +135,9 @@ def _streamed_variance(x, n):
     return mfmc_statistic(sum_for_plan(h, plan, _index_samples(n), stat), plan, stat).value
 
 
-def _check_variance(x, n):
+def _check_variance(x, n, bound=2e-14):
     """Width 1: np.var bit for bit. Width >= 2: one value bit for bit in
-    every layout and streamed, within 2e-14 of the extended-precision
+    every layout and streamed, within ``bound`` of the extended-precision
     reference. Returns that value's relative error."""
     evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
     got = STATISTICS["variance"].single_level(evals, 0, n)
@@ -149,7 +150,7 @@ def _check_variance(x, n):
         same = NestedEvaluations([other], np.array([n]), None, 0.0)
         assert np.array_equal(got, STATISTICS["variance"].single_level(same, 0, n))
     error = _relative_error(got, _longdouble_variance(x[:n]))
-    assert error < 2e-14
+    assert error < bound
     return error
 
 
@@ -174,6 +175,48 @@ def test_variance_statistic_keeps_its_digits_under_a_large_offset(width):
     _, x = _variance_layouts(rng, n, width, offset_decades=(8, 10))[0]
     assert _check_variance(x, n) < 2e-14
     assert _relative_error(np.var(x, axis=0, ddof=1), _longdouble_variance(x)) > 2e-14
+
+
+_ROW_ORDERS = [
+    "ascending",
+    "descending",
+    "heavy-tailed descending",
+    "outlier in row 0",
+    "outlier in a later block",
+    "step between blocks",
+]
+
+
+def _reordered_rows(width, case):
+    """12 blocks of outputs whose row order is hard on a block-merged variance."""
+    e = max(1, _BLOCK_ELEMENTS // width)
+    rng = np.random.default_rng(width)
+    if case == "heavy-tailed descending":
+        return np.sort(rng.lognormal(size=(12 * e, width)), axis=0)[::-1]
+    _, x = _variance_layouts(rng, 12 * e, width)[0]
+    if case == "ascending":
+        return np.sort(x, axis=0)
+    if case == "descending":
+        return np.sort(x, axis=0)[::-1]
+    if case == "outlier in row 0":
+        x[0] += 1e6
+    elif case == "outlier in a later block":
+        x[5 * e + 3] += 1e6
+    else:
+        x[6 * e :] += 1e3
+    return x
+
+
+@pytest.mark.parametrize("width", [2, 17, 200])
+@pytest.mark.parametrize("case", _ROW_ORDERS)
+def test_variance_statistic_keeps_its_digits_in_adversarial_row_orders(width, case):
+    # Sorted rows put every later block's mean away from the running mean,
+    # so they get a bound of their own; rows in sampling order keep 2e-14.
+    # A first-block mean summed row after row reads 1.9e-13 on the
+    # heavy-tailed descending rows at width 2 (above 1e-13 on 4 of 8 seeds).
+    x = _reordered_rows(width, case)
+    sorted_rows = case.endswith(("ascending", "descending"))
+    _check_variance(x, len(x), bound=1e-13 if sorted_rows else 2e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -638,6 +681,83 @@ def test_streamed_expectation_names_first_non_finite_sample(width, where, bad, c
 @pytest.mark.parametrize("case", ["all models", "dropped middle model"])
 def test_streamed_variance_names_first_non_finite_sample(width, where, bad, case):
     _check_first_non_finite_named("variance", width, where, bad, case)
+
+
+class _Overflowing:
+    """Finite outputs near +-1e308 whose folded sums overflow: columns of one
+    sign (column sums overflow) and columns alternating in sign by row (the
+    variance's shifted rows overflow); the input is the row index."""
+
+    def __init__(self, width, seed):
+        self.width = width
+        self.noise = np.random.default_rng(seed).uniform(0.5, 1.0, size=(1, width))
+
+    def __call__(self, z):
+        rows = z[:, :1]
+        sign = np.where(np.arange(self.width) % 2 == 0, 1.0, (-1.0) ** rows)
+        return 1e308 * sign * (self.noise - 1e-3 * np.sin(rows))
+
+
+def _overflowing_hierarchy(width):
+    models = tuple(
+        Model(_Overflowing(width, seed), cost, f"big{seed}", vectorized=True)
+        for seed, cost in zip(range(3), (1.0, 0.1, 0.01))
+    )
+    return ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=width)
+
+
+def _count_scans(monkeypatch):
+    """Count the element-by-element finiteness scans of ``sampling._check_finite``."""
+    calls = []
+    scan = mfmc.sampling._check_finite
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(mfmc.sampling, "_check_finite", spy)
+    return calls
+
+
+@pytest.mark.parametrize("stat_label", ["expectation", "variance"])
+def test_streamed_finite_blocks_are_not_scanned(stat_label, monkeypatch):
+    h = synthetic_field_hierarchy(200)
+    m = [700, 4000, 20_000]
+    plan = _manual_plan(m, np.ones((3, 200)))
+    samples = draw_inputs(h, max(m), 3)
+    calls = _count_scans(monkeypatch)
+    sum_for_plan(h, plan, samples, STATISTICS[stat_label])
+    assert calls == []
+
+
+@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("stat_label", ["expectation", "variance"])
+def test_streamed_overflowing_finite_outputs_fold_as_held(width, stat_label, monkeypatch):
+    # a non-finite state from finite outputs is scanned, found clean, and folded on
+    e = max(1, _BLOCK_ELEMENTS // width)
+    m = [e // 2, e + 3, 3 * e + 1]
+    h = _overflowing_hierarchy(width)
+    plan = _manual_plan(m, np.ones((3, width)))
+    samples = _index_samples(max(m))
+    stat = STATISTICS[stat_label]
+    calls = _count_scans(monkeypatch)
+    # the fold keeps numpy's overflow warning
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        streamed = sum_for_plan(h, plan, samples, stat)
+    assert calls
+    held = evaluate_for_plan(h, plan, samples)
+    # held rows fold on reading, and the combine takes inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = mfmc_statistic(streamed, plan, stat), mfmc_statistic(held, plan, stat)
+        read = held.column_sum if stat_label == "expectation" else held.moments
+        held_states = {key: read(*key) for key in streamed.sums}
+    assert not np.isfinite(a.value).all()
+    assert np.array_equal(a.value, b.value, equal_nan=True)
+    for key, want in held_states.items():
+        got = streamed.sums[key][stat.fold]
+        if stat_label == "expectation":
+            got, want = [got], [want]
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
 
 
 def _check_wrong_output_shape_named(stat_label):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -104,6 +105,45 @@ def test_synthetic_field_pilot_converges_to_closed_forms():
         denom = np.sqrt((s1**2).sum(axis=0) * (si**2).sum(axis=0))
         rho_hat = np.where(denom > 0, (s1 * si).sum(axis=0) / np.where(denom > 0, denom, 1.0), 0.0)
         assert np.all(np.abs(rho_hat - rho_exact[i]) < 0.01)
+
+
+def _broadcast_field(grid, level, s):
+    """The field as broadcast products: the expression the evaluator replaced."""
+    x = grid[None, :]
+    out = s[:, 0:1] * np.sin(np.pi * x)
+    if level <= 2:
+        out = out + s[:, 1:2] * np.cos(np.pi * x)
+    if level <= 1:
+        out = out + 0.1 * s[:, 2:3] * x
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 17, 200])
+@pytest.mark.parametrize("rows", [1, 327, 4000])
+def test_field_model_is_bit_identical_to_broadcast_products(width, rows):
+    h = synthetic_field_hierarchy(width)
+    grid = synthetic_field_grid(width)
+    draws = np.random.default_rng(width * rows).normal(size=(rows, 3))
+    for level, model in enumerate(h.models, start=1):
+        for evaluator in (model.evaluator, pickle.loads(pickle.dumps(model.evaluator))):
+            for s in (draws, draws * 1e150, draws * 1e-150):
+                assert _same_bits(evaluator(s), _broadcast_field(grid, level, s))
+
+
+def test_field_model_gives_positive_zero_for_zero_inputs():
+    # an exact-zero product is +0.0 from the evaluator; the broadcast
+    # products give -0.0 where a zero input meets a basis value of the other sign
+    grid = synthetic_field_grid(17)
+    zeros = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])
+    for level, model in enumerate(synthetic_field_hierarchy(17).models, start=1):
+        got = model.evaluator(zeros)
+        assert np.all(got == 0.0) and not np.signbit(got).any()
+        assert np.array_equal(got, _broadcast_field(grid, level, zeros))
+    assert np.signbit(_broadcast_field(grid, 3, zeros)[1]).all()
 
 
 def test_registry_names_and_cost_override():
