@@ -14,7 +14,6 @@ from .allocation import (
     budget_for_tolerance,
     optimal_allocation,
     predicted_mse,
-    variance_reduction_ratio,
 )
 from .errors import (
     DegenerateStatsError,
@@ -37,9 +36,6 @@ from .estimators import (
     mfmc_expectation,
     mfmc_nonlinear,
     mfmc_statistic,
-    single_level_variance,
-    sobol_indices_single_level,
-    sobol_single_level,
 )
 from .hierarchy import (
     Model,
@@ -67,10 +63,7 @@ from .pilot import (
 )
 from .regression import (
     GaussianProcessBridge,
-    PiecewiseLinearBridge,
     fit_regressor,
-    load_regressor,
-    save_regressor,
 )
 from .sampling import (
     NestedEvaluations,

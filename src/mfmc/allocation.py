@@ -530,20 +530,6 @@ def predicted_mse(plan: AllocationPlan, stats, weights=None) -> float:
     return float(np.sum(per_comp[valid] * weights[valid]))
 
 
-def variance_reduction_ratio(stats, costs: CostModel, weights=None) -> float:
-    """Best-case error of the combined estimator relative to plain sampling.
-
-    Evaluates the closed-form ratio on the models as given, without any
-    admissibility filtering; values above 1 signal that some model must be
-    dropped rather than included.
-    """
-    agg = _as_aggregated(stats, weights)
-    v = np.clip(agg.rho_bar_sq, 0.0, 1.0)
-    gaps = v - np.append(v[1:], 0.0)
-    gaps = np.maximum(gaps, 0.0)
-    return float(np.sum(np.sqrt(costs.w / costs.w[0] * gaps)) ** 2)
-
-
 def budget_for_tolerance(stats, costs: CostModel, epsilon: float, weights=None) -> float:
     """Smallest budget whose optimally-allocated error meets epsilon^2.
 

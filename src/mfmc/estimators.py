@@ -1,9 +1,13 @@
 """Statistic plugins and the one telescoping multifidelity combiner.
 
-A statistic plugin bundles two things:
+A statistic plugin bundles three things:
 
-* ``single_level`` -- the plain estimator of the statistic from one model's
-  outputs (a mean, an unbiased variance, a Sobol index vector, ...);
+* ``fold`` -- how one row block of a model's outputs merges into a running
+  state (``sampling._fold_sum``, ``_fold_moments`` and the two Sobol
+  folds);
+* ``single_level`` -- the plain estimator of the statistic from one model
+  on its first m samples (a mean, an unbiased variance, a Sobol index
+  vector, ...), read from that fold's state alone;
 * ``pilot_contributions`` -- a per-sample scalarization of the same
   statistic, used only to estimate the variances/correlations that drive
   the sample allocation.
@@ -14,14 +18,17 @@ weighted difference of that model's single-level estimates at its own
 sample count and at the previous model's count. Because all models see
 prefixes of one shared input sequence, those differences are zero-mean
 corrections and the combination stays unbiased whenever the single-level
-estimator is. Regression bridges and Sobol blocks only change what the
-per-model outputs are: :func:`apply_bridges` maps low-fidelity outputs onto
-the high-fidelity scale, and a Sobol block's outputs carry d + 2 columns
-(base, second, mixed_1..mixed_d) that the Sobol plugins read.
+estimator is. Every estimate is made from :func:`sum_for_plan`, which folds
+each model's outputs one row block at a time and never holds them. Bridges
+and Sobol blocks only change what is folded: a fitted bridge maps each
+low-fidelity block onto the high-fidelity scale (:func:`_bridge_block`, as
+:func:`apply_bridges` does to held outputs), and a Sobol block's outputs
+carry d + 2 columns (base, second, mixed_1..mixed_d).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,77 +40,26 @@ from .sampling import (
     PrefixSums,
     _evaluate_counts,
     _fold_moments,
+    _fold_sobol_main,
+    _fold_sobol_total,
     _fold_sum,
     _sum_counts,
     _validate_m_vec,
     sobol_cost_factor,
 )
 
-
-def single_level_variance(samples) -> float:
-    """Unbiased sample variance of a 1-D sample vector."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] < 2:
-        raise ValueError("variance needs at least 2 samples")
-    return float(np.var(samples, ddof=1))
-
-
-def sobol_single_level(base, second, mixed, j: int):
-    """Main- and total-effect estimates for coordinate j from one model.
-
-    ``base``, ``second`` and ``mixed[j]`` are the model's outputs on the
-    corresponding Sobol input sets, all of the same length m >= 2. Returns
-    the variance-scaled (unnormalized) pair (V_j, T_j).
-    """
-    # ``b @ yj`` rounds differently on strided views, so work on contiguous data.
-    b = np.ascontiguousarray(base, dtype=float)
-    s2 = np.asarray(second, dtype=float)
-    yj = np.ascontiguousarray(mixed[j], dtype=float)
-    m = b.shape[0]
-    if m < 2 or s2.shape[0] != m or yj.shape[0] != m:
-        raise ValueError("Sobol estimation needs matching blocks with m >= 2")
-    mu_half = 0.5 * (b.mean() + s2.mean())
-    v_half = 0.25 * (np.var(b, ddof=1) + np.var(s2, ddof=1))
-    vj = 2.0 / (2.0 * m - 1.0) * (b @ yj - m * mu_half**2 + v_half)
-    tj = float(np.sum((s2 - yj) ** 2) / (2.0 * m))
-    return float(vj), tj
-
-
-def sobol_indices_single_level(base, second, mixed):
-    """All main/total estimates plus normalized versions for one model.
-
-    Normalization divides by the unbiased variance of the base block. The
-    raw values are the quantities the multifidelity machinery combines; the
-    normalized ones are what gets compared against textbook index values.
-    """
-    d = len(mixed)
-    main = np.empty(d)
-    total = np.empty(d)
-    for j in range(d):
-        main[j], total[j] = sobol_single_level(base, second, mixed, j)
-    v = single_level_variance(base)
-    return {
-        "main": main,
-        "total": total,
-        "variance": v,
-        "main_normalized": main / v,
-        "total_normalized": total / v,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Statistic plugins
 # ---------------------------------------------------------------------------
 
 
-class ExpectationStatistic:
-    """Per-component mean.
+def _check_two(m: int, label: str) -> None:
+    if m < 2:
+        raise ValueError(f"{label} needs at least 2 samples")
 
-    ``single_level`` reads only a column sum at a prefix, which a
-    :class:`~mfmc.sampling.PrefixSums` supplies without holding the outputs
-    (``fold``); on :class:`~mfmc.sampling.NestedEvaluations` it equals
-    ``outputs[:m].mean(axis=0)`` bit for bit.
-    """
+
+class ExpectationStatistic:
+    """Per-component mean: the column sum (``sampling._fold_sum``) over m."""
 
     label = "expectation"
     min_samples = 1
@@ -111,25 +67,20 @@ class ExpectationStatistic:
     fold = staticmethod(_fold_sum)
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
-        return evals.column_sum(model_index, m) / m
+        return evals.state(model_index, m, self.fold) / m
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
         return np.asarray(evals.outputs[model_index][:n], dtype=float)
 
 
 class VarianceStatistic:
-    """Per-component unbiased variance.
-
-    Scalar outputs keep ``np.var(outputs[:m], axis=0, ddof=1)``. Wider
-    outputs are folded in row blocks (``sampling._fold_moments``): the
-    first block is shifted by the model's first output row and centred on
-    its mean, each later block is shifted by the running mean, and each is
-    merged into the running moments (Chan, Golub & LeVeque, 1979). So a
-    :class:`~mfmc.sampling.PrefixSums` supplies the state without holding
-    the outputs (``fold``), and on held outputs the same fold runs over the
-    held rows, with the same value bit for bit whatever their memory
-    layout. The working memory is two blocks however large m grows, and
-    the shift keeps the digits ``np.var`` loses to a large offset.
+    """Per-component unbiased variance, from shifted moments folded in row
+    blocks (``sampling._fold_moments``): the first block is shifted by the
+    model's first output row and centred on its mean, each later block is
+    shifted by the running mean, and each is merged into the running
+    moments (Chan, Golub & LeVeque, 1979). The working memory is two
+    blocks however large m grows, and the shift keeps the digits ``np.var``
+    loses to a large offset.
     """
 
     label = "variance"
@@ -138,13 +89,8 @@ class VarianceStatistic:
     fold = staticmethod(_fold_moments)
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
-        if m < 2:
-            raise ValueError("variance needs at least 2 samples")
-        if evals.width == 1:
-            # never streamed: numpy sums one column pairwise, and np.var stays
-            # the scalar estimate
-            return np.var(evals.outputs[model_index][:m], axis=0, ddof=1)
-        return evals.moments(model_index, m).m2 / (m - 1)
+        _check_two(m, self.label)
+        return evals.state(model_index, m, self.fold).m2 / (m - 1)
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
         # Squared deviation from the model's own pilot mean: a per-sample
@@ -154,24 +100,29 @@ class VarianceStatistic:
 
 
 def _sobol_columns(evals, model_index: int, m: int):
-    """(base, second, [mixed_1..mixed_d]) prefixes of one model's block outputs."""
+    """(base, second, [mixed_1..mixed_d]) prefixes of one model's held block outputs."""
     out = evals.outputs[model_index][:m]
     return out[:, 0], out[:, 1], [out[:, c] for c in range(2, out.shape[1])]
 
 
 class SobolMainStatistic:
-    """All d main-effect indices, treated as one vector-valued statistic."""
+    """All d main-effect indices, treated as one vector-valued statistic.
+
+    V_j is the unbiased sample covariance of the base outputs with the
+    mixed_j outputs, (1/(m-1)) sum((b - mean b)(y_j - mean y_j)) (Janon et
+    al., ESAIM: P&S 18, 2014; Owen, ACM TOMACS 23(2), 2013). It is
+    invariant to a shift of the outputs, as its centred pilot
+    contributions are, so the plan's predicted MSE describes it.
+    """
 
     label = "sobol-main"
     min_samples = 2
     needs_sobol_block = True
-    fold = None
+    fold = staticmethod(_fold_sobol_main)
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
-        base, second, mixed = _sobol_columns(evals, model_index, m)
-        return np.array(
-            [sobol_single_level(base, second, mixed, j)[0] for j in range(len(mixed))]
-        )
+        _check_two(m, self.label)
+        return evals.state(model_index, m, self.fold).m2 / (m - 1)
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
         base, _, mixed = _sobol_columns(evals, model_index, n)
@@ -183,16 +134,16 @@ class SobolMainStatistic:
 
 
 class SobolTotalStatistic:
-    """All d total-effect indices as one vector-valued statistic."""
+    """All d total-effect indices as one vector-valued statistic:
+    T_j = sum((second - mixed_j)**2) / (2m)."""
 
     label = "sobol-total"
     min_samples = 2
     needs_sobol_block = True
-    fold = None
+    fold = staticmethod(_fold_sobol_total)
 
     def single_level(self, evals, model_index: int, m: int) -> np.ndarray:
-        _, second, mixed = _sobol_columns(evals, model_index, m)
-        return np.array([np.sum((second - yj) ** 2) / (2.0 * m) for yj in mixed])
+        return evals.state(model_index, m, self.fold)[2:] / (2.0 * m)
 
     def pilot_contributions(self, evals, model_index: int, n: int) -> np.ndarray:
         _, second, mixed = _sobol_columns(evals, model_index, n)
@@ -239,11 +190,12 @@ class EstimateReport:
         }
 
 
-def mfmc_statistic(evals: NestedEvaluations, plan, statistic) -> EstimateReport:
+def mfmc_statistic(evals: PrefixSums | NestedEvaluations, plan, statistic) -> EstimateReport:
     """Telescoping multifidelity estimate of a plug-in statistic.
 
-    ``evals`` holds each model's outputs -- raw, bridged through
-    :func:`apply_bridges`, or Sobol-block columns. The plan should have been
+    ``evals`` gives the folded state of ``statistic`` for each model at the
+    prefixes the plan reads: folded while streamed (:func:`sum_for_plan`),
+    or folded from held outputs on reading. The plan should have been
     computed from pilot statistics of the same outputs and statistic.
     """
     if plan.m[0] < statistic.min_samples:
@@ -274,26 +226,33 @@ def mfmc_statistic(evals: NestedEvaluations, plan, statistic) -> EstimateReport:
     )
 
 
-def apply_bridges(evals: NestedEvaluations, bridges) -> NestedEvaluations:
-    """Map each low-fidelity model's outputs through its fitted bridge.
+def _bridge_block(bridges, model_index: int, raw: np.ndarray) -> np.ndarray:
+    """Model ``model_index``'s outputs ``raw`` on the high-fidelity scale.
 
-    ``bridges[i-1]`` handles model i. The high-fidelity outputs pass through
-    untouched. Only scalar-output hierarchies are supported. The telescoping
-    corrections stay zero-mean, so estimates from bridged outputs stay
-    unbiased however rough the bridges are.
+    ``bridges[i-1]`` maps model i; the high-fidelity outputs pass through
+    untouched. Only scalar outputs can be bridged.
     """
-    outputs = [np.array(evals.outputs[0])]
-    for i in range(1, len(evals.outputs)):
-        raw = evals.outputs[i]
-        if raw.shape[0] == 0:
-            outputs.append(np.array(raw))
-            continue
-        if raw.shape[1] != 1:
-            raise ValueError("bridged estimation supports scalar outputs only")
-        bridge = bridges[i - 1]
-        if bridge is None or not bridge.fitted:
-            raise NotFittedError(f"no fitted bridge for model index {i}")
-        outputs.append(bridge.predict_mean(raw[:, 0])[:, None])
+    if model_index == 0:
+        return raw
+    if raw.shape[1] != 1:
+        raise ValueError("bridged estimation supports scalar outputs only")
+    bridge = bridges[model_index - 1]
+    if bridge is None or not bridge.fitted:
+        raise NotFittedError(f"no fitted bridge for model index {model_index}")
+    return bridge.predict_mean(raw[:, 0])[:, None]
+
+
+def apply_bridges(evals: NestedEvaluations, bridges) -> NestedEvaluations:
+    """Map each low-fidelity model's held outputs through its fitted bridge
+    (:func:`_bridge_block`); models the evaluation skipped stay empty.
+
+    The telescoping corrections stay zero-mean, so estimates from bridged
+    outputs stay unbiased however rough the bridges are.
+    """
+    outputs = [
+        raw if raw.shape[0] == 0 else _bridge_block(bridges, i, raw)
+        for i, raw in enumerate(evals.outputs)
+    ]
     return NestedEvaluations(outputs, evals.m, evals.samples, evals.cost)
 
 
@@ -306,42 +265,43 @@ def _plan_counts(hierarchy: ModelHierarchy, plan, samples) -> np.ndarray:
     return m
 
 
-def evaluate_for_plan(
-    hierarchy: ModelHierarchy, plan, samples, cost_factor: float = 1.0
-) -> NestedEvaluations:
-    """Evaluate exactly the models and sample counts an allocation plan asks for.
-
-    ``samples`` and ``cost_factor`` are as in :func:`evaluate_nested`.
-    Models the plan dropped are skipped entirely (they may sit anywhere in
-    the hierarchy); the returned object is indexed like the full hierarchy
-    with empty arrays at dropped positions.
-    """
-    m = _plan_counts(hierarchy, plan, samples)
-    return _evaluate_counts(hierarchy, samples, m, cost_factor)
-
-
-def sum_for_plan(hierarchy: ModelHierarchy, plan, samples, statistic) -> PrefixSums:
+def sum_for_plan(
+    hierarchy: ModelHierarchy, plan, samples, statistic, cost_factor: float = 1.0, bridges=None
+) -> PrefixSums:
     """What :func:`mfmc_statistic` reads of ``statistic`` from a plan, without outputs.
 
-    ``statistic`` must have a ``fold`` (the expectation or the variance),
-    and the outputs must be at least 2 wide. Each retained model is
-    evaluated on plain ``samples`` one row block at a time and folded into
-    its state at the prefixes the combiner reads; no model's outputs are
-    ever held whole. Costs and error checks are those of
-    :func:`evaluate_for_plan`, and the estimate is the same bit for bit
-    (see ``sampling._fold_sum`` and ``sampling._fold_moments``).
+    Each retained model is evaluated on ``samples`` (a ``SampleSet``, or a
+    ``SobolSampleBlock`` whose d + 2 input sets are evaluated per row block
+    into d + 2 columns) one row block at a time, and each block is folded
+    by ``statistic.fold`` into its state at the prefixes the combiner
+    reads; no model's outputs are ever held whole. ``cost_factor`` (see
+    ``sampling.sobol_cost_factor``) scales the cost. With ``bridges``
+    (``bridges[i-1]`` for model i), each checked low-fidelity block is
+    mapped onto the high-fidelity scale before it is folded. Costs, error
+    checks and values are those of folding the held outputs of
+    :func:`evaluate_for_plan` (through :func:`apply_bridges`), bit for bit.
     """
-    if statistic.fold is None or hierarchy.output_length < 2:
-        raise ValueError(
-            f"only a statistic with a fold on outputs at least 2 wide streams, not "
-            f"{statistic.label} on {hierarchy.output_length}-wide outputs; use evaluate_for_plan"
-        )
     m = _plan_counts(hierarchy, plan, samples)
-    return _sum_counts(hierarchy, samples, m, (statistic.fold,))
+    transform = None if bridges is None else functools.partial(_bridge_block, bridges)
+    return _sum_counts(hierarchy, samples, m, (statistic.fold,), cost_factor, transform)
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the
 # next benchmark change.
+
+
+def evaluate_for_plan(
+    hierarchy: ModelHierarchy, plan, samples, cost_factor: float = 1.0
+) -> NestedEvaluations:
+    """Evaluate and hold exactly the models and sample counts an allocation plan asks for.
+
+    ``samples`` and ``cost_factor`` are as in :func:`sum_for_plan`. Models
+    the plan dropped are skipped entirely (they may sit anywhere in the
+    hierarchy); the returned object is indexed like the full hierarchy
+    with empty arrays at dropped positions.
+    """
+    m = _plan_counts(hierarchy, plan, samples)
+    return _evaluate_counts(hierarchy, samples, m, cost_factor)
 
 
 def mfmc_expectation(evals, plan):

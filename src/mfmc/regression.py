@@ -12,8 +12,7 @@ exponential kernel, a nugget, and a constant prior mean set to the
 training-target mean (so extrapolation degrades toward an unbiased
 constant predictor). Hyperparameters come from a deterministic grid search
 maximizing the concentrated marginal likelihood; no optimizer, no
-randomness, no dependencies beyond numpy. A piecewise-linear interpolant
-is available as a cheap drop-in for tests.
+randomness, no dependencies beyond numpy.
 
 The grid search screens each candidate with a single Cholesky
 factorization of the kernel bordered by the residuals, whose last row is
@@ -28,9 +27,6 @@ does not grow with the number of query points.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -105,8 +101,6 @@ class GaussianProcessBridge:
     hold the values in use. Fitting twice on the same data gives identical
     hyperparameters and predictions.
     """
-
-    method = "gp"
 
     def __init__(self, length_scale=None, nugget=None):
         self._pinned = (length_scale, nugget)
@@ -254,103 +248,9 @@ class GaussianProcessBridge:
             return float(mean[0])
         return mean
 
-    # -- serialization -------------------------------------------------------
 
-    def to_dict(self):
-        if not self.fitted:
-            raise NotFittedError("cannot serialize an unfitted bridge")
-        return {
-            "method": self.method,
-            "x": [float(v) for v in self._x],
-            "y": [float(v) for v in self._y],
-            "length_scale": float(self.length_scale),
-            "nugget": float(self.nugget),
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "GaussianProcessBridge":
-        reg = cls(length_scale=d["length_scale"], nugget=d["nugget"])
-        reg.fit(np.array(d["x"]), np.array(d["y"]))
-        return reg
-
-
-class PiecewiseLinearBridge:
-    """Linear interpolation through the training pairs; flat extrapolation.
-
-    Duplicated inputs are collapsed to their mean target. Zero predictive
-    variance everywhere; useful as a fast, transparent stand-in for the GP.
-    """
-
-    method = "piecewise-linear"
-
-    def __init__(self):
-        self.fitted = False
-        self._x = None
-        self._y = None
-
-    def fit(self, x, y):
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        if x.size != y.size or x.size < 5:
-            raise ValueError("need at least 5 training pairs")
-        if np.ptp(x) == 0.0:
-            raise ValueError("all training inputs are identical; cannot fit a bridge")
-        xs, inverse = np.unique(x, return_inverse=True)
-        ys = np.bincount(inverse, weights=y) / np.bincount(inverse)
-        self._x, self._y = xs, ys
-        self.fitted = True
-        return self
-
-    def predict(self, x):
-        if not self.fitted:
-            raise NotFittedError("bridge must be fitted before predicting")
-        xq = np.atleast_1d(np.asarray(x, dtype=float))
-        mean = np.interp(xq, self._x, self._y)
-        var = np.zeros_like(mean)
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(mean[0]), float(var[0])
-        return mean, var
-
-    def predict_mean(self, x):
-        return self.predict(x)[0]
-
-    def to_dict(self):
-        if not self.fitted:
-            raise NotFittedError("cannot serialize an unfitted bridge")
-        return {
-            "method": self.method,
-            "x": [float(v) for v in self._x],
-            "y": [float(v) for v in self._y],
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "PiecewiseLinearBridge":
-        # the stored knots are already deduplicated; restore them as-is
-        reg = cls()
-        reg._x = np.array(d["x"], dtype=float)
-        reg._y = np.array(d["y"], dtype=float)
-        reg.fitted = True
-        return reg
-
-
-_METHODS = {"gp": GaussianProcessBridge, "piecewise-linear": PiecewiseLinearBridge}
-
-
-def fit_regressor(pairs, method: str = "gp", **kwargs):
-    """Fit a bridge on (low, high) pairs; ``method`` picks the family."""
+def fit_regressor(pairs, **kwargs) -> GaussianProcessBridge:
+    """Fit a :class:`GaussianProcessBridge` (``kwargs`` pin its
+    hyperparameters) on (low, high) pairs."""
     x, y = _as_xy(pairs)
-    if method not in _METHODS:
-        raise ValueError(f"unknown regressor method {method!r}")
-    return _METHODS[method](**kwargs).fit(x, y)
-
-
-def regressor_from_dict(d):
-    return _METHODS[d["method"]].from_dict(d)
-
-
-def save_regressor(regressor, path):
-    Path(path).write_text(json.dumps(regressor.to_dict(), indent=2))
-
-
-def load_regressor(path):
-    return regressor_from_dict(json.loads(Path(path).read_text()))
+    return GaussianProcessBridge(**kwargs).fit(x, y)

@@ -10,16 +10,21 @@ position of that stream. Consequences we rely on everywhere:
   pure functions assembled by row index, so parallelism cannot change any
   result.
 
-All models are evaluated on prefixes of one shared input sequence
-(nested sampling); the statistics machinery depends on that sharing. The
-evaluation container is :class:`NestedEvaluations`. A Sobol block is
-just a wider input row: model i's outputs on it are (m[i], d + 2) columns
-(base, second, mixed_1..mixed_d), and its cost convention is a plain
-multiplier on the evaluation cost. :class:`PrefixSums` keeps, instead of
-vector outputs, only what the expectation and the variance read of them at
-given prefixes: column sums, and shifted moments (count, mean, centred sum
-of squares). Both are folded row block by row block on one fixed grid, so
-held outputs and streamed blocks give the same values bit for bit.
+All models are evaluated on prefixes of one shared input sequence (nested
+sampling); the statistics machinery depends on that sharing. A Sobol block
+is just a wider input row: model i's outputs on it are (m[i], d + 2)
+columns (base, second, mixed_1..mixed_d), and its cost convention is a
+plain multiplier on the evaluation cost.
+
+Every statistic is read from a *fold*: a function that merges one row
+block of outputs into a running state (column sums, shifted moments,
+co-moments, sums of squared differences). Estimation never holds outputs:
+:func:`_sum_counts` evaluates each model one row block at a time and keeps
+only the folded states at the prefixes the telescoping combiner reads, in
+a :class:`PrefixSums`. The pilot, which needs per-sample values, holds its
+outputs in :class:`NestedEvaluations`, and reading a statistic from held
+outputs runs the same folds over the same fixed grid of row blocks, so
+held and streamed outputs give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -80,9 +85,7 @@ class NestedEvaluations:
     ``outputs[i]`` has shape (m[i], n_out) and was produced by model i on
     the first m[i] rows of ``samples``. On a :class:`SobolSampleBlock`,
     n_out is d + 2 (base, second, mixed_1..mixed_d), stored column-major so
-    each column is contiguous. The sample means needed by the telescoping
-    estimators at any prefix length come from slicing these arrays; no
-    re-evaluation is ever required.
+    each column is contiguous.
     """
 
     outputs: list
@@ -90,44 +93,32 @@ class NestedEvaluations:
     samples: SampleSet
     cost: float
 
-    @property
-    def width(self) -> int:
-        return self.outputs[0].shape[1]
-
-    def column_sum(self, model_index: int, m: int) -> np.ndarray:
-        """Column sums of model ``model_index``'s outputs on the first m rows."""
-        return np.add.reduce(self.outputs[model_index][:m], axis=0)
-
-    def moments(self, model_index: int, m: int) -> _Moments:
-        """Shifted moments of model ``model_index``'s outputs on the first m rows,
-        folded over the held rows exactly as :class:`PrefixSums` folds streamed ones."""
+    def state(self, model_index: int, m: int, fold):
+        """``fold``'s state over model ``model_index``'s outputs on the first m
+        rows, folded over the held rows exactly as :func:`_sum_counts` folds
+        streamed ones."""
         x = self.outputs[model_index][:m]
         blocks = ((rows.start, x[rows]) for rows in _row_blocks(m, x.shape[1]))
-        return _fold_prefixes(blocks, {m}, (_fold_moments,), x.shape[1])[m][_fold_moments]
+        return _fold_prefixes(blocks, {m}, (fold,), x.shape[1])[m][fold]
 
 
 @dataclass(eq=False)
 class PrefixSums:
     """Folded states of each model's outputs at chosen prefixes, without the outputs.
 
-    ``sums[i, s][fold]`` is the state of ``fold`` (:func:`_fold_sum` or
-    :func:`_fold_moments`) over model i's outputs on the first s rows of
-    ``samples``; ``m`` and ``cost`` are as in :class:`NestedEvaluations`.
-    Built by :func:`_sum_counts`, which never holds more than one row block
-    of outputs.
+    ``sums[i, s][fold]`` is the state of ``fold`` over model i's outputs on
+    the first s rows of ``samples``; ``m`` and ``cost`` are as in
+    :class:`NestedEvaluations`. Built by :func:`_sum_counts`, which never
+    holds more than one row block of outputs.
     """
 
     sums: dict
     m: np.ndarray
     samples: SampleSet
     cost: float
-    width: int
 
-    def column_sum(self, model_index: int, m: int) -> np.ndarray:
-        return self.sums[model_index, m][_fold_sum]
-
-    def moments(self, model_index: int, m: int) -> _Moments:
-        return self.sums[model_index, m][_fold_moments]
+    def state(self, model_index: int, m: int, fold):
+        return self.sums[model_index, m][fold]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +202,18 @@ def _row_blocks(n_rows: int, width: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _input_sets(hierarchy: ModelHierarchy, samples) -> tuple:
+    """(input sets, output width) of the hierarchy's models on ``samples``.
+
+    A :class:`SobolSampleBlock`'s d + 2 sets give one column each, so its
+    models must have scalar outputs.
+    """
+    sets = samples.input_sets
+    if len(sets) > 1 and hierarchy.output_length != 1:
+        raise ValueError("Sobol evaluation requires scalar-output models")
+    return sets, hierarchy.output_length * len(sets)
+
+
 def _evaluate_shaped(
     model: Model, inputs: np.ndarray, model_index: int, width: int
 ) -> np.ndarray:
@@ -226,6 +229,18 @@ def _evaluate_shaped(
             model_index=model_index,
             model_label=model.label,
         )
+    return out
+
+
+def _evaluate_rows(model: Model, sets, rows: slice, model_index: int, width: int) -> np.ndarray:
+    """``model`` on sample ``rows`` of every input set, shape-checked
+    (:func:`_evaluate_shaped`). The d + 2 sets of a Sobol block give one
+    column each, stored column-major."""
+    if len(sets) == 1:
+        return _evaluate_shaped(model, sets[0][rows], model_index, width)
+    out = np.empty((rows.stop - rows.start, width), order="F")
+    for c, inputs in enumerate(sets):
+        out[:, c] = _evaluate_shaped(model, inputs[rows], model_index, 1)[:, 0]
     return out
 
 
@@ -253,53 +268,64 @@ def _check_finite(out: np.ndarray, model: Model, model_index: int, start: int = 
             )
 
 
-def _evaluate_checked(
-    model: Model, inputs: np.ndarray, model_index: int, width: int
-) -> np.ndarray:
-    """:func:`_evaluate_shaped`, then every value checked finite by
-    :func:`_check_finite`: the check for outputs that are held whole.
-    Streamed blocks read it off their folded state instead (see
-    :func:`_fold_prefixes`)."""
-    out = _evaluate_shaped(model, inputs, model_index, width)
-    _check_finite(out, model, model_index)
-    return out
-
-
 class _Moments(NamedTuple):
     """Moments of the rows folded so far, each shifted by ``shift``."""
 
     shift: np.ndarray  # the first row folded
     n: int
     mean: np.ndarray  # of the shifted rows
-    m2: np.ndarray  # centred sum of squares
+    m2: np.ndarray  # centred sum of squares (or of products, _fold_sobol_main)
 
 
-def _fold_sum(total, block: np.ndarray, buf: np.ndarray) -> np.ndarray:
+class _Scratch:
+    """The folds' working memory for rows of ``width`` values, allocated when
+    a fold first asks for it and grown to the largest request. A fold that
+    needs none (the first block of a column sum) allocates none, and memory
+    allocated after a model's block is evaluated can reuse what the model
+    freed, where a buffer held through the evaluation takes fresh pages."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self._flat = np.empty(0)
+
+    def rows(self, k: int, order: str = "C") -> np.ndarray:
+        """The memory of k rows as a (k, width) array in ``order``."""
+        if self._flat.size < k * self.width:
+            self._flat = np.empty(k * self.width)
+        return self._flat[: k * self.width].reshape((k, self.width), order=order)
+
+
+def _fold_sum(total, block: np.ndarray, buf: _Scratch) -> np.ndarray:
     """``total`` (None before the first block) plus the column sums of ``block``.
 
-    The block is copied into ``buf`` under the running sum, which it carries
-    in as its first row. numpy sums a C-contiguous float64 array of width
-    >= 2 down axis 0 one row after another, so the result equals
-    ``np.add.reduce(outputs[:s], axis=0)`` of all rows so far bit for bit.
-    Width 1 is summed pairwise, which blocking would reorder; only wider
-    outputs are streamed.
+    A later block is copied into ``buf`` under the running sum, which it
+    carries in as its first row; the first block is summed C-contiguous.
+    numpy sums a C-contiguous float64 array of width >= 2 down axis 0 one
+    row after another, so the result equals ``np.add.reduce(outputs[:s],
+    axis=0)`` of all rows so far bit for bit. A single column is summed
+    pairwise, so it equals that sum within the first block (65,536 rows)
+    and adds each later block's pairwise sum.
     """
-    k = len(block)
-    buf[1 : k + 1] = block
     if total is None:
-        return np.add.reduce(buf[1 : k + 1], axis=0)
-    buf[0] = total
-    return np.add.reduce(buf[: k + 1], axis=0)
+        return np.add.reduce(np.ascontiguousarray(block), axis=0)
+    rows = buf.rows(len(block) + 1)
+    rows[1:] = block
+    rows[0] = total
+    return np.add.reduce(rows, axis=0)
 
 
 def _pairwise_row_sum(y: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``y``, adding its back half onto its front half in
-    place until one row is left (so ``y`` is overwritten).
+    """Sum of the rows of ``y`` (which may be overwritten), summed pairwise.
 
     The rounding error grows with log2 of the rows, where a row-after-row
     sum of squares can drift with their number: 3e-13 relative was seen
-    at 32,768 rows of outputs offset by 1e10.
+    at 32,768 rows of outputs offset by 1e10. numpy sums a single column
+    (any contiguous column) pairwise itself, but row-major rows of width
+    >= 2 one row after another, so those are summed by adding the back
+    half onto the front half in place until one row is left.
     """
+    if y.flags.f_contiguous:
+        return np.add.reduce(y, axis=0)
     k = len(y)
     while k > 1:
         half = k // 2
@@ -308,7 +334,7 @@ def _pairwise_row_sum(y: np.ndarray) -> np.ndarray:
     return y[0].copy()
 
 
-def _fold_moments(state, block: np.ndarray, buf: np.ndarray) -> _Moments:
+def _fold_moments(state, block: np.ndarray, buf: _Scratch) -> _Moments:
     """``state`` (None before the first block) merged with the moments of ``block``.
 
     The rows are shifted so the sums stay on the scale of the spread
@@ -327,12 +353,12 @@ def _fold_moments(state, block: np.ndarray, buf: np.ndarray) -> _Moments:
     k = len(block)
     if state is None:
         shift = block[0].copy()
-        y = np.subtract(block, shift, out=buf[:k])
-        mean = _pairwise_row_sum(y.copy()) / k
+        y = np.subtract(block, shift, out=buf.rows(k))
+        mean = _pairwise_row_sum(y if y.flags.f_contiguous else y.copy()) / k
         np.subtract(y, mean, out=y)
         return _Moments(shift, k, mean, _pairwise_row_sum(np.square(y, out=y)))
     c = state.shift + state.mean
-    y = np.subtract(block, c, out=buf[:k])
+    y = np.subtract(block, c, out=buf.rows(k))
     s1 = np.add.reduce(y, axis=0)
     mean = (c - state.shift) + s1 / k
     m2 = _pairwise_row_sum(np.square(y, out=y)) - s1 * (s1 / k)
@@ -346,12 +372,66 @@ def _fold_moments(state, block: np.ndarray, buf: np.ndarray) -> _Moments:
     )
 
 
+# A Sobol block's columns are its input sets: base (0), second (1) and
+# mixed_1..mixed_d (2..). Its folds work column-major, since numpy loops
+# over a (k, d + 2) row-major block one short row at a time (about ten
+# times slower at d = 3), and sums each contiguous column pairwise.
+
+
+def _fold_sobol_main(state, block: np.ndarray, buf: _Scratch) -> _Moments:
+    """``state`` (None before the first block) merged with the co-moments of
+    a Sobol block's base column with each mixed column: ``m2[j]`` is
+    sum((base - mean) * (mixed_j - mean)), and ``mean`` covers every column.
+
+    The block is shifted and merged as in :func:`_fold_moments`, with the
+    products of the base column and the mixed columns in place of the
+    squares: a later block's centred sum of products is
+    ``sum(y_base * y_j) - s1_base * (s1_j / k)``, and the merge adds
+    ``delta_base * delta_j * n_a * k / n``.
+    """
+    k = len(block)
+    y = buf.rows(k, "F")
+    if state is None:
+        shift = block[0].copy()
+        np.subtract(block, shift, out=y)
+        mean = np.add.reduce(y, axis=0) / k
+        np.subtract(y, mean, out=y)
+        m2 = np.add.reduce(np.multiply(y[:, 2:], y[:, :1], out=y[:, 2:]), axis=0)
+        return _Moments(shift, k, mean, m2)
+    c = state.shift + state.mean
+    np.subtract(block, c, out=y)
+    s1 = np.add.reduce(y, axis=0)
+    mean = (c - state.shift) + s1 / k
+    m2 = np.add.reduce(np.multiply(y[:, 2:], y[:, :1], out=y[:, 2:]), axis=0) - s1[2:] * (s1[0] / k)
+    n = state.n + k
+    delta = mean - state.mean
+    return _Moments(
+        state.shift,
+        n,
+        state.mean + delta * (k / n),
+        state.m2 + m2 + delta[2:] * delta[0] * (state.n * k / n),
+    )
+
+
+def _fold_sobol_total(total, block: np.ndarray, buf: _Scratch) -> np.ndarray:
+    """``total`` (None before the first block) plus the column sums of
+    ``(block - second)**2`` for a Sobol block: sum((second - mixed_j)**2)
+    in column j + 2. Column 0 (base minus second) is kept so that every
+    column enters the state (:func:`_finite_state`). Each block is summed
+    pairwise, column-major."""
+    k = len(block)
+    y = np.subtract(block, block[:, 1:2], out=buf.rows(k, "F"))
+    s = np.add.reduce(np.square(y, out=y), axis=0)
+    return s if total is None else total + s
+
+
 def _finite_state(state) -> bool:
-    """Whether a fold's state is finite: the column sums of :func:`_fold_sum`,
-    the mean of :func:`_fold_moments`. A NaN or an infinity in the rows
-    folded makes its column's sum NaN or infinite, so a finite state proves
-    the rows finite. A non-finite one may still come from finite rows whose
-    sum overflowed."""
+    """Whether a fold's state is finite: the sums of :func:`_fold_sum` and
+    :func:`_fold_sobol_total`, the mean of :func:`_fold_moments`. Every
+    column of the rows folded enters that state, and a NaN or an infinity
+    makes its column NaN or infinite, so a finite state proves the rows
+    finite. A non-finite one may still come from finite rows whose sum
+    overflowed."""
     return bool(np.isfinite(state.mean if isinstance(state, _Moments) else state).all())
 
 
@@ -370,7 +450,7 @@ def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
     arithmetic on a bad block raises no warning (``inf - inf``); ``check``
     reports the block.
     """
-    buf = np.empty((_block_rows(width) + 1, width))
+    buf = _Scratch(width)
     states = dict.fromkeys(folds)
     out = {}
     for start, rows in blocks:
@@ -405,28 +485,50 @@ def _evaluate_counts(
     ``m`` is indexed like the hierarchy and already validated; the rest is
     as in :func:`evaluate_nested`.
     """
-    sets = samples.input_sets
-    if len(sets) > 1 and hierarchy.output_length != 1:
-        raise ValueError("Sobol evaluation requires scalar-output models")
-    width = hierarchy.output_length * len(sets)
+    sets, width = _input_sets(hierarchy, samples)
     outputs = []
     for i, model in enumerate(hierarchy.models):
         if m[i] == 0:
             outputs.append(np.empty((0, width)))
-        elif len(sets) == 1:
-            outputs.append(_evaluate_checked(model, sets[0][: m[i]], i, width))
-        else:
-            out = np.empty((m[i], width), order="F")
-            for c, inputs in enumerate(sets):
-                out[:, c] = _evaluate_checked(model, inputs[: m[i]], i, 1)[:, 0]
-            outputs.append(out)
+            continue
+        out = _evaluate_rows(model, sets, slice(0, m[i]), i, width)
+        _check_finite(out, model, i)
+        outputs.append(out)
     return NestedEvaluations(outputs, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
 
 
-def _sum_counts(hierarchy: ModelHierarchy, samples: SampleSet, m, folds) -> PrefixSums:
+def _evaluated_blocks(model: Model, sets, model_index: int, n_rows: int, width: int, transform):
+    """(start, outputs) of ``model`` on the first ``n_rows`` sample rows, one
+    block of the grid of :func:`_row_blocks` at a time.
+
+    With ``transform``, each block is scanned for finiteness
+    (:func:`_check_finite`) and then mapped by ``transform(model_index,
+    block)``. A lone trailing row is then evaluated and mapped with the
+    block before it, as ``regression.GaussianProcessBridge`` predicts held
+    outputs (a one-row product rounds otherwise), and split back onto the
+    grid.
+    """
+    grid = _row_blocks(n_rows, width)
+    if transform is not None and len(grid) > 1 and grid[-1].stop - grid[-1].start == 1:
+        grid[-2:] = [slice(grid[-2].start, n_rows)]
+    for rows in grid:
+        out = _evaluate_rows(model, sets, rows, model_index, width)
+        if transform is None:
+            yield rows.start, out
+            continue
+        _check_finite(out, model, model_index, rows.start)
+        out = transform(model_index, out)
+        for sub in _row_blocks(len(out), width):
+            yield rows.start + sub.start, out[sub]
+
+
+def _sum_counts(
+    hierarchy: ModelHierarchy, samples, m, folds, cost_factor: float = 1.0, transform=None
+) -> PrefixSums:
     """:func:`_evaluate_counts` folded by each of ``folds``, never holding outputs.
 
-    Each evaluated model is called one row block at a time; each block's
+    Each evaluated model is called one row block at a time
+    (:func:`_evaluated_blocks`, which applies ``transform``); each block's
     shape is checked at evaluation, and the block is folded. Its finiteness
     is read off the folded states: only a block whose state is not finite
     is scanned (:func:`_check_finite`), which names the first non-finite
@@ -435,22 +537,19 @@ def _sum_counts(hierarchy: ModelHierarchy, samples: SampleSet, m, folds) -> Pref
     own count and at the previous evaluated model's, the prefixes the
     telescoping combiner reads. One walk per model serves every fold.
     """
-    width = hierarchy.output_length
+    sets, width = _input_sets(hierarchy, samples)
     sums = {}
     prev = 0
     for i, model in enumerate(hierarchy.models):
         if m[i] == 0:
             continue
         stops = {int(m[prev]), int(m[i])}
-        blocks = (
-            (rows.start, _evaluate_shaped(model, samples.inputs[rows], i, width))
-            for rows in _row_blocks(max(stops), width)
-        )
+        blocks = _evaluated_blocks(model, sets, i, max(stops), width, transform)
         check = functools.partial(_check_finite, model=model, model_index=i)
         for stop, states in _fold_prefixes(blocks, stops, folds, width, check).items():
             sums[i, stop] = states
         prev = i
-    return PrefixSums(sums, m, samples, _nested_cost(hierarchy.costs, m, 1.0), width)
+    return PrefixSums(sums, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
 
 
 def evaluate_nested(

@@ -32,13 +32,7 @@ from .allocation import (
     optimal_allocation,
 )
 from .errors import MFMCError, UnknownNameError
-from .estimators import (
-    STATISTICS,
-    apply_bridges,
-    evaluate_for_plan,
-    mfmc_statistic,
-    sum_for_plan,
-)
+from .estimators import STATISTICS, apply_bridges, mfmc_statistic, sum_for_plan
 from .hierarchy import (
     HIERARCHY_NAMES,
     get_hierarchy,
@@ -360,13 +354,6 @@ def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost)
     return plan, budget_abs, weights
 
 
-def _streams_sums(stat, hierarchy, bridges) -> bool:
-    """Whether ``stat`` is estimated from folded states, never holding outputs:
-    it has a fold (the expectation and the variance), no bridge maps the
-    outputs, and they are at least 2 wide (scalars keep numpy's pairwise sums)."""
-    return bridges is None and stat.fold is not None and hierarchy.output_length >= 2
-
-
 def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dict:
     """One full pilot -> allocation -> estimation pass.
 
@@ -382,13 +369,9 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
 
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
     samples = _draw(hierarchy, stat, int(plan.m.max()), est_seed)
-    if _streams_sums(stat, hierarchy, bridges):
-        est_evals = sum_for_plan(hierarchy, plan, samples, stat)
-    else:
-        factor = _cost_factor(config, hierarchy, stat)
-        est_evals = evaluate_for_plan(hierarchy, plan, samples, factor)
-    bridged = est_evals if bridges is None else apply_bridges(est_evals, bridges)
-    report = mfmc_statistic(bridged, plan, stat)
+    factor = _cost_factor(config, hierarchy, stat)
+    est_evals = sum_for_plan(hierarchy, plan, samples, stat, factor, bridges)
+    report = mfmc_statistic(est_evals, plan, stat)
 
     return {
         "replicate": rep,
@@ -660,10 +643,10 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
     """Large plain-sampling reference values from the high-fidelity model.
 
     Writes a JSON table mapping each configured statistic to its reference
-    vector, computed at ``reference_samples`` draws of model 0. Where
-    ``run_replicate`` would stream (``_streams_sums``) every statistic on
-    the same draws, one walk over the outputs folds the states of all of
-    them, and the outputs are never held.
+    vector, computed at ``reference_samples`` draws of model 0. The
+    statistics on plain draws share one walk over the outputs, as do the
+    Sobol statistics on one Sobol block; each walk folds the states of all
+    of its statistics, and no outputs are held.
     """
     config.validate()
     hierarchy = config.build_hierarchy()
@@ -671,20 +654,15 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
     m = np.zeros(hierarchy.n_models, dtype=int)
     m[0] = n
     table = {"_meta": {"hierarchy": config.hierarchy, "n_samples": n, "seed": config.seed}}
-    evals = {}  # plain draws and the Sobol block are each evaluated once
-    for stat_label in config.statistics:
-        stat = STATISTICS[stat_label]
-        key = stat.needs_sobol_block
-        if key not in evals:
-            samples = _draw(hierarchy, stat, n, (config.seed, _REFERENCE))
-            same_draws = [
-                STATISTICS[s] for s in config.statistics if STATISTICS[s].needs_sobol_block == key
-            ]
-            if all(_streams_sums(s, hierarchy, None) for s in same_draws):
-                evals[key] = _sum_counts(hierarchy, samples, m, [s.fold for s in same_draws])
-            else:
-                evals[key] = evaluate_nested(hierarchy, samples, m)
-        table[stat_label] = [float(v) for v in stat.single_level(evals[key], 0, n)]
+    for sobol in (False, True):
+        stats = [STATISTICS[s] for s in config.statistics]
+        stats = [stat for stat in stats if stat.needs_sobol_block == sobol]
+        if not stats:
+            continue
+        samples = _draw(hierarchy, stats[0], n, (config.seed, _REFERENCE))
+        sums = _sum_counts(hierarchy, samples, m, [stat.fold for stat in stats])
+        for stat in stats:
+            table[stat.label] = [float(v) for v in stat.single_level(sums, 0, n)]
     if out_path is None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,8 @@ admissible chain, so the chain search has an exact reference, and
 exactly, so the screened grid search has one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,28 @@ def exhaustive_gp_fit(x, y, length_scale=None, nugget=None):
         "weights": np.linalg.solve(chol.T, z),
         "signal_variance": float(z @ z) / n,
     }
+
+
+def traced_peak(run):
+    """Peak traced memory of ``run()`` in bytes, after one untraced warm-up call
+    (imports and caches)."""
+    run()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class IdentityBridge:
+    """A fitted bridge that maps every low-fidelity output to itself."""
+
+    fitted = True
+
+    def predict_mean(self, x):
+        return np.array(x, dtype=float)
 
 
 @pytest.fixture

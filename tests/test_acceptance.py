@@ -18,11 +18,7 @@ from mfmc.allocation import (
     budget_for_tolerance,
     optimal_allocation,
 )
-from mfmc.estimators import (
-    evaluate_for_plan,
-    mfmc_expectation,
-    sobol_indices_single_level,
-)
+from mfmc.estimators import evaluate_for_plan, mfmc_expectation
 from mfmc.hierarchy import (
     Model,
     ModelHierarchy,
@@ -35,8 +31,8 @@ from mfmc.hierarchy import (
     synthetic_field_hierarchy,
 )
 from mfmc.pilot import pilot_stats_from_exact
-from mfmc.sampling import build_sobol_block, draw_inputs, evaluate_nested
-from mfmc.study import StudyConfig, run_replicate
+from mfmc.sampling import draw_inputs
+from mfmc.study import StudyConfig, make_reference, run_replicate
 
 REPLICATES = 100
 
@@ -270,7 +266,7 @@ def sobol_mfmc_records():
     return out
 
 
-def test_criterion_6_sobol_indices(sobol_mfmc_records):
+def test_criterion_6_sobol_indices(sobol_mfmc_records, tmp_path):
     t0 = time.time()
     main_ref, total_ref = ishigami_sobol_indices()
     v_ref = ishigami_variance()
@@ -281,14 +277,17 @@ def test_criterion_6_sobol_indices(sobol_mfmc_records):
         np.abs(total_bf - total_ref) < 0.01
     )
 
-    # single-level estimates at one million samples
-    ishigami = ishigami_hierarchy()
-    h = ModelHierarchy(ishigami.models[:1], ishigami.input_distributions)
-    block = build_sobol_block(h, 1_000_000, 999)
-    y = evaluate_nested(h, block, [1_000_000]).outputs[0]
-    out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)
-    single_ok = np.all(np.abs(out["main_normalized"] - main_ref) < 0.005) and np.all(
-        np.abs(out["total_normalized"] - total_ref) < 0.005
+    # single-level estimates at one million samples: the folded reference,
+    # normalized by the variance of the same base draws
+    config = StudyConfig(
+        hierarchy="ishigami", statistics=("variance", "sobol-main", "sobol-total"),
+        reference_samples=1_000_000, seed=999,
+    )
+    table = make_reference(config, tmp_path / "reference.json")
+    main_single = np.array(table["sobol-main"]) / table["variance"][0]
+    total_single = np.array(table["sobol-total"]) / table["variance"][0]
+    single_ok = np.all(np.abs(main_single - main_ref) < 0.005) and np.all(
+        np.abs(total_single - total_ref) < 0.005
     )
 
     # combined estimates at p=160 converge within 3 replicate standard errors
@@ -303,7 +302,7 @@ def test_criterion_6_sobol_indices(sobol_mfmc_records):
     _report(
         "criterion 6 (Sobol indices)",
         oracle_ok and single_ok and mfmc_ok,
-        f"oracle drift<0.01, single-level S={np.round(out['main_normalized'],4)}, "
+        f"oracle drift<0.01, single-level S={np.round(main_single, 4)}, "
         f"combined max dev {max(dev['sobol-main'].max(), dev['sobol-total'].max()):.2f} SE, "
         f"{time.time()-t0:.1f}s",
     )

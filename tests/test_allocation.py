@@ -18,7 +18,6 @@ from mfmc.allocation import (
     budget_for_tolerance,
     optimal_allocation,
     predicted_mse,
-    variance_reduction_ratio,
 )
 from mfmc.errors import DegenerateStatsError, InfeasibleBudgetError
 from mfmc.hierarchy import synthetic_field_exact_moments
@@ -77,21 +76,28 @@ def test_predicted_mse_requires_high_fidelity_samples():
         predicted_mse(plan, stats)
 
 
-def test_variance_reduction_ratio_values():
+def _cost_ratio(stats, costs):
+    """Cost of meeting a tolerance with the models as given, relative to plain
+    sampling of model 0 (the closed-form ratio behind ``budget_for_tolerance``)."""
+    eps = 0.1
+    return budget_for_tolerance(stats, costs, eps) * eps**2 / (costs.w[0] * stats.sigma[0, 0] ** 2)
+
+
+def test_cost_ratio_values():
     w = CostModel([1.0])
-    assert variance_reduction_ratio(pilot_stats_from_exact([2.0], [1.0]), w) == 1.0
+    assert _cost_ratio(pilot_stats_from_exact([2.0], [1.0]), w) == pytest.approx(1.0, rel=1e-12)
     stats = pilot_stats_from_exact([2.0, 2.0], [1.0, 0.95])
-    ratio = variance_reduction_ratio(stats, CostModel([1.0, 0.01]))
+    ratio = _cost_ratio(stats, CostModel([1.0, 0.01]))
     expected = (math.sqrt(1 - 0.95**2) + math.sqrt(0.01 * 0.95**2)) ** 2
     assert ratio == pytest.approx(expected, rel=1e-12)
     assert ratio == pytest.approx(0.1659, abs=1e-4)
 
 
-def test_variance_reduction_ratio_can_exceed_one():
+def test_cost_ratio_can_exceed_one():
     # an equally-expensive companion at rho^2 = 1/2 doubles the bound:
     # (sqrt(1/2) + sqrt(1/2))^2 = 2, which is why allocation must drop it
     stats = pilot_stats_from_exact([1.0, 1.0], [1.0, math.sqrt(0.5)])
-    ratio = variance_reduction_ratio(stats, CostModel([1.0, 1.0]))
+    ratio = _cost_ratio(stats, CostModel([1.0, 1.0]))
     assert ratio == pytest.approx(2.0, rel=1e-12)
     plan = optimal_allocation(stats, CostModel([1.0, 1.0]), 50.0)
     assert plan.retained.tolist() == [True, False]
@@ -228,9 +234,7 @@ def test_ratio_consistency_with_optimal_plan(rng):
         plain = sigma[0] ** 2 * w[0] / budget
         # the plan's error tracks the closed-form ratio of its retained chain
         kept = np.flatnonzero(plan.retained)
-        ratio = variance_reduction_ratio(
-            pilot_stats_from_exact(sigma[kept], rho[kept]), CostModel(w[kept])
-        )
+        ratio = _cost_ratio(pilot_stats_from_exact(sigma[kept], rho[kept]), CostModel(w[kept]))
         assert plan.predicted_mse / plain == pytest.approx(ratio, rel=0.12)
 
 

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfmc.sampling
-from conftest import telescoping_mse
+from conftest import IdentityBridge, telescoping_mse, traced_peak
 from mfmc.allocation import AllocationPlan, CostModel, optimal_allocation
 from mfmc.errors import EvaluationError, NotFittedError
 from mfmc.estimators import (
     STATISTICS,
-    apply_bridges,
     evaluate_for_plan,
     mfmc_expectation,
     mfmc_nonlinear,
     mfmc_statistic,
-    single_level_variance,
-    sobol_indices_single_level,
-    sobol_single_level,
     sum_for_plan,
 )
 from mfmc.hierarchy import (
@@ -27,6 +23,7 @@ from mfmc.hierarchy import (
     Normal,
     Uniform,
     ishigami_hierarchy,
+    quintic_hierarchy,
     synthetic_field_hierarchy,
 )
 from mfmc.pilot import estimate_moment_stats, pilot_stats_from_exact
@@ -35,6 +32,7 @@ from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
     SampleSet,
+    SobolSampleBlock,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -92,11 +90,27 @@ def test_equal_prefix_contributes_exactly_zero():
         assert report.value[0] == y1.mean()
 
 
-def test_single_level_variance_values():
-    assert single_level_variance([1.0, 2.0, 3.0]) == pytest.approx(1.0)
-    assert single_level_variance(np.full(9, 2.5)) == 0.0
-    with pytest.raises(ValueError):
-        single_level_variance([1.0])
+def _single_level(stat_label, outputs):
+    """``stat_label``'s single-level estimate from all of one model's held outputs."""
+    outputs = np.asarray(outputs, dtype=float)
+    outputs = outputs[:, None] if outputs.ndim == 1 else outputs
+    evals = NestedEvaluations([outputs], np.array([len(outputs)]), None, 0.0)
+    return STATISTICS[stat_label].single_level(evals, 0, len(outputs))
+
+
+def test_variance_single_level_values():
+    assert _single_level("variance", [1.0, 2.0, 3.0])[0] == pytest.approx(1.0)
+    assert _single_level("variance", np.full(9, 2.5))[0] == 0.0
+    with pytest.raises(ValueError, match="at least 2"):
+        _single_level("variance", [1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 65_535, 65_536])
+def test_scalar_expectation_equals_one_call_mean_within_a_block(n):
+    # numpy sums one column pairwise; within the fold's first block the
+    # fold sums the same rows in the same order
+    x = np.random.default_rng(n).normal(size=(n, 1)) * 1e3 + 1e6
+    assert np.array_equal(_single_level("expectation", x), np.add.reduce(x, axis=0) / n)
 
 
 def _variance_layouts(rng, n, width, offset_decades=(-3, 3)):
@@ -136,14 +150,11 @@ def _streamed_variance(x, n):
 
 
 def _check_variance(x, n, bound=2e-14):
-    """Width 1: np.var bit for bit. Width >= 2: one value bit for bit in
-    every layout and streamed, within ``bound`` of the extended-precision
-    reference. Returns that value's relative error."""
+    """One value bit for bit in every layout and streamed, within ``bound``
+    of the extended-precision reference, whatever the width. Returns that
+    value's relative error."""
     evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
     got = STATISTICS["variance"].single_level(evals, 0, n)
-    if x.shape[1] == 1:
-        assert np.array_equal(got, np.var(x[:n], axis=0, ddof=1))
-        return None
     c_order = np.ascontiguousarray(x[:n])
     assert np.array_equal(got, _streamed_variance(c_order, n))
     for other in (c_order, np.asfortranarray(c_order)):
@@ -207,7 +218,7 @@ def _reordered_rows(width, case):
     return x
 
 
-@pytest.mark.parametrize("width", [2, 17, 200])
+@pytest.mark.parametrize("width", [1, 2, 17, 200])
 @pytest.mark.parametrize("case", _ROW_ORDERS)
 def test_variance_statistic_keeps_its_digits_in_adversarial_row_orders(width, case):
     # Sorted rows put every later block's mean away from the running mean,
@@ -249,10 +260,10 @@ def test_variance_statistic_memory_is_bounded():
 def test_large_sample_ishigami_variance():
     h = ishigami_hierarchy()
     s = draw_inputs(h, 1_000_000, 55)
-    y = h.models[0].evaluate_batch(s.inputs)[:, 0]
+    y = h.models[0].evaluate_batch(s.inputs)
     from mfmc.hierarchy import ishigami_variance
 
-    assert abs(single_level_variance(y) - ishigami_variance()) < 0.1
+    assert abs(_single_level("variance", y)[0] - ishigami_variance()) < 0.1
 
 
 def test_sobol_inactive_coordinate_total_effect_is_exactly_zero():
@@ -265,8 +276,14 @@ def test_sobol_inactive_coordinate_total_effect_is_exactly_zero():
     )
     block = build_sobol_block(h, 64, 7)
     y = evaluate_nested(h, block, [64]).outputs[0]
-    _, t3 = sobol_single_level(y[:, 0], y[:, 1], y[:, 2:].T, 2)
-    assert t3 == 0.0
+    assert _single_level("sobol-total", y)[2] == 0.0
+
+
+def _sobol_normalized(y):
+    """(main, total) index estimates from one model's held Sobol-block
+    outputs, each divided by the variance of the base column."""
+    v = np.var(y[:, 0], ddof=1)
+    return _single_level("sobol-main", y) / v, _single_level("sobol-total", y) / v
 
 
 def test_sobol_additive_single_coordinate_main_effect():
@@ -279,10 +296,10 @@ def test_sobol_additive_single_coordinate_main_effect():
     )
     block = build_sobol_block(h, 40_000, 11)
     y = evaluate_nested(h, block, [40_000]).outputs[0]
-    out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)
-    assert out["main_normalized"][1] == pytest.approx(1.0, abs=0.02)
-    assert out["main_normalized"][0] == pytest.approx(0.0, abs=0.02)
-    assert out["total_normalized"][1] == pytest.approx(1.0, abs=0.02)
+    main, total = _sobol_normalized(y)
+    assert main[1] == pytest.approx(1.0, abs=0.02)
+    assert main[0] == pytest.approx(0.0, abs=0.02)
+    assert total[1] == pytest.approx(1.0, abs=0.02)
 
 
 def test_sobol_ishigami_moderate_sample_sanity():
@@ -292,10 +309,10 @@ def test_sobol_ishigami_moderate_sample_sanity():
     h = ModelHierarchy(ishigami.models[:1], ishigami.input_distributions)
     block = build_sobol_block(h, 200_000, 23)
     y = evaluate_nested(h, block, [200_000]).outputs[0]
-    out = sobol_indices_single_level(y[:, 0], y[:, 1], y[:, 2:].T)
-    main, total = ishigami_sobol_indices()
-    assert np.allclose(out["main_normalized"], main, atol=0.02)
-    assert np.allclose(out["total_normalized"], total, atol=0.02)
+    main, total = _sobol_normalized(y)
+    main_ref, total_ref = ishigami_sobol_indices()
+    assert np.allclose(main, main_ref, atol=0.02)
+    assert np.allclose(total, total_ref, atol=0.02)
 
 
 def test_plugin_expectation_matches_dedicated_combiner():
@@ -368,12 +385,14 @@ def test_bridged_identity_matches_plain_expectation():
     plan = optimal_allocation(stats, CostModel(h.costs), 20.0)
     samples = draw_inputs(h, int(plan.m.max()), 14)
     evals = evaluate_for_plan(h, plan, samples)
-    grid = np.linspace(-40, 40, 101)
-    identity = fit_regressor(np.column_stack([grid, grid]), method="piecewise-linear")
-    a = mfmc_nonlinear(evals, plan, [identity, identity])
+    identity = [IdentityBridge(), IdentityBridge()]
+    a = mfmc_nonlinear(evals, plan, identity)
     b = mfmc_expectation(evals, plan)
-    assert a.value[0] == pytest.approx(b.value[0], rel=1e-9)
+    assert np.array_equal(a.value, b.value)
     assert a.mode == "nonlinear"
+    stat = STATISTICS["expectation"]
+    streamed = sum_for_plan(h, plan, samples, stat, bridges=identity)
+    assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, b.value)
 
 
 def test_bridged_estimation_requires_fitted_bridges():
@@ -382,8 +401,17 @@ def test_bridged_estimation_requires_fitted_bridges():
     evals = evaluate_for_plan(h, plan, draw_inputs(h, 9, 4))
     from mfmc.regression import GaussianProcessBridge
 
+    unfitted = [GaussianProcessBridge(), GaussianProcessBridge()]
     with pytest.raises(NotFittedError):
-        mfmc_nonlinear(evals, plan, [GaussianProcessBridge(), GaussianProcessBridge()])
+        mfmc_nonlinear(evals, plan, unfitted)
+    with pytest.raises(NotFittedError):
+        sum_for_plan(h, plan, evals.samples, STATISTICS["expectation"], bridges=unfitted)
+    field = synthetic_field_hierarchy(3)
+    with pytest.raises(ValueError, match="scalar outputs only"):
+        sum_for_plan(
+            field, plan, draw_inputs(field, 9, 4), STATISTICS["expectation"],
+            bridges=[IdentityBridge(), IdentityBridge()],
+        )
 
 
 class _GaussianPair:
@@ -534,7 +562,7 @@ def _edge_counts(width, case):
 _EDGE_CASES = ["around a block edge", "small first stop", "equal counts", "dropped middle model"]
 
 
-@pytest.mark.parametrize("width", [2, 3, 17, 200])
+@pytest.mark.parametrize("width", [1, 2, 3, 17, 200])
 @pytest.mark.parametrize("case", _EDGE_CASES)
 def test_streamed_expectation_is_bit_identical_to_materialized(width, case):
     m = _edge_counts(width, case)
@@ -544,11 +572,12 @@ def test_streamed_expectation_is_bit_identical_to_materialized(width, case):
     assert np.array_equal(a.value, b.value)
     assert a.realized_cost == b.realized_cost
     assert np.array_equal(streamed.m, materialized.m)
+    fold = STATISTICS["expectation"].fold
     for i, s in streamed.sums:
-        assert np.array_equal(streamed.column_sum(i, s), materialized.column_sum(i, s))
+        assert np.array_equal(streamed.state(i, s, fold), materialized.state(i, s, fold))
 
 
-@pytest.mark.parametrize("width", [2, 3, 17, 200])
+@pytest.mark.parametrize("width", [1, 2, 3, 17, 200])
 @pytest.mark.parametrize("case", _EDGE_CASES)
 def test_streamed_variance_is_bit_identical_to_materialized(width, case):
     m = _edge_counts(width, case)
@@ -558,8 +587,9 @@ def test_streamed_variance_is_bit_identical_to_materialized(width, case):
     assert np.array_equal(a.value, b.value)
     assert a.realized_cost == b.realized_cost
     assert np.array_equal(streamed.m, materialized.m)
+    fold = STATISTICS["variance"].fold
     for i, s in streamed.sums:
-        for got, held in zip(streamed.moments(i, s), materialized.moments(i, s)):
+        for got, held in zip(streamed.state(i, s, fold), materialized.state(i, s, fold)):
             assert np.array_equal(got, held)
     # the first model's estimate is its own variance: check it against np.var
     top = STATISTICS["variance"].single_level(streamed, 0, m[0])
@@ -568,7 +598,7 @@ def test_streamed_variance_is_bit_identical_to_materialized(width, case):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    width=st.integers(2, 300),
+    width=st.integers(1, 300),
     counts=st.lists(st.integers(1, 3000), min_size=3, max_size=3),
     drop_middle=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
@@ -584,7 +614,7 @@ def test_streamed_expectation_matches_materialized_property(width, counts, drop_
 
 @settings(max_examples=25, deadline=None)
 @given(
-    width=st.integers(2, 300),
+    width=st.integers(1, 300),
     counts=st.lists(st.integers(2, 3000), min_size=3, max_size=3),
     drop_middle=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
@@ -610,15 +640,170 @@ def test_streamed_variance_matches_materialized_synthetic_field():
     assert np.array_equal(a.value, b.value)
 
 
-def test_streamed_estimates_refuse_scalar_outputs_and_unfolded_statistics():
+def test_sobol_single_level_matches_direct_formulas():
+    ishigami = ishigami_hierarchy()
+    h = ModelHierarchy(ishigami.models[:1], ishigami.input_distributions)
+    y = evaluate_nested(h, build_sobol_block(h, 5000, 12), [5000]).outputs[0]
+    m, base, second, mixed = len(y), y[:, 0], y[:, 1], y[:, 2:].T
+    main = [np.sum((base - base.mean()) * (yj - yj.mean())) / (m - 1) for yj in mixed]
+    total = [np.sum((second - yj) ** 2) / (2 * m) for yj in mixed]
+    assert np.allclose(_single_level("sobol-main", y), main, rtol=1e-12, atol=1e-14)
+    assert np.allclose(_single_level("sobol-total", y), total, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e4, 1e6])
+def test_sobol_main_is_invariant_to_a_shift_of_the_outputs(c):
+    # The main-effect estimate is a sample covariance: adding c to every
+    # output moves it only by the rounding of y + c, not by c times the
+    # difference of two sample means.
+    ishigami = ishigami_hierarchy()
+    h = ModelHierarchy(ishigami.models[:1], ishigami.input_distributions)
+    y = evaluate_nested(h, build_sobol_block(h, 1000, 17), [1000]).outputs[0]
+    base = _single_level("sobol-main", y)
+    shifted = _single_level("sobol-main", y + c)
+    rounding = np.finfo(float).eps * c * y.std()
+    assert np.max(np.abs(shifted - base)) < 16 * rounding
+
+
+def _sobol_streamed_and_held(m, stat_label, seed=5):
     h = ishigami_hierarchy()
-    plan = _manual_plan([4, 8, 16], np.ones((3, 1)))
-    samples = draw_inputs(h, 16, 0)
-    with pytest.raises(ValueError, match="1-wide"):
-        sum_for_plan(h, plan, samples, STATISTICS["variance"])
-    field = synthetic_field_hierarchy(5)
-    with pytest.raises(ValueError, match="sobol-main"):
-        sum_for_plan(field, plan, draw_inputs(field, 16, 0), STATISTICS["sobol-main"])
+    plan = _manual_plan(m, np.random.default_rng(seed).uniform(0.2, 1.2, (3, 3)))
+    block = build_sobol_block(h, int(max(m)), seed)
+    stat = STATISTICS[stat_label]
+    streamed = sum_for_plan(h, plan, block, stat, 5.0)
+    held = evaluate_for_plan(h, plan, block, 5.0)
+    return streamed, held, mfmc_statistic(streamed, plan, stat), mfmc_statistic(held, plan, stat)
+
+
+@pytest.mark.parametrize("stat_label", ["sobol-main", "sobol-total"])
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_streamed_sobol_is_bit_identical_to_held(stat_label, case):
+    m = _edge_counts(5, case)  # a Sobol block on ishigami is 5 columns wide
+    streamed, held, a, b = _sobol_streamed_and_held(m, stat_label)
+    assert np.array_equal(a.value, b.value)
+    assert a.realized_cost == b.realized_cost == 5.0 * np.dot(ishigami_hierarchy().costs, m)
+    fold = STATISTICS[stat_label].fold
+    for i, s in streamed.sums:
+        got, want = streamed.state(i, s, fold), held.state(i, s, fold)
+        if stat_label == "sobol-total":
+            got, want = [got], [want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _quintic_bridges(n_train=30):
+    h = quintic_hierarchy()
+    train = evaluate_nested(h, draw_inputs(h, n_train, 1), [n_train] * 3)
+    hf = train.outputs[0][:, 0]
+    return [fit_regressor(np.column_stack([train.outputs[i][:, 0], hf])) for i in (1, 2)]
+
+
+@pytest.mark.parametrize("stat_label", ["expectation", "variance"])
+@pytest.mark.parametrize(
+    "m",
+    [[100, 65_535, 65_537], [100, 0, 2 * 65_536 + 1], [65_536, 65_536, 65_600]],
+    ids=["lone last row", "two blocks and a lone row, middle dropped", "equal counts"],
+)
+def test_streamed_bridged_is_bit_identical_to_held(stat_label, m):
+    # GaussianProcessBridge predicts a lone trailing row with a one-row
+    # product, which rounds otherwise; the streamed blocks must not make one.
+    h = quintic_hierarchy()
+    bridges = _quintic_bridges()
+    plan = _manual_plan(m, [[1.0], [0.8], [0.6]])
+    samples = draw_inputs(h, max(m), 8)
+    stat = STATISTICS[stat_label]
+    streamed = sum_for_plan(h, plan, samples, stat, bridges=bridges)
+    held = mfmc_nonlinear(evaluate_for_plan(h, plan, samples), plan, bridges, stat)
+    assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, held.value)
+    assert streamed.cost == held.realized_cost
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_streamed_bridged_blocks_name_first_non_finite_sample(bad):
+    e = _BLOCK_ELEMENTS
+    n, row = 2 * e + 7, e + 5
+    models = (
+        Model(_BadRows(1), 1.0, "hf", vectorized=True),
+        Model(_BadRows(1, [(row, 0, bad), (n - 1, 0, np.nan)]), 0.1, "lo", vectorized=True),
+    )
+    h = ModelHierarchy(models, (Normal(0.0, 1.0),))
+    x = np.linspace(0.0, 2.0, 20)
+    bridge = fit_regressor(np.column_stack([x, x**2]))
+    plan = _manual_plan([10, n], np.ones((2, 1)))
+    with pytest.raises(EvaluationError) as info:
+        sum_for_plan(h, plan, _index_samples(n), STATISTICS["expectation"], bridges=[bridge])
+    err = info.value
+    assert (err.model_index, err.model_label, err.sample_index) == (1, "lo", row)
+
+
+def _index_sobol_block(n, d=2):
+    """A Sobol block whose every input set holds (row index, set index)."""
+    sets = [
+        SampleSet(np.column_stack([np.arange(n, dtype=float), np.full(n, c)]), (0,), 0, ())
+        for c in range(d + 2)
+    ]
+    return SobolSampleBlock(sets[0], sets[1], tuple(s.inputs for s in sets[2:]))
+
+
+@pytest.mark.parametrize("stat_label", ["sobol-main", "sobol-total"])
+@pytest.mark.parametrize("column", [0, 1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_streamed_sobol_names_first_non_finite_sample(stat_label, column, bad):
+    # the total effects do not depend on the base column, yet a bad base
+    # output must be named as a bad mixed one is
+    e = _BLOCK_ELEMENTS // 4  # rows per block of a 4-column (d = 2) Sobol block
+    n, row = 3 * e + 7, 2 * e + 5
+
+    def lo(z):
+        out = np.ones(len(z))
+        out[(z[:, 0] == row) & (z[:, 1] == column)] = bad
+        out[(z[:, 0] == n - 1)] = np.nan
+        return out
+
+    models = (
+        Model(lambda z: np.ones(len(z)), 1.0, "hf", vectorized=True),
+        Model(lo, 0.1, "lo", vectorized=True),
+    )
+    h = ModelHierarchy(models, (Normal(0.0, 1.0), Normal(0.0, 1.0)))
+    plan = _manual_plan([10, n], np.ones((2, 2)))
+    block = _index_sobol_block(n)
+    for evaluate in (lambda *args: sum_for_plan(*args, STATISTICS[stat_label]), evaluate_for_plan):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(h, plan, block)
+        assert (info.value.model_index, info.value.sample_index) == (1, row)
+
+
+# Bytes of one row block of scalar outputs, or of one model's outputs on
+# 5-column Sobol blocks (_BLOCK_ELEMENTS float64 values either way).
+_ROW_BLOCK_BYTES = 8 * _BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("stat_label", ["sobol-main", "sobol-total"])
+def test_streamed_sobol_memory_is_bounded(stat_label):
+    h = ishigami_hierarchy()
+    m = [20_000, 80_000, 200_000]
+    plan = _manual_plan(m, np.ones((3, 3)))
+    block = build_sobol_block(h, max(m), 3)  # drawn outside the traced region
+    stat = STATISTICS[stat_label]
+    peak = traced_peak(lambda: mfmc_statistic(sum_for_plan(h, plan, block, stat, 5.0), plan, stat))
+    held = sum(m) * 5 * 8
+    assert held > 20 * _ROW_BLOCK_BYTES  # what holding the outputs would take
+    assert peak < 6 * _ROW_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("stat_label", ["expectation", "variance"])
+def test_streamed_bridged_memory_is_bounded(stat_label):
+    h = quintic_hierarchy()
+    bridges = _quintic_bridges()
+    m = [20_000, 100_000, 400_000]
+    plan = _manual_plan(m, np.ones((3, 1)))
+    samples = draw_inputs(h, max(m), 4)  # drawn outside the traced region
+    stat = STATISTICS[stat_label]
+    peak = traced_peak(
+        lambda: mfmc_statistic(sum_for_plan(h, plan, samples, stat, bridges=bridges), plan, stat)
+    )
+    held = sum(m) * 8
+    assert held > 6 * _ROW_BLOCK_BYTES  # the raw outputs alone, before their bridged copies
+    assert peak < 6 * _ROW_BLOCK_BYTES
 
 
 class _BadRows:
@@ -667,7 +852,7 @@ def _check_first_non_finite_named(stat_label, width, where, bad, case):
         assert (err.model_index, err.model_label, err.sample_index) == (*expected, row)
 
 
-@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("width", [1, 2, 200])
 @pytest.mark.parametrize("where", ["later block start", "inside a later block", "last row"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("case", ["all models", "dropped middle model"])
@@ -675,7 +860,7 @@ def test_streamed_expectation_names_first_non_finite_sample(width, where, bad, c
     _check_first_non_finite_named("expectation", width, where, bad, case)
 
 
-@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("width", [1, 2, 200])
 @pytest.mark.parametrize("where", ["later block start", "inside a later block", "last row"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("case", ["all models", "dropped middle model"])
@@ -749,8 +934,7 @@ def test_streamed_overflowing_finite_outputs_fold_as_held(width, stat_label, mon
     # held rows fold on reading, and the combine takes inf - inf
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = mfmc_statistic(streamed, plan, stat), mfmc_statistic(held, plan, stat)
-        read = held.column_sum if stat_label == "expectation" else held.moments
-        held_states = {key: read(*key) for key in streamed.sums}
+        held_states = {key: held.state(*key, stat.fold) for key in streamed.sums}
     assert not np.isfinite(a.value).all()
     assert np.array_equal(a.value, b.value, equal_nan=True)
     for key, want in held_states.items():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import IdentityBridge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,10 +97,7 @@ def test_minimum_pilot_size_enforced():
 def test_g_stats_identity_bridge_matches_moment_stats():
     h = quintic_hierarchy()
     evals = evaluate_nested(h, draw_inputs(h, 80, 4), [80] * 3)
-    # a bridge trained on exact (x, x) pairs is numerically the identity
-    grid = np.linspace(-80, 80, 41)
-    identity = fit_regressor(np.column_stack([grid, grid]), method="piecewise-linear")
-    stats = estimate_g_stats(evals, [identity, identity])
+    stats = estimate_g_stats(evals, [IdentityBridge(), IdentityBridge()])
     raw = estimate_moment_stats(evals)
     assert np.allclose(stats.rho, raw.rho, atol=1e-9)
     assert np.allclose(stats.sigma, raw.sigma, rtol=1e-9)

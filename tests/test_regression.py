@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from mfmc import study
 from mfmc.errors import NotFittedError
-from mfmc.regression import (
-    GaussianProcessBridge,
-    PiecewiseLinearBridge,
-    fit_regressor,
-    load_regressor,
-    regressor_from_dict,
-    save_regressor,
-)
+from mfmc.regression import GaussianProcessBridge, fit_regressor
 
 
 def _pairs(x, y):
@@ -107,18 +100,16 @@ def test_refuses_degenerate_inputs():
             fit_regressor(_pairs(y, np.arange(10.0)))
 
 
-def test_fit_regressor_passes_keywords_to_every_bridge():
+def test_fit_regressor_passes_keywords_to_the_bridge():
     x = np.linspace(0, 1, 10)
-    assert fit_regressor(_pairs(x, x), "gp", nugget=1e-6).nugget == 1e-6
+    assert fit_regressor(_pairs(x, x), nugget=1e-6).nugget == 1e-6
     with pytest.raises(TypeError):
-        fit_regressor(_pairs(x, x), "piecewise-linear", nugget=1e-6)
+        fit_regressor(_pairs(x, x), method="gp")  # one family: no method knob
 
 
 def test_unfitted_prediction_raises():
     with pytest.raises(NotFittedError):
         GaussianProcessBridge().predict(0.0)
-    with pytest.raises(NotFittedError):
-        PiecewiseLinearBridge().predict(0.0)
 
 
 def test_scalar_prediction_returns_floats():
@@ -127,35 +118,6 @@ def test_scalar_prediction_returns_floats():
     mean, var = reg.predict(0.5)
     assert isinstance(mean, float) and isinstance(var, float)
     assert mean == pytest.approx(0.5, abs=1e-3)
-
-
-def test_gp_serialization_round_trip(tmp_path):
-    x = np.linspace(-1, 1, 25)
-    y = np.sin(3 * x)
-    reg = fit_regressor(_pairs(x, y))
-    path = tmp_path / "bridge.json"
-    save_regressor(reg, path)
-    back = load_regressor(path)
-    grid = np.linspace(-1, 1, 13)
-    assert np.array_equal(back.predict(grid)[0], reg.predict(grid)[0])
-    assert back.length_scale == reg.length_scale
-
-
-def test_piecewise_linear_bridge_basics():
-    x = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
-    y = np.array([0.0, 1.0, 3.0, 4.0, 6.0])
-    reg = fit_regressor(_pairs(x, y), method="piecewise-linear")
-    mean, var = reg.predict(np.array([0.5, 1.0, 10.0]))
-    assert mean[1] == pytest.approx(2.0)  # duplicate x averaged
-    assert mean[2] == pytest.approx(6.0)  # clamped extrapolation
-    assert np.all(var == 0.0)
-    back = regressor_from_dict(reg.to_dict())
-    assert np.array_equal(back.predict(np.array([0.7]))[0], reg.predict(np.array([0.7]))[0])
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        fit_regressor(_pairs(np.arange(6.0), np.arange(6.0)), method="spline")
 
 
 def test_refit_selects_hyperparameters_afresh():

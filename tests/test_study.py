@@ -4,14 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
-from mfmc import study
+from mfmc import estimators, study
 from mfmc.cli import main
 from mfmc.errors import MFMCError, UnknownNameError
 from mfmc.regression import GaussianProcessBridge
 from mfmc.estimators import STATISTICS
 from mfmc.hierarchy import Model
-from mfmc.sampling import NestedEvaluations, draw_inputs
+from mfmc.sampling import (
+    _BLOCK_ELEMENTS,
+    NestedEvaluations,
+    build_sobol_block,
+    draw_inputs,
+    evaluate_nested,
+)
 from mfmc.study import (
     StudyConfig,
     make_reference,
@@ -565,26 +572,65 @@ def test_reference_variance_memory_is_bounded(tmp_path, monkeypatch, statistics)
 
 
 @pytest.mark.parametrize(
-    "overrides, stat, streamed",
-    [
-        ({}, "expectation", True),
-        ({}, "variance", True),
-        ({"n_points": 1}, "expectation", False),
-        ({"n_points": 1}, "variance", False),
-        ({"hierarchy": "ishigami"}, "expectation", False),
-    ],
-    ids=["field expectation", "field variance", "one-point field", "one-point variance", "ishigami"],
+    "statistics", [("sobol-main",), ("sobol-total",), ("sobol-main", "sobol-total")]
 )
-def test_replicate_streams_only_vector_moments(monkeypatch, overrides, stat, streamed):
+def test_reference_sobol_memory_is_bounded(tmp_path, monkeypatch, statistics):
+    n = 200_000
+    config = StudyConfig(hierarchy="ishigami", statistics=statistics, reference_samples=n)
+    h = config.build_hierarchy()
+    drawn = traced_peak(lambda: build_sobol_block(h, n, (config.seed, study._REFERENCE)))
+    table = {}
+    peak = traced_peak(lambda: table.update(make_reference(config, tmp_path / "ref.json")))
+    row_block = 8 * _BLOCK_ELEMENTS
+    assert n * 5 * 8 > 12 * row_block  # what holding the outputs would take
+    assert peak - drawn < 6 * row_block  # beyond the drawn Sobol block
+    block = build_sobol_block(h, n, (config.seed, study._REFERENCE))
+    held = evaluate_nested(h, block, [n, 0, 0])
+    for label in statistics:
+        assert np.array_equal(table[label], STATISTICS[label].single_level(held, 0, n))
+    # one walk over the high-fidelity model serves both Sobol statistics
+    rows = []
+    evaluate_batch = Model.evaluate_batch
+
+    def counted(model, inputs):
+        rows.append(len(inputs))
+        return evaluate_batch(model, inputs)
+
+    monkeypatch.setattr(Model, "evaluate_batch", counted)
+    make_reference(config, tmp_path / "counted.json")
+    assert sum(rows) == 5 * n
+
+
+@pytest.mark.parametrize(
+    "overrides, stat",
+    [
+        pytest.param({}, "expectation", id="field-expectation"),
+        pytest.param({}, "variance", id="field-variance"),
+        pytest.param({"n_points": 1}, "expectation", id="one-point-field-expectation"),
+        pytest.param({"n_points": 1}, "variance", id="one-point-field-variance"),
+        *(
+            pytest.param({"hierarchy": "ishigami"}, stat, id=f"ishigami-{stat}")
+            for stat in ("expectation", "variance", "sobol-main", "sobol-total")
+        ),
+        *(
+            pytest.param({"hierarchy": "quintic", "mode": "nonlinear"}, stat, id=f"bridged-{stat}")
+            for stat in ("expectation", "variance")
+        ),
+    ],
+)
+def test_replicate_estimates_through_one_sum_for_plan_call(monkeypatch, overrides, stat):
+    # Every statistic in every mode is estimated by one sum_for_plan call,
+    # and gives the record that folding held (and bridged) outputs gives.
     config = _field_config(budgets=(20.0,), **overrides)
     expected = run_replicate(config, stat, 20.0, 0)
     calls = []
 
-    def materialized(hierarchy, plan, samples, statistic):
-        calls.append(plan)
-        return study.evaluate_for_plan(hierarchy, plan, samples)
+    def held(hierarchy, plan, samples, statistic, cost_factor, bridges):
+        calls.append(statistic.label)
+        evals = estimators.evaluate_for_plan(hierarchy, plan, samples, cost_factor)
+        return evals if bridges is None else estimators.apply_bridges(evals, bridges)
 
-    monkeypatch.setattr(study, "sum_for_plan", materialized)
+    monkeypatch.setattr(study, "sum_for_plan", held)
     got = run_replicate(config, stat, 20.0, 0)
-    assert len(calls) == streamed
+    assert calls == [stat]
     _same_record(expected, got)
