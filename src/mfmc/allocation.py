@@ -38,6 +38,12 @@ margin so that chains tying the best are still rounded. Model selection is
 therefore exact and has no cap on K: it costs O(K^3) plus one rounding per
 chain whose bound can still beat the best plan, usually one or a few.
 
+The rounding of a chain is exact as well: a depth-first branch-and-bound
+(``_round_chain``) finds the nondecreasing integer counts with the smallest
+error within the budget, ties going to the smaller cost and then to the
+lexicographically smallest counts. It bounds each partial plan by the same
+Lagrangian, applied to the levels still open.
+
 Vector-valued outputs reduce to the scalar problem through weighted
 aggregates: sigma-bar^2 sums the per-component high-fidelity variances and
 rho-bar_i^2 is the variance-weighted average of the squared correlations.
@@ -220,97 +226,117 @@ def _alpha_matrix(stats, retained):
     return alpha
 
 
-def _spend_leftover(m, w_chain, budget):
-    """Spend remaining budget cheapest-model-first without breaking the
-    nondecreasing ordering; mutates and returns m."""
-    leftover = budget - float(np.dot(w_chain, m))
-    order = np.argsort(w_chain, kind="stable")  # cheapest first
-    changed = True
-    while changed:
-        changed = False
-        for i in order:
-            headroom = (m[i + 1] - m[i]) if i + 1 < m.size else None
-            extra = int(leftover // w_chain[i])
-            if headroom is not None:
-                extra = min(extra, headroom)
-            if extra > 0:
-                m[i] += extra
-                leftover -= extra * w_chain[i]
-                changed = True
-    return m
-
-
-def _repair_monotone(m, min_samples):
-    m[0] = max(m[0], min_samples)
-    for i in range(1, m.size):
-        m[i] = max(m[i], m[i - 1])
-    return m
-
-
-def _round_counts(m_real, w_chain, budget, min_samples, mse_coeffs):
-    """Integer counts near the real-valued optimum of one chain.
-
-    Builds a candidate set around the continuous solution: the floored
-    counts, plus a small window of trial counts for the first level (and
-    the second, when present) with the deeper tail re-optimized for the
-    remaining budget each time. Leftover budget is spent cheapest-model-
-    first under the ordering constraint; the candidate with the smallest
-    predicted error wins (cost breaks ties). Returns None when even the
-    minimum counts exceed the budget.
-    """
-    n = m_real.size
-    tol = budget * (1.0 + 1e-12) + 1e-12
-    candidates = []
-
-    def finish(m):
-        m = _repair_monotone(np.asarray(m, dtype=int), min_samples)
-        if float(np.dot(w_chain, m)) <= tol:
-            candidates.append(_spend_leftover(m, w_chain, budget))
-
-    def reflow(rem, level):
-        # continuous re-optimization of levels >= level for budget rem
-        shape = np.sqrt(mse_coeffs[level:] / w_chain[level:])
-        denom = float(np.dot(w_chain[level:], shape))
-        if denom <= 0.0 or rem <= 0.0:
-            return None
-        return rem / denom * shape
-
-    finish(np.floor(m_real))
-    if n == 1:
-        finish([int(budget // w_chain[0])])
-    m1_floor = int(np.floor(m_real[0]))
-    for m1 in range(max(min_samples, m1_floor - 2), m1_floor + 3):
-        if w_chain[0] * m1 > tol:
-            break
-        if n == 1:
-            continue
-        tail = reflow(budget - w_chain[0] * m1, 1)
-        if tail is None:
-            continue
-        if n == 2:
-            finish([m1, int(tail[0])])
-            continue
-        m2_floor = int(tail[0])
-        for m2 in range(max(m1, m2_floor - 2), m2_floor + 3):
-            deep = reflow(budget - w_chain[0] * m1 - w_chain[1] * m2, 2)
-            if deep is None:
-                continue
-            finish([m1, m2, *np.floor(deep).astype(int)])
-
-    best = None
-    for m in candidates:
-        if m[0] < min_samples or np.any(m <= 0) or np.any(np.diff(m) < 0):
-            continue
-        key = (float(np.sum(mse_coeffs / m)), float(np.dot(w_chain, m)))
-        if best is None or key < best[0]:
-            best = (key, m)
-    return None if best is None else best[1]
-
-
 # Relative slack for comparing float bounds with float errors and costs:
 # far above the rounding of a sum over a few dozen terms, far below any
 # difference that matters.
 _SLACK = 1e-9
+
+# Relative slack for comparing a rounding bound with an incumbent's error.
+# Both sum the same float terms up to the bound's tail term, which is off
+# by a few dozen ulps of itself times budget / remaining budget, since the
+# remaining budget is a float difference. A looser slack would make the
+# search walk every count whose bound is that close: at counts of 1e9,
+# thousands per level.
+_ROUND_SLACK = 1e-14
+
+# Most partial plans one rounding visits (about 0.25 s). The benchmark's
+# chains need at most 54, and 7,950 random admissible chains of up to 10
+# models, budgets up to 3,000 and costs down to 1e-4 at most 12,387. Counts
+# beyond about 1e8 can need more: there a unit step in a count moves the
+# error by less than the budget the last level's floor leaves over, so the
+# search would walk thousands of counts per level to fit that leftover,
+# for a gain under 1e-12 of the error. The search then keeps its incumbent.
+_ROUND_NODES = 100_000
+
+
+def _round_chain(coeffs, w_chain, budget, min_samples):
+    """Exact integer counts of one chain, by depth-first branch-and-bound.
+
+    Minimizes the error sum_i c_i / m_i over integers
+    min_samples <= m_1 <= ... <= m_k whose cost sum_i w_i m_i stays within
+    the budget (plus a 1e-12 relative allowance for float rounding); ties
+    go to the smaller cost, then to the lexicographically smallest counts.
+    Works on plain floats and ints. Returns (error, cost, counts), or None
+    when even the smallest counts exceed the budget.
+
+    With m_1..m_i fixed, the later levels do no better than their
+    continuous optimum, so the partial error plus
+    (sum_{j>i} sqrt(c_j w_j))^2 / (remaining budget) bounds every
+    completion from below. That bound is convex in m_i, so the m_i that can
+    still win form an interval around its minimizer, the conditional
+    continuous optimum. The search walks the interval outward from there,
+    the smaller bound first, and ends each direction at the first value the
+    bound rules out; the first dive follows the continuous optimum down to
+    the first incumbent. The last level is closed form: the error falls as
+    m_k grows, so m_k is the largest count the budget allows. The search is
+    exact unless it visits ``_ROUND_NODES`` partial plans, which only
+    counts beyond about 1e8 need.
+    """
+    n = len(coeffs)
+    tol = budget * (1.0 + 1e-12) + 1e-12
+    tail = [0.0] * (n + 1)  # tail[i]: sum of sqrt(c_j w_j) over j >= i
+    heavy = [0.0] * (n + 1)  # heavy[i]: sum of w_j over j >= i
+    for i in range(n - 1, -1, -1):
+        tail[i] = tail[i + 1] + math.sqrt(coeffs[i] * w_chain[i])
+        heavy[i] = heavy[i + 1] + w_chain[i]
+    c_last, w_last = coeffs[-1], w_chain[-1]
+    counts = [0] * n
+    best = None
+    visits = 0
+
+    def descend(i, lo, spent, err):
+        nonlocal best, visits
+        visits += 1
+        rem = tol - spent
+        if i == n - 1:
+            m = int(rem // w_last)
+            while m >= lo and spent + w_last * m > tol:
+                m -= 1
+            while spent + w_last * (m + 1) <= tol:
+                m += 1
+            if m < lo:
+                return
+            counts[i] = m
+            found = (err + c_last / m, spent + w_last * m, counts)
+            if best is None or found < best:
+                best = (*found[:2], counts.copy())
+            return
+        # every later count is at least m_i, so m_i * heavy[i] <= rem
+        hi = int(rem // heavy[i])
+        if hi < lo:
+            return
+        c, w, t = coeffs[i], w_chain[i], tail[i + 1]
+
+        def bound(m):
+            # the lower bound less its rounding allowance (_ROUND_SLACK)
+            spare = rem - w * m
+            if spare <= 0.0:
+                return math.inf
+            rest = t * t / spare
+            low = err + c / m + rest
+            return low - _ROUND_SLACK * (low + rest * tol / spare)
+
+        star = rem / (w + t * math.sqrt(w / c))
+        down = min(max(math.floor(star), lo), hi)
+        up = down + 1
+        low_down, low_up = bound(down), bound(up) if up <= hi else math.inf
+        while True:
+            m, low = (down, low_down) if low_down <= low_up else (up, low_up)
+            if low == math.inf or (best is not None and low > best[0]):
+                return
+            counts[i] = m
+            descend(i + 1, m, spent + w * m, err + c / m)
+            if visits >= _ROUND_NODES:
+                return
+            if m == down:
+                down -= 1
+                low_down = bound(down) if down >= lo else math.inf
+            else:
+                up += 1
+                low_up = bound(up) if up <= hi else math.inf
+
+    descend(0, min_samples, 0.0, 0.0)
+    return best
 
 
 def _may_rise(slope_before, slope_after):
@@ -352,7 +378,7 @@ def _best_chain(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
         turn = _may_rise(slope[:, b, None], slope[None, b, :])
         rest[:, b] = np.where(turn, step[b] + rest[b], np.inf).min(axis=1)
 
-    # _round_counts accepts plans costing up to tol; widen it once more so
+    # _round_chain accepts plans costing up to tol; widen it once more so
     # float rounding in costs and sums cannot make the bound too high.
     tol = budget * (1.0 + 1e-12) + 1e-12
     ceiling = tol * (1.0 + _SLACK)
@@ -416,16 +442,15 @@ def _solve_chain(chain, rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
     r_chain = _chain_ratios(v, w_chain)
     if r_chain is None:
         return None
-    mse_coeffs = sigma_bar_sq * (v - np.append(v[1:], 0.0))
-    m1 = budget / float(np.dot(w_chain, r_chain))
-    m_real_chain = m1 * r_chain
-    m_chain = _round_counts(m_real_chain, w_chain, budget, min_samples, mse_coeffs)
-    if m_chain is None:
+    levels = v.tolist() + [0.0]
+    coeffs = [sigma_bar_sq * (a - b) for a, b in zip(levels, levels[1:])]
+    found = _round_chain(coeffs, w_chain.tolist(), budget, min_samples)
+    if found is None:
         return None
-    mse = float(np.sum(mse_coeffs / m_chain))
-    cost = float(np.dot(w_chain, m_chain))
+    mse, cost, counts = found
+    m1 = budget / float(np.dot(w_chain, r_chain))
     key = (mse, cost, len(chain), sum(1 << i for i in chain))
-    return key, chain, r_chain, m_chain, m_real_chain
+    return key, chain, r_chain, np.array(counts), m1 * r_chain
 
 
 def optimal_allocation(

@@ -202,14 +202,8 @@ class GaussianProcessBridge:
     def _kernel_blocks(self, xq):
         """Yield (rows, kernel block) over ``_PREDICT_BLOCK`` query rows at a
         time, reusing one buffer; a block is valid until the next is made.
-
-        A lone trailing row joins the block before it: numpy multiplies a
-        one-row matrix with a different BLAS kernel, which sums in another
-        order, so a one-row block would not match the unblocked product.
-        """
+        Every entry depends on its own query alone."""
         bounds = [*range(0, xq.shape[0], _PREDICT_BLOCK), xq.shape[0]]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            del bounds[-2]
         buf = np.empty((max(np.diff(bounds), default=0), self._x.size))
         scale = self.length_scale**2
         for start, stop in zip(bounds, bounds[1:]):
@@ -228,10 +222,13 @@ class GaussianProcessBridge:
         mean = np.full(xq.shape, self._prior_mean)
         var = np.zeros(xq.shape)
         if not self._constant:
+            # v = L^-1 k^T with each query's column summed on its own, so
+            # that, like the mean, each variance depends on its query alone
+            chol_inv = np.linalg.solve(self._chol, np.eye(self._x.size))
             for rows, k in self._kernel_blocks(xq):
-                mean[rows] += k @ self._weights
-                v = np.linalg.solve(self._chol, k.T)
-                var[rows] = np.clip(1.0 - np.sum(v * v, axis=0), 0.0, None)
+                mean[rows] += _row_dot(k, self._weights)
+                v = np.einsum("ij,kj->ik", k, chol_inv)
+                var[rows] = np.clip(1.0 - np.einsum("ij,ij->i", v, v), 0.0, None)
             var *= self._signal_variance
         if scalar:
             return float(mean[0]), float(var[0])
@@ -243,10 +240,17 @@ class GaussianProcessBridge:
         mean = np.full(xq.shape, self._prior_mean)
         if not self._constant:
             for rows, k in self._kernel_blocks(xq):
-                mean[rows] += k @ self._weights
+                mean[rows] += _row_dot(k, self._weights)
         if scalar:
             return float(mean[0])
         return mean
+
+
+def _row_dot(k, weights):
+    """``k @ weights``, each row summed in an order that depends on that row
+    alone: BLAS gemv groups a row's terms by the matrix's row count, so a
+    query's prediction would change with the other queries of the call."""
+    return np.einsum("ij,j->i", k, weights)
 
 
 def fit_regressor(pairs, **kwargs) -> GaussianProcessBridge:

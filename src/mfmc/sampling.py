@@ -73,10 +73,6 @@ class SampleSet:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def input_sets(self) -> tuple:
-        return (self.inputs,)
-
 
 @dataclass(eq=False)
 class NestedEvaluations:
@@ -123,16 +119,17 @@ class PrefixSums:
 
 @dataclass(frozen=True, eq=False)
 class SobolSampleBlock:
-    """Base set s, independent second set s2, and the d mixed sets.
+    """Base set s and independent second set s2 of a Sobol block.
 
     Mixed set j equals s2 in every coordinate except coordinate j, which is
-    taken from s. Evaluating one model on all blocks therefore costs
-    (d + 2) evaluations per sample.
+    taken from s. Evaluating one model on all sets therefore costs (d + 2)
+    evaluations per sample. Only s and s2 are stored: the mixed sets are
+    built a row block at a time as they are evaluated (:meth:`row_sets`),
+    and ``mixed`` builds them whole for callers that want them.
     """
 
     base: SampleSet
     second: SampleSet
-    mixed: tuple
 
     @property
     def n(self) -> int:
@@ -140,15 +137,26 @@ class SobolSampleBlock:
 
     @property
     def dimension(self) -> int:
-        return len(self.mixed)
+        return self.base.inputs.shape[1]
 
     @property
     def seed(self) -> tuple:
         return self.base.seed
 
     @property
-    def input_sets(self) -> tuple:
-        return (self.base.inputs, self.second.inputs, *self.mixed)
+    def mixed(self) -> tuple:
+        return tuple(self.row_sets(slice(0, self.n)))[2:]
+
+    def row_sets(self, rows: slice):
+        """``rows`` of the base, second and mixed_1..mixed_d sets, in that
+        order; each mixed block is built when it is reached."""
+        base, second = self.base.inputs[rows], self.second.inputs[rows]
+        yield base
+        yield second
+        for j in range(self.dimension):
+            mixed = second.copy()
+            mixed[:, j] = base[:, j]
+            yield mixed
 
 
 def draw_inputs(hierarchy: ModelHierarchy, m: int, seed, stream: int = BASE_STREAM) -> SampleSet:
@@ -202,16 +210,17 @@ def _row_blocks(n_rows: int, width: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _input_sets(hierarchy: ModelHierarchy, samples) -> tuple:
-    """(input sets, output width) of the hierarchy's models on ``samples``.
+def _output_width(hierarchy: ModelHierarchy, samples) -> int:
+    """Output columns of the hierarchy's models on ``samples``.
 
     A :class:`SobolSampleBlock`'s d + 2 sets give one column each, so its
     models must have scalar outputs.
     """
-    sets = samples.input_sets
-    if len(sets) > 1 and hierarchy.output_length != 1:
-        raise ValueError("Sobol evaluation requires scalar-output models")
-    return sets, hierarchy.output_length * len(sets)
+    if isinstance(samples, SobolSampleBlock):
+        if hierarchy.output_length != 1:
+            raise ValueError("Sobol evaluation requires scalar-output models")
+        return samples.dimension + 2
+    return hierarchy.output_length
 
 
 def _evaluate_shaped(
@@ -232,15 +241,16 @@ def _evaluate_shaped(
     return out
 
 
-def _evaluate_rows(model: Model, sets, rows: slice, model_index: int, width: int) -> np.ndarray:
+def _evaluate_rows(model: Model, samples, rows: slice, model_index: int, width: int) -> np.ndarray:
     """``model`` on sample ``rows`` of every input set, shape-checked
     (:func:`_evaluate_shaped`). The d + 2 sets of a Sobol block give one
-    column each, stored column-major."""
-    if len(sets) == 1:
-        return _evaluate_shaped(model, sets[0][rows], model_index, width)
+    column each, stored column-major; each mixed set's rows are built just
+    before they are evaluated."""
+    if isinstance(samples, SampleSet):
+        return _evaluate_shaped(model, samples.inputs[rows], model_index, width)
     out = np.empty((rows.stop - rows.start, width), order="F")
-    for c, inputs in enumerate(sets):
-        out[:, c] = _evaluate_shaped(model, inputs[rows], model_index, 1)[:, 0]
+    for c, inputs in enumerate(samples.row_sets(rows)):
+        out[:, c] = _evaluate_shaped(model, inputs, model_index, 1)[:, 0]
     return out
 
 
@@ -485,41 +495,33 @@ def _evaluate_counts(
     ``m`` is indexed like the hierarchy and already validated; the rest is
     as in :func:`evaluate_nested`.
     """
-    sets, width = _input_sets(hierarchy, samples)
+    width = _output_width(hierarchy, samples)
     outputs = []
     for i, model in enumerate(hierarchy.models):
         if m[i] == 0:
             outputs.append(np.empty((0, width)))
             continue
-        out = _evaluate_rows(model, sets, slice(0, m[i]), i, width)
+        out = _evaluate_rows(model, samples, slice(0, m[i]), i, width)
         _check_finite(out, model, i)
         outputs.append(out)
     return NestedEvaluations(outputs, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
 
 
-def _evaluated_blocks(model: Model, sets, model_index: int, n_rows: int, width: int, transform):
+def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, width: int, transform):
     """(start, outputs) of ``model`` on the first ``n_rows`` sample rows, one
     block of the grid of :func:`_row_blocks` at a time.
 
     With ``transform``, each block is scanned for finiteness
     (:func:`_check_finite`) and then mapped by ``transform(model_index,
-    block)``. A lone trailing row is then evaluated and mapped with the
-    block before it, as ``regression.GaussianProcessBridge`` predicts held
-    outputs (a one-row product rounds otherwise), and split back onto the
-    grid.
+    block)``, which must map each row on its own, as
+    ``regression.GaussianProcessBridge`` predicts.
     """
-    grid = _row_blocks(n_rows, width)
-    if transform is not None and len(grid) > 1 and grid[-1].stop - grid[-1].start == 1:
-        grid[-2:] = [slice(grid[-2].start, n_rows)]
-    for rows in grid:
-        out = _evaluate_rows(model, sets, rows, model_index, width)
-        if transform is None:
-            yield rows.start, out
-            continue
-        _check_finite(out, model, model_index, rows.start)
-        out = transform(model_index, out)
-        for sub in _row_blocks(len(out), width):
-            yield rows.start + sub.start, out[sub]
+    for rows in _row_blocks(n_rows, width):
+        out = _evaluate_rows(model, samples, rows, model_index, width)
+        if transform is not None:
+            _check_finite(out, model, model_index, rows.start)
+            out = transform(model_index, out)
+        yield rows.start, out
 
 
 def _sum_counts(
@@ -537,14 +539,14 @@ def _sum_counts(
     own count and at the previous evaluated model's, the prefixes the
     telescoping combiner reads. One walk per model serves every fold.
     """
-    sets, width = _input_sets(hierarchy, samples)
+    width = _output_width(hierarchy, samples)
     sums = {}
     prev = 0
     for i, model in enumerate(hierarchy.models):
         if m[i] == 0:
             continue
         stops = {int(m[prev]), int(m[i])}
-        blocks = _evaluated_blocks(model, sets, i, max(stops), width, transform)
+        blocks = _evaluated_blocks(model, samples, i, max(stops), width, transform)
         check = functools.partial(_check_finite, model=model, model_index=i)
         for stop, states in _fold_prefixes(blocks, stops, folds, width, check).items():
             sums[i, stop] = states
@@ -569,17 +571,13 @@ def evaluate_nested(
 
 
 def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SobolSampleBlock:
-    """Draw the base/second/mixed input sets used by Sobol index estimators."""
+    """Draw the base and second input sets of a Sobol block (the mixed sets
+    are built from them as they are evaluated)."""
     if m < 2:
         raise ValueError("Sobol blocks need m >= 2")
     s = draw_inputs(hierarchy, m, seed, stream=BASE_STREAM)
     s2 = draw_inputs(hierarchy, m, seed, stream=SECOND_STREAM)
-    mixed = []
-    for j in range(hierarchy.input_dimension):
-        yj = s2.inputs.copy()
-        yj[:, j] = s.inputs[:, j]
-        mixed.append(yj)
-    return SobolSampleBlock(s, s2, tuple(mixed))
+    return SobolSampleBlock(s, s2)
 
 
 SOBOL_COST_CONVENTIONS = ("per-evaluation", "per-sample")

@@ -304,25 +304,68 @@ def _fit_bridges(hierarchy_name: str, n_points: int, n_train: int, seed, rep: in
     )
 
 
+@functools.lru_cache(maxsize=2)
+def _pilot_evaluations(
+    hierarchy_name: str,
+    n_points: int,
+    costs,
+    pilot_size: int,
+    seed,
+    rep: int,
+    sobol: bool,
+    cost_factor: float,
+    mode: str,
+    n_train: int,
+):
+    """Every model on the pilot draw of replicate ``rep``, bridged in nonlinear mode.
+
+    The draw comes from the pilot stream (seed, _PILOT, rep): a Sobol block
+    when ``sobol`` is set, whose cost is charged at ``cost_factor``, else
+    plain rows. In nonlinear mode the low-fidelity outputs go through the
+    bridges of ``_fit_bridges`` (trained on ``n_train`` rows). The arguments
+    are everything the evaluation reads, so a cached result is never stale;
+    the two entries hold a replicate's plain and Sobol draws, so each pilot
+    draw is evaluated once per replicate however many statistics read it.
+    The cached evaluations are only read.
+    """
+    hierarchy = get_hierarchy(hierarchy_name, costs=costs, n_points=n_points)
+    draw = build_sobol_block if sobol else draw_inputs
+    samples = draw(hierarchy, pilot_size, (seed, _PILOT, rep))
+    evals = evaluate_nested(hierarchy, samples, [pilot_size] * hierarchy.n_models, cost_factor)
+    if mode == "nonlinear":
+        evals = apply_bridges(evals, _fit_bridges(hierarchy_name, n_points, n_train, seed, rep))
+    return evals
+
+
 def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
-    """Pilot draw, bridges and pilot statistics of replicate ``rep``.
+    """Pilot statistics, bridges and pilot cost of replicate ``rep``.
 
     Returns (stats, bridges, pilot cost); bridges is None in linear mode.
     The pilot and training streams do not depend on the statistic, so every
     statistic of a replicate sees the same pilot samples and the same
-    bridges, which ``_fit_bridges`` fits once per replicate.
+    bridges. Each pilot draw (plain, or a Sobol block) is evaluated once
+    per replicate by ``_pilot_evaluations``, and the bridges are fitted
+    once by ``_fit_bridges``; this stage only estimates the statistic's
+    pilot statistics from the shared evaluations.
     """
-    k = hierarchy.n_models
-    n = config.pilot_size
-    samples = _draw(hierarchy, stat, n, (config.seed, _PILOT, rep))
-    evals = evaluate_nested(hierarchy, samples, [n] * k, _cost_factor(config, hierarchy, stat))
+    evals = _pilot_evaluations(
+        config.hierarchy,
+        config.n_points,
+        config.costs,
+        config.pilot_size,
+        config.seed,
+        rep,
+        stat.needs_sobol_block,
+        _cost_factor(config, hierarchy, stat),
+        config.mode,
+        config.regression_train_size,
+    )
     kind = "raw" if stat.label == "expectation" else "q"
     bridges = None
     if config.mode == "nonlinear":
         bridges = _fit_bridges(
             config.hierarchy, config.n_points, config.regression_train_size, config.seed, rep
         )
-        evals = apply_bridges(evals, bridges)
         kind = "g"
     stats = estimate_q_stats(evals, stat, kind=kind)
     return stats, bridges, _pilot_cost(config, hierarchy, stat)
@@ -359,8 +402,9 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
 
     ``budget`` is in the configured unit, or None in tolerance mode. The
     pilot streams are shared across statistics (the same pilot samples are
-    reused for every statistic of a replicate); estimation streams are
-    statistic-specific.
+    reused for every statistic of a replicate), and each pilot draw is
+    evaluated once per replicate (``_pilot_evaluations``); estimation
+    streams are statistic-specific.
     """
     hierarchy = config.build_hierarchy()
     stat = STATISTICS[stat_label]
@@ -675,7 +719,8 @@ def run_pilot(config: StudyConfig, out_dir=None) -> dict:
     """Estimate and save the pilot statistics for each configured statistic.
 
     These are the pilot statistics of replicate 0 of a study on the same
-    config.
+    config. Statistics on the same draw share one evaluation of it: each
+    pilot draw is evaluated once.
     """
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)

@@ -4,12 +4,14 @@ The brute-force routines here are written independently of the library
 internals on purpose: they enumerate or integrate directly from the error
 formula so that the analytic solver has something honest to be checked
 against. The exceptions are ``exhaustive_allocation``, which reuses the
-library's per-chain solver and rounding but enumerates and rounds every
-admissible chain, so the chain search has an exact reference, and
-``exhaustive_gp_fit``, which scores every GP hyperparameter candidate
-exactly, so the screened grid search has one.
+library's admissibility test and coefficients but rounds every admissible
+chain with its own exact enumeration, so the chain search and the
+rounding have an exact reference, and ``exhaustive_gp_fit``, which scores
+every GP hyperparameter candidate exactly, so the screened grid search has
+one.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,6 @@ from mfmc.allocation import (
     _alpha_matrix,
     _as_aggregated,
     _chain_ratios,
-    _round_counts,
     predicted_mse,
 )
 from mfmc.errors import InfeasibleBudgetError
@@ -159,26 +160,121 @@ def admissible_chains(rho_bar_sq, w):
     return chains
 
 
-def exhaustive_allocation(stats, costs, budget, weights=None, min_samples=1):
-    """Reference ``optimal_allocation``: round every admissible chain and keep
-    the first plan with the smallest (error, cost, chain length)."""
+def _budget_tol(budget):
+    """The cost a plan may reach: the budget plus a 1e-12 relative allowance."""
+    return budget * (1.0 + 1e-12) + 1e-12
+
+
+def brute_force_counts(coeffs, w, budget, min_samples, beat=None):
+    """Best integer counts of one chain by plain enumeration: every
+    nondecreasing count vector with m_1 >= min_samples whose cost fits the
+    budget is scored. Returns the smallest (error, cost, counts), errors and
+    costs summed left to right, or None. Small budgets only; ``beat`` is
+    ignored."""
+    tol = _budget_tol(budget)
+    n = len(coeffs)
+    best = None
+
+    def walk(prefix, spent, err):
+        nonlocal best
+        i = len(prefix)
+        m = prefix[-1] if prefix else min_samples
+        while spent + w[i] * m <= tol:
+            if i == n - 1:
+                found = (err + coeffs[i] / m, spent + w[i] * m, prefix + [m])
+                best = found if best is None else min(best, found)
+            else:
+                walk(prefix + [m], spent + w[i] * m, err + coeffs[i] / m)
+            m += 1
+
+    walk([], 0.0, 0.0)
+    return best
+
+
+def exact_counts(coeffs, w, budget, min_samples, beat=math.inf):
+    """Best integer counts of one chain, as ``brute_force_counts`` defines
+    them, at any budget; None also when no plan has error at most ``beat``.
+
+    The enumeration skips a prefix m_1..m_i only when no completion can
+    win: whatever the later counts, their error is at least
+    (sum_{j>i} sqrt(c_j w_j))^2 over the budget left (Cauchy-Schwarz). At
+    each level the values of m_i are visited in increasing order of that
+    bound from its integer minimizer, found by ternary search, and each
+    direction ends where the bound, less an allowance for its rounding,
+    exceeds the best error found.
+    """
+    tol = _budget_tol(budget)
+    n = len(coeffs)
+    best = None
+
+    def lower_bound(i, m, spent, err):
+        # less an allowance for its rounding: the tail term comes from a
+        # remaining budget that is a difference of sums up to the budget
+        rest = sum(math.sqrt(coeffs[j] * w[j]) for j in range(i + 1, n))
+        spare = tol - spent - w[i] * m
+        if rest == 0.0:
+            return err + coeffs[i] / m
+        if spare <= 0.0:
+            return math.inf
+        low = err + coeffs[i] / m + rest**2 / spare
+        return low - 1e-13 * (low + rest**2 / spare * tol / spare)
+
+    def walk(prefix, spent, err):
+        nonlocal best
+        i = len(prefix)
+        lo = prefix[-1] if prefix else min_samples
+        heavy = sum(w[i:])
+        hi = int((tol - spent) / heavy) + 1
+        while hi >= lo and spent + heavy * hi > tol:
+            hi -= 1
+        if hi < lo:
+            return
+        g = lambda m: lower_bound(i, m, spent, err)  # noqa: E731
+        a, b = lo, hi
+        while b - a > 2:
+            third = (b - a) // 3
+            if g(a + third) <= g(b - third):
+                b = b - third
+            else:
+                a = a + third
+        start = min(range(a, b + 1), key=g)
+        for side in (range(start, lo - 1, -1), range(start + 1, hi + 1)):
+            for m in side:
+                limit = beat if best is None else min(beat, best[0])
+                if g(m) > limit:
+                    break
+                if i == n - 1:
+                    if spent + w[i] * m <= tol:
+                        found = (err + coeffs[i] / m, spent + w[i] * m, prefix + [m])
+                        best = found if best is None else min(best, found)
+                else:
+                    walk(prefix + [m], spent + w[i] * m, err + coeffs[i] / m)
+
+    walk([], 0.0, 0.0)
+    return best
+
+
+def exhaustive_allocation(stats, costs, budget, weights=None, min_samples=1, rounding=exact_counts):
+    """Reference ``optimal_allocation``: round every admissible chain with
+    ``rounding`` and keep the first plan with the smallest (error, cost,
+    chain length)."""
     agg = _as_aggregated(stats, weights)
     w = costs.w
     if budget < w[0] * min_samples:
         raise InfeasibleBudgetError("budget cannot pay for the high-fidelity floor")
     best = None
     for chain, r_chain in admissible_chains(agg.rho_bar_sq, w):
-        w_chain = w[chain]
-        v = np.concatenate([[1.0], agg.rho_bar_sq[chain[1:]]])
-        mse_coeffs = agg.sigma_bar_sq * (v - np.append(v[1:], 0.0))
-        m1 = budget / float(np.dot(w_chain, r_chain))
-        m_real_chain = m1 * r_chain
-        m_chain = _round_counts(m_real_chain, w_chain, budget, min_samples, mse_coeffs)
-        if m_chain is None:
+        v = [1.0] + [float(agg.rho_bar_sq[i]) for i in chain[1:]] + [0.0]
+        coeffs = [agg.sigma_bar_sq * (a - b) for a, b in zip(v, v[1:])]
+        beat = math.inf if best is None else best[0][0]
+        found = rounding(coeffs, [float(x) for x in w[chain]], budget, min_samples, beat=beat)
+        if found is None:
             continue
-        key = (float(np.sum(mse_coeffs / m_chain)), float(np.dot(w_chain, m_chain)), len(chain))
+        mse, cost, counts = found
+        key = (mse, cost, len(chain))
         if best is None or key < best[0]:
-            best = (key, chain, r_chain, m_chain, m_real_chain)
+            m_real_chain = budget / float(np.dot(w[chain], r_chain)) * r_chain
+            best = (key, chain, r_chain, np.array(counts), m_real_chain)
     if best is None:
         raise InfeasibleBudgetError("no chain can be paid for")
     _, chain, r_chain, m_chain, m_real_chain = best

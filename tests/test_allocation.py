@@ -1,12 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    admissible_chains,
     brute_force_best_two,
+    brute_force_counts,
+    exact_counts,
     exhaustive_allocation,
     random_admissible_instance,
     telescoping_mse,
@@ -14,6 +18,9 @@ from conftest import (
 from mfmc.allocation import (
     AggregatedStats,
     CostModel,
+    _as_aggregated,
+    _round_chain,
+    _solve_chain,
     aggregate_vector_stats,
     budget_for_tolerance,
     optimal_allocation,
@@ -300,6 +307,134 @@ def test_chain_search_matches_exhaustive_oracle(problem):
     assert np.array_equal(plan.m_real, oracle.m_real)
     assert plan.predicted_mse == oracle.predicted_mse
     assert plan.budget_used == oracle.budget_used
+
+
+# Companion costs no smaller than 0.25 at budgets up to 20 keep plain
+# enumeration of every count vector small.
+_ENUMERABLE_COST = st.one_of(
+    st.sampled_from([0.5, 0.25]),
+    st.floats(min_value=0.25, max_value=1.0),
+)
+
+
+@st.composite
+def _small_budget_problems(draw):
+    # correlations and costs sorted in decreasing order, so that most chains
+    # of several models are admissible
+    k = draw(st.integers(min_value=1, max_value=6))
+    companions = st.one_of(
+        st.sampled_from([0.25, 0.5, 0.81, 0.9]), st.floats(min_value=0.01, max_value=0.999)
+    )
+    rho_sq = [1.0] + sorted(draw(st.lists(companions, min_size=k - 1, max_size=k - 1)))[::-1]
+    sigma = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=k, max_size=k))
+    w = [draw(st.floats(min_value=0.5, max_value=2.0))]
+    w += sorted(draw(st.lists(_ENUMERABLE_COST, min_size=k - 1, max_size=k - 1)))[::-1]
+    budget = draw(st.floats(min_value=1.0, max_value=20.0))
+    min_samples = draw(st.integers(min_value=1, max_value=2))
+    stats = pilot_stats_from_exact(sigma, np.sqrt(rho_sq))
+    return stats, CostModel(w), budget, min_samples
+
+
+def _chain_coeffs(agg, chain):
+    v = [1.0] + [float(agg.rho_bar_sq[i]) for i in chain[1:]] + [0.0]
+    return [agg.sigma_bar_sq * (a - b) for a, b in zip(v, v[1:])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=_small_budget_problems())
+@example(  # the full chain's optimum is [1, 4, 5, 5]; a +-2 window found [1, 3, 5, 8]
+    problem=(
+        pilot_stats_from_exact(np.ones(4), np.sqrt([1.0, 0.99, 0.74, 0.25])),
+        CostModel([1.0, 0.9, 0.76, 0.29]),
+        9.9,
+        1,
+    )
+)
+@example(  # [2, 4, 4] and [2, 3, 6] tie exactly in error (0.375) and cost (3.5)
+    problem=(
+        pilot_stats_from_exact(np.ones(3), np.sqrt([1.0, 0.5, 0.25])),
+        CostModel([1.0, 0.25, 0.125]),
+        3.5,
+        1,
+    )
+)
+def test_every_chain_rounds_to_the_brute_force_optimum(problem):
+    stats, costs, budget, min_samples = problem
+    agg = _as_aggregated(stats)
+    w = costs.w
+    for chain, _ in admissible_chains(agg.rho_bar_sq, w):
+        got = _solve_chain(chain, agg.rho_bar_sq, w, agg.sigma_bar_sq, budget, min_samples)
+        want = brute_force_counts(_chain_coeffs(agg, chain), w[chain].tolist(), budget, min_samples)
+        assert (got is None) == (want is None)
+        if got is not None:
+            key, _, _, m_chain, _ = got
+            assert m_chain.tolist() == want[2], chain
+            assert key[:2] == want[:2], chain
+    plan = _allocate_or_infeasible(optimal_allocation, *problem)
+    oracle = _allocate_or_infeasible(
+        functools.partial(exhaustive_allocation, rounding=brute_force_counts), *problem
+    )
+    assert (plan is None) == (oracle is None)
+    if plan is not None:
+        assert np.array_equal(plan.m, oracle.m)
+        assert plan.predicted_mse == oracle.predicted_mse
+
+
+@st.composite
+def _chain_rounding_problems(draw, max_models, max_budget, min_cost):
+    k = draw(st.integers(min_value=1, max_value=max_models))
+    coeffs = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=k, max_size=k))
+    w = [draw(st.floats(min_value=0.5, max_value=2.0))]
+    w += draw(st.lists(st.floats(min_value=min_cost, max_value=1.0), min_size=k - 1, max_size=k - 1))
+    budget = draw(st.floats(min_value=1.0, max_value=max_budget))
+    return coeffs, w, budget, draw(st.integers(min_value=1, max_value=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_chain_rounding_problems(max_models=4, max_budget=12.0, min_cost=0.25))
+def test_pruned_oracle_matches_plain_enumeration(problem):
+    # the pruned enumeration behind exhaustive_allocation, on any positive
+    # coefficients and costs, admissible or not
+    assert exact_counts(*problem) == brute_force_counts(*problem)
+
+
+@st.composite
+def _admissible_chain_problems(draw, max_models, max_budget):
+    # built from the gaps and strictly increasing ratios the closed form
+    # needs: w_i = w_1 gap_i / (gap_1 r_i^2)
+    k = draw(st.integers(min_value=1, max_value=max_models))
+    gaps = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=k, max_size=k))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=k - 1, max_size=k - 1))
+    gaps = [g / sum(gaps) for g in gaps]
+    r = [1.0]
+    for step in steps:
+        r.append(r[-1] * (1.0 + step))
+    w0 = draw(st.floats(min_value=0.5, max_value=2.0))
+    w = [w0 * g / (gaps[0] * ri**2) for g, ri in zip(gaps, r)]
+    assume(min(w) >= 1e-5)
+    scale = draw(st.floats(min_value=0.1, max_value=10.0))
+    budget = draw(st.floats(min_value=1.0, max_value=max_budget))
+    return [scale * g for g in gaps], w, budget, draw(st.integers(min_value=1, max_value=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_admissible_chain_problems(max_models=8, max_budget=3000.0))
+def test_rounding_matches_pruned_oracle_at_large_budgets(problem):
+    assert _round_chain(*problem) == exact_counts(*problem)
+
+
+@pytest.mark.parametrize("budget", [1e8, 1e12])
+def test_rounding_at_huge_budgets_stays_at_the_continuous_optimum(budget):
+    # counts up to ~1e15: the search stops at its visit limit with a plan
+    # whose error is the continuous optimum's up to the 1e-12 budget allowance
+    k = 12
+    rho_sq = np.concatenate([[1.0], np.linspace(0.99, 0.3, k - 1)])
+    w = 10.0 ** (-4.0 * np.arange(k) / (k - 1))
+    plan = _plan(np.ones(k), np.sqrt(rho_sq), w, budget)
+    v = np.append(rho_sq[plan.chain], 0.0)
+    s = float(np.sum(np.sqrt(w[plan.chain] * (v[:-1] - v[1:]))))
+    assert plan.predicted_mse == pytest.approx(s**2 / budget, rel=2e-12)
+    assert plan.budget_used <= budget * (1 + 1e-9)
 
 
 def test_chain_search_reaches_near_tie_chains():

@@ -704,8 +704,8 @@ def _quintic_bridges(n_train=30):
     ids=["lone last row", "two blocks and a lone row, middle dropped", "equal counts"],
 )
 def test_streamed_bridged_is_bit_identical_to_held(stat_label, m):
-    # GaussianProcessBridge predicts a lone trailing row with a one-row
-    # product, which rounds otherwise; the streamed blocks must not make one.
+    # a streamed grid of row blocks can end in a lone row, which
+    # GaussianProcessBridge must predict as it does inside a block
     h = quintic_hierarchy()
     bridges = _quintic_bridges()
     plan = _manual_plan(m, [[1.0], [0.8], [0.6]])
@@ -735,13 +735,23 @@ def test_streamed_bridged_blocks_name_first_non_finite_sample(bad):
     assert (err.model_index, err.model_label, err.sample_index) == (1, "lo", row)
 
 
-def _index_sobol_block(n, d=2):
-    """A Sobol block whose every input set holds (row index, set index)."""
-    sets = [
-        SampleSet(np.column_stack([np.arange(n, dtype=float), np.full(n, c)]), (0,), 0, ())
-        for c in range(d + 2)
-    ]
-    return SobolSampleBlock(sets[0], sets[1], tuple(s.inputs for s in sets[2:]))
+def _index_sobol_block(n):
+    """A d = 2 Sobol block whose input rows tell their sample row and set:
+    base rows are (r, 10) and second rows (-r - 1, 20), so the mixed sets
+    are (r, 20) and (-r - 1, 10)."""
+    r = np.arange(n, dtype=float)
+    base = SampleSet(np.column_stack([r, np.full(n, 10.0)]), (0,), 0, ())
+    second = SampleSet(np.column_stack([-r - 1, np.full(n, 20.0)]), (0,), 1, ())
+    return SobolSampleBlock(base, second)
+
+
+def _row_and_set(z):
+    """(sample row, set) of rows of ``_index_sobol_block``'s sets, the sets
+    numbered as output columns: base 0, second 1, mixed 2 and 3."""
+    from_base = z[:, 0] >= 0
+    row = np.where(from_base, z[:, 0], -z[:, 0] - 1)
+    tag = z[:, 1] == 10
+    return row, np.select([from_base & tag, ~from_base & ~tag, from_base], [0, 1, 2], 3)
 
 
 @pytest.mark.parametrize("stat_label", ["sobol-main", "sobol-total"])
@@ -755,8 +765,9 @@ def test_streamed_sobol_names_first_non_finite_sample(stat_label, column, bad):
 
     def lo(z):
         out = np.ones(len(z))
-        out[(z[:, 0] == row) & (z[:, 1] == column)] = bad
-        out[(z[:, 0] == n - 1)] = np.nan
+        rows, sets = _row_and_set(z)
+        out[(rows == row) & (sets == column)] = bad
+        out[rows == n - 1] = np.nan
         return out
 
     models = (

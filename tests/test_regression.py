@@ -136,12 +136,13 @@ def test_refit_selects_hyperparameters_afresh():
 
 
 def _one_shot_predict(reg, x):
-    """The unblocked posterior mean and variance, formula for formula."""
+    """The unblocked posterior mean and variance, formula for formula; the
+    products sum each query row on its own."""
     xq = np.atleast_1d(np.asarray(x, dtype=float))
     k = np.exp(-0.5 * (xq[:, None] - reg._x[None, :]) ** 2 / reg.length_scale**2)
-    mean = reg._prior_mean + k @ reg._weights
-    v = np.linalg.solve(reg._chol, k.T)
-    var = reg._signal_variance * np.clip(1.0 - np.sum(v * v, axis=0), 0.0, None)
+    mean = reg._prior_mean + np.einsum("ij,j->i", k, reg._weights)
+    v = np.einsum("ij,kj->ik", k, np.linalg.solve(reg._chol, np.eye(reg._x.size)))
+    var = reg._signal_variance * np.clip(1.0 - np.einsum("ij,ij->i", v, v), 0.0, None)
     return mean, var
 
 
@@ -156,6 +157,23 @@ def test_blocked_prediction_matches_one_shot_exactly(m):
     assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
     assert np.array_equal(reg.predict_mean(xq), mean)
     assert np.array_equal(reg.predict_mean(xq[::-2]), _one_shot_predict(reg, xq[::-2])[0])
+
+
+@pytest.mark.parametrize("sizes", [(999, 1, 24), (1, 1023), (512, 511, 1), (3, 1, 1, 1019)])
+def test_prediction_of_any_split_equals_prediction_together(sizes):
+    # 1,024 queries, one prediction block, predicted in parts and one at a
+    # time: every query's mean must keep its bits
+    rng = np.random.default_rng(len(sizes))
+    x = rng.uniform(-3.0, 3.0, size=100)
+    reg = GaussianProcessBridge().fit(x, np.sin(2.0 * x) + rng.normal(0.0, 0.1, size=100))
+    xq = rng.uniform(-4.0, 4.0, size=sum(sizes))
+    together = reg.predict_mean(xq)
+    parts = np.split(xq, np.cumsum(sizes)[:-1])
+    assert np.array_equal(np.concatenate([reg.predict_mean(p) for p in parts]), together)
+    predicted = [reg.predict(p) for p in parts]
+    assert np.array_equal(np.concatenate([mean for mean, _ in predicted]), together)
+    assert np.array_equal(np.concatenate([var for _, var in predicted]), reg.predict(xq)[1])
+    assert np.array_equal([reg.predict_mean(q) for q in xq[:64]], together[:64])
 
 
 def test_scalar_prediction_matches_one_shot_exactly():

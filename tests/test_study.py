@@ -15,6 +15,7 @@ from mfmc.hierarchy import Model
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
+    SobolSampleBlock,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -129,7 +130,55 @@ def test_bridge_memo_never_stale(tmp_path):
     interleaved = [run_replicate(variants[v], stat, 40.0, rep) for v, stat, rep in calls]
     for (v, stat, rep), rec in zip(calls, interleaved):
         study._fit_bridges.cache_clear()
+        study._pilot_evaluations.cache_clear()
         _same_record(rec, run_replicate(variants[v], stat, 40.0, rep))
+
+
+_ALL_STATISTICS = ("expectation", "variance", "sobol-main", "sobol-total")
+
+
+def test_pilot_draws_evaluated_once_per_replicate(tmp_path, monkeypatch):
+    evaluated = []
+    original = study.evaluate_nested
+
+    def counted(hierarchy, samples, *args):
+        evaluated.append(samples)
+        return original(hierarchy, samples, *args)
+
+    monkeypatch.setattr(study, "evaluate_nested", counted)
+    study._pilot_evaluations.cache_clear()
+    config = _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), replicates=3)
+    run_study(config)
+    # per replicate, one plain draw (expectation, variance) and one Sobol
+    # block (sobol-main, sobol-total), not one draw per statistic
+    assert len(evaluated) == 2 * config.replicates
+    assert sum(isinstance(s, SobolSampleBlock) for s in evaluated) == config.replicates
+
+
+def test_pilot_memo_never_stale(tmp_path):
+    variants = {
+        "base": _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,)),
+        "costs": _tiny_config(
+            tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), costs=(1.0, 0.1, 0.002)
+        ),
+        "pilot": _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), pilot_size=30),
+        "sobol": _tiny_config(
+            tmp_path,
+            statistics=_ALL_STATISTICS,
+            budgets=(160.0,),
+            sobol_cost_convention="per-sample",
+        ),
+    }
+    calls = [
+        (v, stat, rep)
+        for rep in (0, 1)
+        for stat in ("expectation", "sobol-main", "variance", "sobol-total")
+        for v in variants
+    ]
+    interleaved = [run_replicate(variants[v], stat, 160.0, rep) for v, stat, rep in calls]
+    for (v, stat, rep), rec in zip(calls, interleaved):
+        study._pilot_evaluations.cache_clear()
+        _same_record(rec, run_replicate(variants[v], stat, 160.0, rep))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -569,6 +618,15 @@ def test_reference_variance_memory_is_bounded(tmp_path, monkeypatch, statistics)
     monkeypatch.setattr(Model, "evaluate_batch", counted)
     make_reference(config, tmp_path / "counted.json")
     assert sum(rows) == n
+
+
+def test_reference_sobol_inputs_are_held_twice_not_d_plus_two_times(tmp_path):
+    n = 200_000
+    config = StudyConfig(hierarchy="ishigami", statistics=("sobol-main",), reference_samples=n)
+    peak = traced_peak(lambda: make_reference(config, tmp_path / "ref.json"))
+    # the base and second sets take 2 x 4.8 MB; holding the d = 3 mixed sets
+    # as well would add 14.4 MB
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize(
