@@ -59,12 +59,8 @@ from .pilot import (
     estimate_moment_stats,
     estimate_q_stats,
     pilot_stats_from_exact,
-    split_pilot_budget,
 )
-from .regression import (
-    GaussianProcessBridge,
-    fit_regressor,
-)
+from .regression import GaussianProcessBridge
 from .sampling import (
     NestedEvaluations,
     SampleSet,

@@ -91,7 +91,6 @@ class AggregatedStats:
 
     sigma_bar_sq: float
     rho_bar_sq: np.ndarray
-    weights: np.ndarray
     source: PilotStats | None = None
 
     @property
@@ -183,7 +182,7 @@ def aggregate_vector_stats(stats: PilotStats, weights=None) -> AggregatedStats:
     rho_bar_sq[0] = 1.0
     for i in range(1, stats.n_models):
         rho_bar_sq[i] = float(np.sum(stats.rho[i, valid] ** 2 * var1 * w)) / sigma_bar_sq
-    return AggregatedStats(sigma_bar_sq, rho_bar_sq, weights, source=stats)
+    return AggregatedStats(sigma_bar_sq, rho_bar_sq, source=stats)
 
 
 def _as_aggregated(stats, weights=None) -> AggregatedStats:

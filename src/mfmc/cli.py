@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .errors import MFMCError
 from .study import (
@@ -37,7 +38,7 @@ def _parse_set(entry: str):
 def load_config(args) -> StudyConfig:
     data = {}
     if args.config:
-        data = json.loads(open(args.config).read())
+        data = json.loads(Path(args.config).read_text())
     for entry in args.set or []:
         key, value = _parse_set(entry)
         data[key] = value

@@ -174,20 +174,7 @@ class EstimateReport:
     value: np.ndarray
     predicted_mse: float
     realized_cost: float
-    plan: object
-    mode: str = "linear"
     seed: tuple | None = None
-
-    def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "value": [float(v) for v in np.atleast_1d(self.value)],
-            "predicted_mse": float(self.predicted_mse),
-            "realized_cost": float(self.realized_cost),
-            "mode": self.mode,
-            "seed": list(self.seed) if self.seed is not None else None,
-            "plan": self.plan.to_dict() if hasattr(self.plan, "to_dict") else None,
-        }
 
 
 def mfmc_statistic(evals: PrefixSums | NestedEvaluations, plan, statistic) -> EstimateReport:
@@ -221,7 +208,6 @@ def mfmc_statistic(evals: PrefixSums | NestedEvaluations, plan, statistic) -> Es
         value=est,
         predicted_mse=plan.predicted_mse,
         realized_cost=evals.cost,
-        plan=plan,
         seed=getattr(evals.samples, "seed", None),
     )
 
@@ -309,9 +295,7 @@ def mfmc_expectation(evals, plan):
 
 
 def mfmc_nonlinear(evals, plan, bridges, statistic=STATISTICS["expectation"]):
-    report = mfmc_statistic(apply_bridges(evals, bridges), plan, statistic)
-    report.mode = "nonlinear"
-    return report
+    return mfmc_statistic(apply_bridges(evals, bridges), plan, statistic)
 
 
 def evaluate_sobol_for_plan(hierarchy, plan, block, cost_convention="per-evaluation"):

@@ -26,7 +26,7 @@ Three hierarchies ship with the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -108,26 +108,16 @@ class ModelHierarchy:
 
     The first model is the high-fidelity reference. All models accept
     inputs of the same dimension and produce outputs of the same length.
-    ``output_weights`` are the per-component integration weights used when
-    aggregating vector-valued errors; they default to all ones.
     """
 
     models: tuple[Model, ...]
     input_distributions: tuple
     output_length: int = 1
-    output_weights: np.ndarray | None = None
     label: str = "hierarchy"
 
     def __post_init__(self):
         if len(self.models) < 1:
             raise ValueError("a hierarchy needs at least one model")
-        if self.output_weights is None:
-            object.__setattr__(self, "output_weights", np.ones(self.output_length))
-        else:
-            w = np.asarray(self.output_weights, dtype=float)
-            if w.shape != (self.output_length,) or np.any(w <= 0):
-                raise ValueError("output_weights must be positive with one entry per component")
-            object.__setattr__(self, "output_weights", w)
 
     @property
     def n_models(self) -> int:

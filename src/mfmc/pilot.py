@@ -112,27 +112,27 @@ def pilot_stats_from_exact(sigma, rho, kind="raw", statistic="expectation") -> P
     return PilotStats(kind=kind, sigma=sigma, rho=rho, n_samples=0, statistic=statistic)
 
 
-def _resolve_n(evals, n) -> int:
+def _resolve_n(evals) -> int:
+    """The samples every model shares: the smallest count, at least 3."""
     counts = np.asarray(evals.m)
     if np.any(counts <= 0):
         raise ValueError("pilot estimation needs every model evaluated")
-    n = int(counts.min()) if n is None else int(n)
+    n = int(counts.min())
     if n < 3:
         raise ValueError("pilot estimation needs at least 3 samples")
-    if n > counts.min():
-        raise ValueError(f"pilot evaluations cover only {counts.min()} shared samples")
     return n
 
 
-def estimate_q_stats(evals, statistic, n: int | None = None, kind: str = "q") -> PilotStats:
-    """Deviations/correlations of a statistic's per-sample contributions.
+def estimate_q_stats(evals, statistic, kind: str = "q") -> PilotStats:
+    """Deviations/correlations of a statistic's per-sample contributions on
+    the samples every model shares.
 
     ``evals`` may be raw, bridged or Sobol-block evaluations; ``kind`` is
     stored as the result's label.
     """
     if isinstance(statistic, str):
         statistic = STATISTICS[statistic]
-    n = _resolve_n(evals, n)
+    n = _resolve_n(evals)
     contribs = [
         statistic.pilot_contributions(evals, i, n) for i in range(len(evals.m))
     ]
@@ -162,19 +162,13 @@ def estimate_q_stats(evals, statistic, n: int | None = None, kind: str = "q") ->
     return PilotStats(kind, sigma, rho, n, statistic.label, degenerate)
 
 
-def split_pilot_budget(total: int) -> tuple[int, int]:
-    """Even split of a combined pilot budget into (correlation, training) sizes."""
-    half = total // 2
-    return total - half, half
-
-
 # Kept for perfbench, which calls or traces these names; delete them with the
 # next benchmark change.
 
 
-def estimate_moment_stats(evals, n=None):
-    return estimate_q_stats(evals, "expectation", n, kind="raw")
+def estimate_moment_stats(evals):
+    return estimate_q_stats(evals, "expectation", kind="raw")
 
 
-def estimate_g_stats(evals, bridges, n=None, statistic="expectation"):
-    return estimate_q_stats(apply_bridges(evals, bridges), statistic, n, kind="g")
+def estimate_g_stats(evals, bridges, statistic="expectation"):
+    return estimate_q_stats(apply_bridges(evals, bridges), statistic, kind="g")

@@ -4,8 +4,8 @@ When two models are strongly statistically dependent but only weakly
 linearly correlated, a fitted map g from the cheap model's output to the
 expensive model's output restores the correlation: corr(y_hf, g(y_lf)) can
 be near 1 even when corr(y_hf, y_lf) is mediocre. Only the point
-prediction g enters the estimators; the predictive variance is exposed for
-diagnostics.
+prediction g, the posterior mean, enters the estimators, so that is all a
+bridge predicts.
 
 The default bridge is Gaussian-process regression with a squared-
 exponential kernel, a nugget, and a constant prior mean set to the
@@ -39,13 +39,6 @@ NUGGET_GRID = (1e-8, 1e-6, 1e-4, 1e-2)
 _SCREEN_MARGIN = 1e-4
 # Query rows per kernel block in prediction.
 _PREDICT_BLOCK = 1024
-
-
-def _as_xy(pairs):
-    a = np.asarray(pairs, dtype=float)
-    if a.ndim == 2 and a.shape[1] == 2:
-        return a[:, 0].copy(), a[:, 1].copy()
-    raise ValueError("pairs must be an (n, 2) array-like of (low, high) values")
 
 
 def _correlation(d2, ell):
@@ -110,9 +103,7 @@ class GaussianProcessBridge:
         self._x = None
         self._y = None
         self._prior_mean = 0.0
-        self._signal_variance = 0.0
         self._weights = None
-        self._chol = None
         self._constant = False
 
     # -- fitting -----------------------------------------------------------
@@ -134,8 +125,7 @@ class GaussianProcessBridge:
         self._constant = bool(np.ptp(y) == 0.0)
         if self._constant:
             # Constant targets: the posterior is that constant everywhere.
-            self._signal_variance = 0.0
-            self._weights = self._chol = None
+            self._weights = None
             self.length_scale = span if pinned_ell is None else pinned_ell
             self.nugget = 0.0 if pinned_tau is None else pinned_tau
             self.fitted = True
@@ -186,18 +176,11 @@ class GaussianProcessBridge:
         _, chol, z = exact[best]
         self.length_scale = ell_grid[best // n_tau]
         self.nugget = tau_grid[best % n_tau]
-        self._chol = chol
         self._weights = np.linalg.solve(chol.T, z)
-        self._signal_variance = float(z @ z) / n
         self.fitted = True
         return self
 
     # -- prediction ----------------------------------------------------------
-
-    def _query(self, x):
-        if not self.fitted:
-            raise NotFittedError("bridge must be fitted before predicting")
-        return np.atleast_1d(np.asarray(x, dtype=float)), np.ndim(x) == 0
 
     def _kernel_blocks(self, xq):
         """Yield (rows, kernel block) over ``_PREDICT_BLOCK`` query rows at a
@@ -216,32 +199,16 @@ class GaussianProcessBridge:
             np.exp(k, out=k)
             yield rows, k
 
-    def predict(self, x):
-        """Posterior mean and variance at scalar or array inputs."""
-        xq, scalar = self._query(x)
-        mean = np.full(xq.shape, self._prior_mean)
-        var = np.zeros(xq.shape)
-        if not self._constant:
-            # v = L^-1 k^T with each query's column summed on its own, so
-            # that, like the mean, each variance depends on its query alone
-            chol_inv = np.linalg.solve(self._chol, np.eye(self._x.size))
-            for rows, k in self._kernel_blocks(xq):
-                mean[rows] += _row_dot(k, self._weights)
-                v = np.einsum("ij,kj->ik", k, chol_inv)
-                var[rows] = np.clip(1.0 - np.einsum("ij,ij->i", v, v), 0.0, None)
-            var *= self._signal_variance
-        if scalar:
-            return float(mean[0]), float(var[0])
-        return mean, var
-
     def predict_mean(self, x):
-        """Posterior mean only; skips the variance back-solve."""
-        xq, scalar = self._query(x)
+        """Posterior mean at scalar or array inputs."""
+        if not self.fitted:
+            raise NotFittedError("bridge must be fitted before predicting")
+        xq = np.atleast_1d(np.asarray(x, dtype=float))
         mean = np.full(xq.shape, self._prior_mean)
         if not self._constant:
             for rows, k in self._kernel_blocks(xq):
                 mean[rows] += _row_dot(k, self._weights)
-        if scalar:
+        if np.ndim(x) == 0:
             return float(mean[0])
         return mean
 
@@ -251,10 +218,3 @@ def _row_dot(k, weights):
     alone: BLAS gemv groups a row's terms by the matrix's row count, so a
     query's prediction would change with the other queries of the call."""
     return np.einsum("ij,j->i", k, weights)
-
-
-def fit_regressor(pairs, **kwargs) -> GaussianProcessBridge:
-    """Fit a :class:`GaussianProcessBridge` (``kwargs`` pin its
-    hyperparameters) on (low, high) pairs."""
-    x, y = _as_xy(pairs)
-    return GaussianProcessBridge(**kwargs).fit(x, y)

@@ -66,8 +66,6 @@ class SampleSet:
 
     inputs: np.ndarray
     seed: tuple
-    stream: int
-    distributions: tuple
 
     @property
     def n(self) -> int:
@@ -124,8 +122,7 @@ class SobolSampleBlock:
     Mixed set j equals s2 in every coordinate except coordinate j, which is
     taken from s. Evaluating one model on all sets therefore costs (d + 2)
     evaluations per sample. Only s and s2 are stored: the mixed sets are
-    built a row block at a time as they are evaluated (:meth:`row_sets`),
-    and ``mixed`` builds them whole for callers that want them.
+    built a row block at a time as they are evaluated (:meth:`row_sets`).
     """
 
     base: SampleSet
@@ -142,10 +139,6 @@ class SobolSampleBlock:
     @property
     def seed(self) -> tuple:
         return self.base.seed
-
-    @property
-    def mixed(self) -> tuple:
-        return tuple(self.row_sets(slice(0, self.n)))[2:]
 
     def row_sets(self, rows: slice):
         """``rows`` of the base, second and mixed_1..mixed_d sets, in that
@@ -172,7 +165,7 @@ def draw_inputs(hierarchy: ModelHierarchy, m: int, seed, stream: int = BASE_STRE
         gen = _column_generator(seed, stream, j)
         cols.append(dist.sample(gen, m))
     inputs = np.column_stack(cols)
-    return SampleSet(inputs, _seed_tuple(seed), stream, hierarchy.input_distributions)
+    return SampleSet(inputs, _seed_tuple(seed))
 
 
 def _validate_m_vec(m_vec, n_models, n_rows):

@@ -43,8 +43,8 @@ from .hierarchy import (
     quintic_variance,
     synthetic_field_grid,
 )
-from .pilot import PilotStats, estimate_q_stats, split_pilot_budget
-from .regression import fit_regressor
+from .pilot import PilotStats, estimate_q_stats
+from .regression import GaussianProcessBridge
 from .sampling import (
     SOBOL_COST_CONVENTIONS,
     _sum_counts,
@@ -69,12 +69,11 @@ class StudyConfig:
     """Everything a study run depends on, with JSON round-tripping.
 
     Budgets are in high-fidelity-equivalent units p (total cost divided by
-    the high-fidelity cost) unless ``budget_unit`` is "absolute". Exactly
-    one of ``budgets``/``tolerance`` must be set. ``pilot_budget``, when
-    given, is split evenly into the correlation-pilot size and the bridge
-    training size. Pilot cost is reported separately and only subtracted
-    from a given budget when ``include_pilot_cost`` is set; a tolerance
-    budget is never reduced by it.
+    the high-fidelity cost, so p * costs[0] in cost units). Exactly one of
+    ``budgets``/``tolerance`` must be set. Pilot cost is reported
+    separately and only subtracted from a given budget when
+    ``include_pilot_cost`` is set; a tolerance budget is never reduced by
+    it.
     """
 
     hierarchy: str = "ishigami"
@@ -84,10 +83,8 @@ class StudyConfig:
     mode: str = "linear"
     pilot_size: int = 100
     regression_train_size: int = 100
-    pilot_budget: int | None = None
     budgets: tuple | None = (40.0,)
     tolerance: float | None = None
-    budget_unit: str = "hf-equivalent"
     replicates: int = 100
     seed: int = 0
     out_dir: str = "results"
@@ -108,10 +105,6 @@ class StudyConfig:
             self.costs = tuple(float(c) for c in self.costs)
         if self.output_weights is not None:
             self.output_weights = tuple(float(v) for v in self.output_weights)
-        if self.pilot_budget is not None:
-            self.pilot_size, self.regression_train_size = split_pilot_budget(
-                int(self.pilot_budget)
-            )
 
     def validate(self):
         if self.hierarchy not in HIERARCHY_NAMES:
@@ -127,14 +120,6 @@ class StudyConfig:
             raise UnknownNameError(f"unknown mode {self.mode!r}; available: {MODES}")
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
-        if self.pilot_budget is not None and (
-            self.pilot_size < 3 or (self.mode == "nonlinear" and self.regression_train_size < 5)
-        ):
-            raise ValueError(
-                f"pilot_budget {self.pilot_budget} is too small to split: it gives "
-                f"pilot_size {self.pilot_size} (needs >= 3) and regression_train_size "
-                f"{self.regression_train_size} (needs >= 5 in nonlinear mode)"
-            )
         if self.pilot_size < 3:
             raise ValueError(f"pilot_size must be >= 3, got {self.pilot_size}")
         if self.mode == "nonlinear" and self.regression_train_size < 5:
@@ -173,8 +158,6 @@ class StudyConfig:
             )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.budget_unit not in ("hf-equivalent", "absolute"):
-            raise ValueError("budget_unit must be 'hf-equivalent' or 'absolute'")
         if self.sobol_cost_convention not in SOBOL_COST_CONVENTIONS:
             raise UnknownNameError(
                 f"unknown sobol_cost_convention {self.sobol_cost_convention!r}; "
@@ -200,10 +183,6 @@ class StudyConfig:
         if unknown:
             raise UnknownNameError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-    @classmethod
-    def from_file(cls, path) -> "StudyConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def build_hierarchy(self):
         return get_hierarchy(self.hierarchy, costs=self.costs, n_points=self.n_points)
@@ -246,14 +225,10 @@ def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndar
 
 
 def _component_weights(config: StudyConfig, hierarchy, stat) -> np.ndarray:
-    if stat.needs_sobol_block:
-        p = hierarchy.input_dimension
-        default = np.ones(p)
-    else:
-        p = hierarchy.output_length
-        default = np.asarray(hierarchy.output_weights, dtype=float)
+    """``output_weights``, one per component of ``stat``; all ones when unset."""
+    p = hierarchy.input_dimension if stat.needs_sobol_block else hierarchy.output_length
     if config.output_weights is None:
-        return default
+        return np.ones(p)
     w = np.asarray(config.output_weights, dtype=float)
     if w.shape != (p,):
         raise ValueError(f"output_weights must have {p} entries for {stat.label}, got {w.size}")
@@ -299,39 +274,36 @@ def _fit_bridges(hierarchy_name: str, n_points: int, n_train: int, seed, rep: in
     samples = draw_inputs(hierarchy, n_train, (seed, _TRAIN, rep))
     train = evaluate_nested(hierarchy, samples, [n_train] * k)
     hf = train.outputs[0][:, 0]
-    return tuple(
-        fit_regressor(np.column_stack([train.outputs[i][:, 0], hf])) for i in range(1, k)
-    )
+    return tuple(GaussianProcessBridge().fit(train.outputs[i][:, 0], hf) for i in range(1, k))
 
 
 @functools.lru_cache(maxsize=2)
 def _pilot_evaluations(
     hierarchy_name: str,
     n_points: int,
-    costs,
     pilot_size: int,
     seed,
     rep: int,
     sobol: bool,
-    cost_factor: float,
     mode: str,
     n_train: int,
 ):
     """Every model on the pilot draw of replicate ``rep``, bridged in nonlinear mode.
 
     The draw comes from the pilot stream (seed, _PILOT, rep): a Sobol block
-    when ``sobol`` is set, whose cost is charged at ``cost_factor``, else
-    plain rows. In nonlinear mode the low-fidelity outputs go through the
-    bridges of ``_fit_bridges`` (trained on ``n_train`` rows). The arguments
-    are everything the evaluation reads, so a cached result is never stale;
-    the two entries hold a replicate's plain and Sobol draws, so each pilot
-    draw is evaluated once per replicate however many statistics read it.
-    The cached evaluations are only read.
+    when ``sobol`` is set, else plain rows. In nonlinear mode the
+    low-fidelity outputs go through the bridges of ``_fit_bridges`` (trained
+    on ``n_train`` rows). The arguments are everything the outputs depend
+    on (model costs do not enter them, and ``_pilot_cost`` charges the
+    pilot), so a cached result is never stale; the two entries hold a
+    replicate's plain and Sobol draws, so each pilot draw is evaluated once
+    per replicate however many statistics read it. The cached evaluations
+    are only read.
     """
-    hierarchy = get_hierarchy(hierarchy_name, costs=costs, n_points=n_points)
+    hierarchy = get_hierarchy(hierarchy_name, n_points=n_points)
     draw = build_sobol_block if sobol else draw_inputs
     samples = draw(hierarchy, pilot_size, (seed, _PILOT, rep))
-    evals = evaluate_nested(hierarchy, samples, [pilot_size] * hierarchy.n_models, cost_factor)
+    evals = evaluate_nested(hierarchy, samples, [pilot_size] * hierarchy.n_models)
     if mode == "nonlinear":
         evals = apply_bridges(evals, _fit_bridges(hierarchy_name, n_points, n_train, seed, rep))
     return evals
@@ -351,12 +323,10 @@ def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
     evals = _pilot_evaluations(
         config.hierarchy,
         config.n_points,
-        config.costs,
         config.pilot_size,
         config.seed,
         rep,
         stat.needs_sobol_block,
-        _cost_factor(config, hierarchy, stat),
         config.mode,
         config.regression_train_size,
     )
@@ -375,8 +345,8 @@ def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost)
     """(plan, absolute estimation budget, component weights) of one statistic.
 
     The one plan stage of ``run_replicate`` and ``run_allocate``. ``budget``
-    is in the configured unit, or None in tolerance mode, where the
-    estimation budget the tolerance needs is derived from the pilot
+    is in high-fidelity-equivalent units, or None in tolerance mode, where
+    the estimation budget the tolerance needs is derived from the pilot
     statistics. With ``include_pilot_cost`` the pilot cost is taken out of
     a given budget; a tolerance budget is left whole, since the pilot is
     already paid for, and the pilot cost still counts in the cost ledger.
@@ -387,10 +357,7 @@ def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost)
         budget_abs = budget_for_tolerance(stats, costs, config.tolerance, weights)
         budget_abs = max(budget_abs, costs.w[0] * stat.min_samples)
     else:
-        if config.budget_unit == "hf-equivalent":
-            budget_abs = float(budget) * hierarchy.costs[0]
-        else:
-            budget_abs = float(budget)
+        budget_abs = float(budget) * hierarchy.costs[0]
         if config.include_pilot_cost:
             budget_abs = budget_abs - pilot_cost
     plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
@@ -400,11 +367,11 @@ def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost)
 def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dict:
     """One full pilot -> allocation -> estimation pass.
 
-    ``budget`` is in the configured unit, or None in tolerance mode. The
-    pilot streams are shared across statistics (the same pilot samples are
-    reused for every statistic of a replicate), and each pilot draw is
-    evaluated once per replicate (``_pilot_evaluations``); estimation
-    streams are statistic-specific.
+    ``budget`` is in high-fidelity-equivalent units, or None in tolerance
+    mode. The pilot streams are shared across statistics (the same pilot
+    samples are reused for every statistic of a replicate), and each pilot
+    draw is evaluated once per replicate (``_pilot_evaluations``);
+    estimation streams are statistic-specific.
     """
     hierarchy = config.build_hierarchy()
     stat = STATISTICS[stat_label]

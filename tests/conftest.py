@@ -304,8 +304,9 @@ def exhaustive_allocation(stats, costs, budget, weights=None, min_samples=1, rou
 def exhaustive_gp_fit(x, y, length_scale=None, nugget=None):
     """Reference ``GaussianProcessBridge.fit`` for non-constant targets:
     factor the kernel of every grid candidate, score it exactly, and keep the
-    first strict minimum in grid order. Returns the fitted state as a dict;
-    raises ``LinAlgError`` when no candidate can be factored."""
+    first strict minimum in grid order. Returns the fitted length scale,
+    nugget and weights as a dict; raises ``LinAlgError`` when no candidate
+    can be factored."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     span = float(np.ptp(x))
@@ -332,13 +333,7 @@ def exhaustive_gp_fit(x, y, length_scale=None, nugget=None):
     if best is None:
         raise np.linalg.LinAlgError("no candidate kernel can be factored")
     _, ell, tau, chol, z = best
-    return {
-        "length_scale": ell,
-        "nugget": tau,
-        "chol": chol,
-        "weights": np.linalg.solve(chol.T, z),
-        "signal_variance": float(z @ z) / n,
-    }
+    return {"length_scale": ell, "nugget": tau, "weights": np.linalg.solve(chol.T, z)}
 
 
 def traced_peak(run):

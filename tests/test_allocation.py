@@ -444,7 +444,7 @@ def test_chain_search_reaches_near_tie_chains():
     v = np.array([1.0, 0.793, 0.065])
     w = np.array([1.0, 0.2603, 0.023241071428571427])
     assert not (v[1] - v[2]) / w[1] < v[2] / w[2]
-    agg = AggregatedStats(1.0, v, np.array([1.0]), source=None)
+    agg = AggregatedStats(1.0, v)
     plan = optimal_allocation(agg, CostModel(w), 3.0)
     assert plan.m.tolist() == [1, 7, 7]
     assert np.array_equal(plan.m, exhaustive_allocation(agg, CostModel(w), 3.0).m)
@@ -475,7 +475,7 @@ def test_plan_invariants_up_to_24_models(problem):
 
 @pytest.mark.parametrize("sigma_bar_sq", [0.0, math.inf, math.nan])
 def test_degenerate_aggregate_variance_rejected(sigma_bar_sq):
-    agg = AggregatedStats(sigma_bar_sq, np.array([1.0, 0.81]), np.array([1.0]), source=None)
+    agg = AggregatedStats(sigma_bar_sq, np.array([1.0, 0.81]))
     with pytest.raises(DegenerateStatsError):
         optimal_allocation(agg, CostModel([1.0, 0.01]), 100.0)
 
@@ -493,7 +493,7 @@ def test_plan_json_round_trip(tmp_path):
 
 
 def test_aggregated_stats_without_source_have_no_alpha():
-    agg = AggregatedStats(4.0, np.array([1.0, 0.81]), np.array([1.0]), source=None)
+    agg = AggregatedStats(4.0, np.array([1.0, 0.81]))
     plan = optimal_allocation(agg, CostModel([1.0, 0.01]), 100.0)
     assert plan.alpha is None
     assert plan.m[0] >= 1

@@ -27,7 +27,7 @@ from mfmc.hierarchy import (
     synthetic_field_hierarchy,
 )
 from mfmc.pilot import estimate_moment_stats, pilot_stats_from_exact
-from mfmc.regression import fit_regressor
+from mfmc.regression import GaussianProcessBridge
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
@@ -389,7 +389,6 @@ def test_bridged_identity_matches_plain_expectation():
     a = mfmc_nonlinear(evals, plan, identity)
     b = mfmc_expectation(evals, plan)
     assert np.array_equal(a.value, b.value)
-    assert a.mode == "nonlinear"
     stat = STATISTICS["expectation"]
     streamed = sum_for_plan(h, plan, samples, stat, bridges=identity)
     assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, b.value)
@@ -399,8 +398,6 @@ def test_bridged_estimation_requires_fitted_bridges():
     h = ishigami_hierarchy()
     plan = _manual_plan([3, 6, 9], [[1.0], [1.0], [1.0]])
     evals = evaluate_for_plan(h, plan, draw_inputs(h, 9, 4))
-    from mfmc.regression import GaussianProcessBridge
-
     unfitted = [GaussianProcessBridge(), GaussianProcessBridge()]
     with pytest.raises(NotFittedError):
         mfmc_nonlinear(evals, plan, unfitted)
@@ -453,21 +450,6 @@ def test_empirical_mse_matches_prediction_on_exact_gaussian_pair():
     assert plan.predicted_mse == pytest.approx(
         telescoping_mse([1.0, 1.0], [1.0, 0.95], plan.m), rel=1e-12
     )
-
-
-def test_estimate_report_serializes_to_json():
-    import json
-
-    h = ishigami_hierarchy()
-    stats = estimate_moment_stats(evaluate_nested(h, draw_inputs(h, 40, 1), [40] * 3))
-    plan = optimal_allocation(stats, CostModel(h.costs), 20.0)
-    evals = evaluate_for_plan(h, plan, draw_inputs(h, int(plan.m.max()), 2))
-    report = mfmc_expectation(evals, plan)
-    payload = json.dumps(report.to_dict())
-    back = json.loads(payload)
-    assert back["statistic"] == "expectation"
-    assert back["value"][0] == report.value[0]
-    assert back["plan"]["m"] == plan.m.tolist()
 
 
 def test_mfmc_variance_beats_plain_variance_at_equal_cost():
@@ -690,11 +672,52 @@ def test_streamed_sobol_is_bit_identical_to_held(stat_label, case):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _row_twin(model):
+    """``model`` called on one input row at a time, through the row loop of
+    ``Model.evaluate_batch`` (``vectorized=False``)."""
+    return Model(
+        lambda row: model.evaluator(row[None, :])[0],
+        model.cost,
+        model.label,
+        input_dimension=model.input_dimension,
+    )
+
+
+@pytest.mark.parametrize(
+    "h", [ishigami_hierarchy(), synthetic_field_hierarchy(3)], ids=["ishigami", "field"]
+)
+@pytest.mark.parametrize("stat_label", ["expectation", "variance"])
+def test_row_loop_evaluation_is_bit_identical_to_vectorized(h, stat_label):
+    twin = ModelHierarchy(
+        tuple(_row_twin(model) for model in h.models),
+        h.input_distributions,
+        output_length=h.output_length,
+    )
+    m = [7, 30, 61]
+    samples = draw_inputs(h, max(m), 5)
+    for got, want in zip(
+        evaluate_nested(twin, samples, m).outputs, evaluate_nested(h, samples, m).outputs
+    ):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    plan = _manual_plan(m, np.full((3, h.output_length), 0.7))
+    stat = STATISTICS[stat_label]
+    streamed, vectorized = (sum_for_plan(x, plan, samples, stat) for x in (twin, h))
+    assert streamed.sums.keys() == vectorized.sums.keys()
+    for i, s in streamed.sums:
+        got, want = streamed.state(i, s, stat.fold), vectorized.state(i, s, stat.fold)
+        if stat_label == "expectation":
+            got, want = [got], [want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(
+        mfmc_statistic(streamed, plan, stat).value, mfmc_statistic(vectorized, plan, stat).value
+    )
+
+
 def _quintic_bridges(n_train=30):
     h = quintic_hierarchy()
     train = evaluate_nested(h, draw_inputs(h, n_train, 1), [n_train] * 3)
     hf = train.outputs[0][:, 0]
-    return [fit_regressor(np.column_stack([train.outputs[i][:, 0], hf])) for i in (1, 2)]
+    return [GaussianProcessBridge().fit(train.outputs[i][:, 0], hf) for i in (1, 2)]
 
 
 @pytest.mark.parametrize("stat_label", ["expectation", "variance"])
@@ -727,7 +750,7 @@ def test_streamed_bridged_blocks_name_first_non_finite_sample(bad):
     )
     h = ModelHierarchy(models, (Normal(0.0, 1.0),))
     x = np.linspace(0.0, 2.0, 20)
-    bridge = fit_regressor(np.column_stack([x, x**2]))
+    bridge = GaussianProcessBridge().fit(x, x**2)
     plan = _manual_plan([10, n], np.ones((2, 1)))
     with pytest.raises(EvaluationError) as info:
         sum_for_plan(h, plan, _index_samples(n), STATISTICS["expectation"], bridges=[bridge])
@@ -740,8 +763,8 @@ def _index_sobol_block(n):
     base rows are (r, 10) and second rows (-r - 1, 20), so the mixed sets
     are (r, 20) and (-r - 1, 10)."""
     r = np.arange(n, dtype=float)
-    base = SampleSet(np.column_stack([r, np.full(n, 10.0)]), (0,), 0, ())
-    second = SampleSet(np.column_stack([-r - 1, np.full(n, 20.0)]), (0,), 1, ())
+    base = SampleSet(np.column_stack([r, np.full(n, 10.0)]), (0,))
+    second = SampleSet(np.column_stack([-r - 1, np.full(n, 20.0)]), (0,))
     return SobolSampleBlock(base, second)
 
 
@@ -832,7 +855,7 @@ class _BadRows:
 
 
 def _index_samples(n):
-    return SampleSet(np.arange(n, dtype=float)[:, None], (0,), 0, (Normal(0.0, 1.0),))
+    return SampleSet(np.arange(n, dtype=float)[:, None], (0,))
 
 
 def _check_first_non_finite_named(stat_label, width, where, bad, case):

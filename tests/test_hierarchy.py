@@ -154,8 +154,3 @@ def test_registry_names_and_cost_override():
     assert np.allclose(h.costs, [2.0, 0.5, 0.25])
     with pytest.raises(UnknownNameError):
         get_hierarchy("borehole")
-
-
-def test_hierarchy_output_weights_default_ones():
-    h = synthetic_field_hierarchy(5)
-    assert np.array_equal(h.output_weights, np.ones(5))

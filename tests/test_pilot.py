@@ -12,9 +12,8 @@ from mfmc.pilot import (
     estimate_moment_stats,
     estimate_q_stats,
     pilot_stats_from_exact,
-    split_pilot_budget,
 )
-from mfmc.regression import fit_regressor
+from mfmc.regression import GaussianProcessBridge
 from mfmc.sampling import NestedEvaluations, draw_inputs, evaluate_nested
 
 
@@ -110,7 +109,7 @@ def test_g_stats_monotone_cubic_dependence(rng):
     lo, hi = x, x**3
     evals = _evals_from_arrays(hi, lo)
     raw = estimate_moment_stats(evals)
-    bridge = fit_regressor(np.column_stack([lo[:100], hi[:100]]))
+    bridge = GaussianProcessBridge().fit(lo[:100], hi[:100])
     bridged = estimate_g_stats(evals, [bridge])
     assert bridged.rho[1, 0] >= 0.999
     assert bridged.rho[1, 0] > raw.rho[1, 0]
@@ -133,8 +132,3 @@ def test_exact_stats_wrapper():
     stats = pilot_stats_from_exact([2.0, 2.0], [1.0, 0.9])
     assert stats.n_samples == 0
     assert stats.sigma.shape == (2, 1)
-
-
-def test_split_pilot_budget_even():
-    assert split_pilot_budget(200) == (100, 100)
-    assert split_pilot_budget(101) == (51, 50)

@@ -8,34 +8,28 @@ from hypothesis import strategies as st
 
 from mfmc import study
 from mfmc.errors import NotFittedError
-from mfmc.regression import GaussianProcessBridge, fit_regressor
-
-
-def _pairs(x, y):
-    return np.column_stack([x, y])
+from mfmc.regression import GaussianProcessBridge
 
 
 def test_line_is_recovered_inside_training_range(rng):
     x = np.linspace(-3.0, 3.0, 20)
-    reg = fit_regressor(_pairs(x, 2.0 * x + 1.0))
+    reg = GaussianProcessBridge().fit(x, 2.0 * x + 1.0)
     grid = np.linspace(-3.0, 3.0, 50)
-    mean, _ = reg.predict(grid)
+    mean = reg.predict_mean(grid)
     assert np.max(np.abs(mean - (2.0 * grid + 1.0))) < 1e-3
 
 
 def test_constant_targets_predict_constant_everywhere():
     x = np.linspace(0.0, 1.0, 8)
-    reg = fit_regressor(_pairs(x, np.full(8, 4.2)))
-    mean, var = reg.predict(np.array([-5.0, 0.3, 9.0]))
-    assert np.allclose(mean, 4.2)
-    assert np.allclose(var, 0.0)
+    reg = GaussianProcessBridge().fit(x, np.full(8, 4.2))
+    assert np.allclose(reg.predict_mean(np.array([-5.0, 0.3, 9.0])), 4.2)
 
 
 def test_cubic_out_of_sample_accuracy(rng):
     x = rng.uniform(-2.0, 2.0, size=100)
-    reg = fit_regressor(_pairs(x, x**3))
+    reg = GaussianProcessBridge().fit(x, x**3)
     hold = rng.uniform(-1.9, 1.9, size=200)
-    mean, _ = reg.predict(hold)
+    mean = reg.predict_mean(hold)
     rmse = np.sqrt(np.mean((mean - hold**3) ** 2))
     assert rmse < 0.01 * np.ptp(x**3)
 
@@ -44,25 +38,22 @@ def test_zero_nugget_interpolates_training_targets():
     x = np.linspace(0.0, 4.0, 9)
     y = np.sin(x)
     reg = GaussianProcessBridge(length_scale=1.0, nugget=0.0).fit(x, y)
-    mean, var = reg.predict(x)
+    mean = reg.predict_mean(x)
     assert np.max(np.abs(mean - y)) < 1e-6 * max(1.0, np.max(np.abs(y)))
-    assert np.all(var < 1e-8)
 
 
-def test_extrapolation_reverts_to_prior_mean_and_signal_variance():
+def test_extrapolation_reverts_to_prior_mean():
     x = np.linspace(-1.0, 1.0, 12)
     y = np.sin(2 * x)
     reg = GaussianProcessBridge(length_scale=0.5, nugget=1e-8).fit(x, y)
-    mean_far, var_far = reg.predict(1e3)
-    assert mean_far == pytest.approx(y.mean(), abs=1e-9)
-    assert var_far == pytest.approx(reg._signal_variance, rel=1e-6)
+    assert reg.predict_mean(1e3) == pytest.approx(y.mean(), abs=1e-9)
 
 
 def test_monotone_training_data_keeps_monotone_posterior(rng):
     x = np.sort(rng.uniform(-2, 2, size=40))
     y = np.tanh(x) + 0.01 * x
-    reg = fit_regressor(_pairs(x, y))
-    mean, _ = reg.predict(x)
+    reg = GaussianProcessBridge().fit(x, y)
+    mean = reg.predict_mean(x)
     dips = np.diff(mean)
     assert dips.min() > -0.01 * np.ptp(y)
 
@@ -70,11 +61,11 @@ def test_monotone_training_data_keeps_monotone_posterior(rng):
 def test_fit_is_deterministic():
     x = np.linspace(-1, 1, 30)
     y = np.exp(x)
-    a = fit_regressor(_pairs(x, y))
-    b = fit_regressor(_pairs(x, y))
+    a = GaussianProcessBridge().fit(x, y)
+    b = GaussianProcessBridge().fit(x, y)
     assert a.length_scale == b.length_scale and a.nugget == b.nugget
     grid = np.linspace(-1, 1, 17)
-    assert np.array_equal(a.predict(grid)[0], b.predict(grid)[0])
+    assert np.array_equal(a.predict_mean(grid), b.predict_mean(grid))
 
 
 def test_nugget_regularizes_clustered_inputs(rng):
@@ -82,41 +73,32 @@ def test_nugget_regularizes_clustered_inputs(rng):
     x = np.repeat(rng.uniform(-1, 1, size=10), 5) + rng.normal(0, 1e-9, size=50)
     y = x**2
     reg = GaussianProcessBridge(nugget=1e-8).fit(x, y)
-    mean, _ = reg.predict(np.array([0.0]))
-    assert np.isfinite(mean[0])
+    assert np.isfinite(reg.predict_mean(np.array([0.0]))[0])
 
 
 def test_refuses_degenerate_inputs():
     with pytest.raises(ValueError):
-        fit_regressor(_pairs(np.ones(10), np.arange(10.0)))
+        GaussianProcessBridge().fit(np.ones(10), np.arange(10.0))
     with pytest.raises(ValueError):
-        fit_regressor(_pairs(np.arange(4.0), np.arange(4.0)))  # too few
+        GaussianProcessBridge().fit(np.arange(4.0), np.arange(4.0))  # too few
     for bad in (np.nan, np.inf):
         y = np.arange(10.0)
         y[3] = bad
         with pytest.raises(ValueError, match="finite"):
-            fit_regressor(_pairs(np.arange(10.0), y))
+            GaussianProcessBridge().fit(np.arange(10.0), y)
         with pytest.raises(ValueError, match="finite"):
-            fit_regressor(_pairs(y, np.arange(10.0)))
-
-
-def test_fit_regressor_passes_keywords_to_the_bridge():
-    x = np.linspace(0, 1, 10)
-    assert fit_regressor(_pairs(x, x), nugget=1e-6).nugget == 1e-6
-    with pytest.raises(TypeError):
-        fit_regressor(_pairs(x, x), method="gp")  # one family: no method knob
+            GaussianProcessBridge().fit(y, np.arange(10.0))
 
 
 def test_unfitted_prediction_raises():
     with pytest.raises(NotFittedError):
-        GaussianProcessBridge().predict(0.0)
+        GaussianProcessBridge().predict_mean(0.0)
 
 
 def test_scalar_prediction_returns_floats():
     x = np.linspace(0, 1, 10)
-    reg = fit_regressor(_pairs(x, x))
-    mean, var = reg.predict(0.5)
-    assert isinstance(mean, float) and isinstance(var, float)
+    mean = GaussianProcessBridge().fit(x, x).predict_mean(0.5)
+    assert isinstance(mean, float)
     assert mean == pytest.approx(0.5, abs=1e-3)
 
 
@@ -136,14 +118,11 @@ def test_refit_selects_hyperparameters_afresh():
 
 
 def _one_shot_predict(reg, x):
-    """The unblocked posterior mean and variance, formula for formula; the
-    products sum each query row on its own."""
+    """The unblocked posterior mean, formula for formula; the product sums
+    each query row on its own."""
     xq = np.atleast_1d(np.asarray(x, dtype=float))
     k = np.exp(-0.5 * (xq[:, None] - reg._x[None, :]) ** 2 / reg.length_scale**2)
-    mean = reg._prior_mean + np.einsum("ij,j->i", k, reg._weights)
-    v = np.einsum("ij,kj->ik", k, np.linalg.solve(reg._chol, np.eye(reg._x.size)))
-    var = reg._signal_variance * np.clip(1.0 - np.einsum("ij,ij->i", v, v), 0.0, None)
-    return mean, var
+    return reg._prior_mean + np.einsum("ij,j->i", k, reg._weights)
 
 
 @pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 2049, 5003])
@@ -152,11 +131,8 @@ def test_blocked_prediction_matches_one_shot_exactly(m):
     x = rng.uniform(-3.0, 3.0, size=60)
     reg = GaussianProcessBridge().fit(x, x**3 + rng.normal(0.0, 0.1, size=60))
     xq = rng.uniform(-4.0, 4.0, size=m)
-    mean, var = _one_shot_predict(reg, xq)
-    got_mean, got_var = reg.predict(xq)
-    assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
-    assert np.array_equal(reg.predict_mean(xq), mean)
-    assert np.array_equal(reg.predict_mean(xq[::-2]), _one_shot_predict(reg, xq[::-2])[0])
+    assert np.array_equal(reg.predict_mean(xq), _one_shot_predict(reg, xq))
+    assert np.array_equal(reg.predict_mean(xq[::-2]), _one_shot_predict(reg, xq[::-2]))
 
 
 @pytest.mark.parametrize("sizes", [(999, 1, 24), (1, 1023), (512, 511, 1), (3, 1, 1, 1019)])
@@ -170,17 +146,14 @@ def test_prediction_of_any_split_equals_prediction_together(sizes):
     together = reg.predict_mean(xq)
     parts = np.split(xq, np.cumsum(sizes)[:-1])
     assert np.array_equal(np.concatenate([reg.predict_mean(p) for p in parts]), together)
-    predicted = [reg.predict(p) for p in parts]
-    assert np.array_equal(np.concatenate([mean for mean, _ in predicted]), together)
-    assert np.array_equal(np.concatenate([var for _, var in predicted]), reg.predict(xq)[1])
     assert np.array_equal([reg.predict_mean(q) for q in xq[:64]], together[:64])
 
 
 def test_scalar_prediction_matches_one_shot_exactly():
     x = np.linspace(-1.0, 1.0, 15)
     reg = GaussianProcessBridge().fit(x, np.exp(x))
-    mean, var = _one_shot_predict(reg, 0.37)
-    assert reg.predict(0.37) == (float(mean[0]), float(var[0]))
+    mean = _one_shot_predict(reg, 0.37)
+    assert reg.predict_mean(0.37) == float(mean[0])
     assert reg.predict_mean(np.float64(0.37)) == float(mean[0])
 
 
@@ -202,9 +175,7 @@ def test_predict_mean_memory_is_bounded():
 
 def _assert_same_fit(reg, ref):
     assert reg.length_scale == ref["length_scale"] and reg.nugget == ref["nugget"]
-    assert np.array_equal(reg._chol, ref["chol"])
     assert np.array_equal(reg._weights, ref["weights"])
-    assert reg._signal_variance == ref["signal_variance"]
 
 
 @st.composite

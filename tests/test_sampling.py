@@ -102,7 +102,7 @@ def test_sobol_block_swap_structure():
     h = ishigami_hierarchy()
     block = build_sobol_block(h, 6, 13)
     s, s2 = block.base.inputs, block.second.inputs
-    y1 = block.mixed[0]
+    y1 = list(block.row_sets(slice(0, block.n)))[2]
     assert np.array_equal(y1[:, 0], s[:, 0])
     assert np.array_equal(y1[:, 1:], s2[:, 1:])
     assert not np.array_equal(s, s2)
@@ -135,7 +135,7 @@ def test_sobol_block_outputs_are_d_plus_two_contiguous_columns():
     h = ishigami_hierarchy()
     block = build_sobol_block(h, 12, 4)
     evals = evaluate_nested(h, block, [5, 12, 0])
-    sets = [block.base.inputs, block.second.inputs, *block.mixed]
+    sets = list(block.row_sets(slice(0, block.n)))
     for i, model in enumerate(h.models[:2]):
         out = evals.outputs[i]
         assert out.shape == (evals.m[i], 5)

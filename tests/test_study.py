@@ -277,8 +277,6 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"statistics": ("expectation", "variance"), "reference_samples": 1},
          ValueError, "reference_samples"),
         ({"statistics": ("sobol-main",), "reference_samples": 1}, ValueError, "reference_samples"),
-        ({"pilot_budget": 4}, ValueError, "pilot_budget"),
-        ({"mode": "nonlinear", "pilot_budget": 9}, ValueError, "pilot_budget"),
     ],
 )
 def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
@@ -308,9 +306,16 @@ def test_tolerance_mode_derives_budget(tmp_path):
     assert entry["predicted_mse_mean"] <= 0.25**2 * 1.3
 
 
-def test_pilot_budget_splits_evenly(tmp_path):
-    config = _tiny_config(tmp_path, pilot_budget=80)
-    assert config.pilot_size == 40 and config.regression_train_size == 40
+def test_component_weights_default_to_ones_and_follow_output_weights():
+    def weights(stat_label, **settings):
+        config = StudyConfig(**settings)
+        return study._component_weights(config, config.build_hierarchy(), STATISTICS[stat_label])
+
+    field = {"hierarchy": "synthetic-field", "n_points": 5}
+    assert np.array_equal(weights("variance", **field), np.ones(5))
+    assert np.array_equal(weights("sobol-main"), np.ones(3))
+    got = weights("expectation", output_weights=(1, 2, 3, 4, 5), **field)
+    assert np.array_equal(got, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 def test_reference_values_builtin_and_file(tmp_path):
@@ -394,7 +399,8 @@ def test_pilot_then_allocate_without_reevaluation(tmp_path):
         {
             "hierarchy": "quintic",
             "mode": "nonlinear",
-            "pilot_budget": 60,
+            "pilot_size": 30,
+            "regression_train_size": 30,
             "budgets": (200.0,),
             "include_pilot_cost": True,
         },
@@ -477,6 +483,25 @@ def test_cli_config_file_with_overrides(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "from_file" / "summary.json").read_text())
     assert summary["config"]["replicates"] == 3
+
+
+@pytest.mark.parametrize(
+    "key, value", [("pilot_budget", 60), ("budget_unit", "absolute")]
+)
+def test_removed_config_keys_fail_loudly_and_name_themselves(tmp_path, capsys, key, value):
+    # pilot_size/regression_train_size and high-fidelity-equivalent budgets
+    # are the one way to set these values
+    with pytest.raises(UnknownNameError, match=key):
+        StudyConfig.from_dict({key: value})
+    out = str(tmp_path / "out")
+    code = main(["estimate", "--set", f"{key}={json.dumps(value)}", "--out-dir", out])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["estimate", "--config", str(cfg), "--out-dir", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 def test_cli_make_reference_and_pilot(tmp_path, capsys):
