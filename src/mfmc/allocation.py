@@ -21,28 +21,25 @@ the r_i increase strictly). Models breaking those conditions are dropped:
 this module picks, among all admissible chains (the high-fidelity model
 plus a subset of companions, in index order), the one whose rounded
 integer plan has the smallest error, then the smallest cost, then the
-fewest models, then the smallest subset mask.
+fewest models, then the smallest subset mask, then the lexicographically
+smallest counts.
 
-Rounding every admissible chain would cost 2^(K-1) roundings. Instead, a
-chain's continuous optimum sigma-bar^2 S^2 / B, with
-S = sum_i sqrt(w_i gap_i), bounds its integer error from below; the bound
-used here is tighter still, because m_1 must be an integer no smaller than
-the count floor and no larger than the budget over the chain's total cost.
-S is a sum over consecutive pairs of the chain and admissibility is a test
-on consecutive triples, so a best-first search over (previous, current)
-model pairs, guided by an exact O(K^3) backward DP of the smallest
-remaining part of S, meets chains in nondecreasing bound. Each chain it
-meets is checked and rounded exactly as a full enumeration would; the
-search stops once the bound exceeds the best error found, with a relative
-margin so that chains tying the best are still rounded. Model selection is
-therefore exact and has no cap on K: it costs O(K^3) plus one rounding per
-chain whose bound can still beat the best plan, usually one or a few.
-
-The rounding of a chain is exact as well: a depth-first branch-and-bound
-(``_round_chain``) finds the nondecreasing integer counts with the smallest
-error within the budget, ties going to the smaller cost and then to the
-lexicographically smallest counts. It bounds each partial plan by the same
-Lagrangian, applied to the levels still open.
+Rounding every admissible chain would cost 2^(K-1) roundings. Instead, one
+depth-first branch-and-bound (``_best_plan``) picks the chain and its
+counts together, each level fixing the next model and the current model's
+count. With the head of a plan fixed, the rest does no better than its
+continuous optimum: the partial error plus sigma-bar^2 S^2 / (remaining
+budget), with S the sum of sqrt(w_j gap_j) over the later levels, bounds
+every completion. S runs over consecutive pairs of the chain and
+admissibility is a test on consecutive triples, so an exact O(K^3)
+backward DP over (previous, current) model pairs gives its smallest
+value. Next models are tried in order of that bound and counts
+walk outward from their conditional continuous optimum, so the first dive
+follows the continuous optimum down to the first incumbent; a branch ends
+once its bound passes the best plan found, with a relative margin so that
+plans tying it are still ranked. The plan is therefore the exact integer
+optimum, with no cap on K, unless the search reaches its visit limit,
+which only counts beyond about 1e8 do.
 
 Vector-valued outputs reduce to the scalar problem through weighted
 aggregates: sigma-bar^2 sums the per-component high-fidelity variances and
@@ -51,7 +48,6 @@ rho-bar_i^2 is the variance-weighted average of the squared correlations.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -230,7 +226,7 @@ def _alpha_matrix(stats, retained):
 # difference that matters.
 _SLACK = 1e-9
 
-# Relative slack for comparing a rounding bound with an incumbent's error.
+# Relative slack for comparing a count's bound with the incumbent's error.
 # Both sum the same float terms up to the bound's tail term, which is off
 # by a few dozen ulps of itself times budget / remaining budget, since the
 # remaining budget is a float difference. A looser slack would make the
@@ -238,104 +234,15 @@ _SLACK = 1e-9
 # thousands per level.
 _ROUND_SLACK = 1e-14
 
-# Most partial plans one rounding visits (about 0.25 s). The benchmark's
-# chains need at most 54, and 7,950 random admissible chains of up to 10
-# models, budgets up to 3,000 and costs down to 1e-4 at most 12,387. Counts
-# beyond about 1e8 can need more: there a unit step in a count moves the
-# error by less than the budget the last level's floor leaves over, so the
-# search would walk thousands of counts per level to fit that leftover,
-# for a gain under 1e-12 of the error. The search then keeps its incumbent.
-_ROUND_NODES = 100_000
-
-
-def _round_chain(coeffs, w_chain, budget, min_samples):
-    """Exact integer counts of one chain, by depth-first branch-and-bound.
-
-    Minimizes the error sum_i c_i / m_i over integers
-    min_samples <= m_1 <= ... <= m_k whose cost sum_i w_i m_i stays within
-    the budget (plus a 1e-12 relative allowance for float rounding); ties
-    go to the smaller cost, then to the lexicographically smallest counts.
-    Works on plain floats and ints. Returns (error, cost, counts), or None
-    when even the smallest counts exceed the budget.
-
-    With m_1..m_i fixed, the later levels do no better than their
-    continuous optimum, so the partial error plus
-    (sum_{j>i} sqrt(c_j w_j))^2 / (remaining budget) bounds every
-    completion from below. That bound is convex in m_i, so the m_i that can
-    still win form an interval around its minimizer, the conditional
-    continuous optimum. The search walks the interval outward from there,
-    the smaller bound first, and ends each direction at the first value the
-    bound rules out; the first dive follows the continuous optimum down to
-    the first incumbent. The last level is closed form: the error falls as
-    m_k grows, so m_k is the largest count the budget allows. The search is
-    exact unless it visits ``_ROUND_NODES`` partial plans, which only
-    counts beyond about 1e8 need.
-    """
-    n = len(coeffs)
-    tol = budget * (1.0 + 1e-12) + 1e-12
-    tail = [0.0] * (n + 1)  # tail[i]: sum of sqrt(c_j w_j) over j >= i
-    heavy = [0.0] * (n + 1)  # heavy[i]: sum of w_j over j >= i
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] + math.sqrt(coeffs[i] * w_chain[i])
-        heavy[i] = heavy[i + 1] + w_chain[i]
-    c_last, w_last = coeffs[-1], w_chain[-1]
-    counts = [0] * n
-    best = None
-    visits = 0
-
-    def descend(i, lo, spent, err):
-        nonlocal best, visits
-        visits += 1
-        rem = tol - spent
-        if i == n - 1:
-            m = int(rem // w_last)
-            while m >= lo and spent + w_last * m > tol:
-                m -= 1
-            while spent + w_last * (m + 1) <= tol:
-                m += 1
-            if m < lo:
-                return
-            counts[i] = m
-            found = (err + c_last / m, spent + w_last * m, counts)
-            if best is None or found < best:
-                best = (*found[:2], counts.copy())
-            return
-        # every later count is at least m_i, so m_i * heavy[i] <= rem
-        hi = int(rem // heavy[i])
-        if hi < lo:
-            return
-        c, w, t = coeffs[i], w_chain[i], tail[i + 1]
-
-        def bound(m):
-            # the lower bound less its rounding allowance (_ROUND_SLACK)
-            spare = rem - w * m
-            if spare <= 0.0:
-                return math.inf
-            rest = t * t / spare
-            low = err + c / m + rest
-            return low - _ROUND_SLACK * (low + rest * tol / spare)
-
-        star = rem / (w + t * math.sqrt(w / c))
-        down = min(max(math.floor(star), lo), hi)
-        up = down + 1
-        low_down, low_up = bound(down), bound(up) if up <= hi else math.inf
-        while True:
-            m, low = (down, low_down) if low_down <= low_up else (up, low_up)
-            if low == math.inf or (best is not None and low > best[0]):
-                return
-            counts[i] = m
-            descend(i + 1, m, spent + w * m, err + c / m)
-            if visits >= _ROUND_NODES:
-                return
-            if m == down:
-                down -= 1
-                low_down = bound(down) if down >= lo else math.inf
-            else:
-                up += 1
-                low_up = bound(up) if up <= hi else math.inf
-
-    descend(0, min_samples, 0.0, 0.0)
-    return best
+# Most partial plans (a chain head with its counts fixed) one search
+# visits: about 0.2 s on one core. The benchmark's plans need at most 129,
+# and 10,000 random problems of up to 16 models, budgets up to 3,000 and
+# costs down to 1e-4 at most 1,017. Counts beyond about 1e8 can need more:
+# there a unit step in a count moves the error by less than the budget the
+# last level's floor leaves over, so the search would walk thousands of
+# counts per level to fit that leftover, for a gain under 1e-12 of the
+# error. The search then keeps its incumbent.
+_MAX_VISITS = 100_000
 
 
 def _may_rise(slope_before, slope_after):
@@ -345,16 +252,17 @@ def _may_rise(slope_before, slope_after):
     return slope_before < slope_after * (1.0 + _SLACK)
 
 
-def _best_chain(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
-    """Best rounded plan over all admissible chains, by best-first search.
+def _best_plan(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
+    """Best integer plan over all admissible chains, by one depth-first
+    branch-and-bound over the next model and the current model's count.
 
     Chains are paths 0 -> ... -> end over increasing model indices with
     strictly decreasing squared correlations (``end`` stands for rho^2 = 0).
     Edge a -> b carries the gap g = v_a - v_b, the term sqrt(w_a g) of S and
     the slope g / w_a, which is r_a^2 up to a per-chain factor, so the
-    ratios increase exactly when the slopes do. Returns
-    ``(key, chain, r, m, m_real)`` with key
-    ``(mse, cost, len(chain), subset mask)``, or None.
+    ratios increase exactly when the slopes do. Plans rank by (error, cost,
+    chain length, subset mask, counts). Returns ``(chain, r, m, m_real)``,
+    or None when no plan fits the budget.
     """
     nodes = [0] + [
         i
@@ -377,79 +285,123 @@ def _best_chain(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
         turn = _may_rise(slope[:, b, None], slope[None, b, :])
         rest[:, b] = np.where(turn, step[b] + rest[b], np.inf).min(axis=1)
 
-    # _round_chain accepts plans costing up to tol; widen it once more so
-    # float rounding in costs and sums cannot make the bound too high.
-    tol = budget * (1.0 + 1e-12) + 1e-12
-    ceiling = tol * (1.0 + _SLACK)
-    w0 = float(w[0])
+    tol = budget * (1.0 + 1e-12) + 1e-12  # the most a plan may cost
+    # Edge a -> b fixes level a's coefficient c and the smallest tail
+    # sigma-bar rest[a, b] of the later levels; every plan through it has
+    # error at least the partial error before a plus weight / remaining
+    # budget. Each row lists the b that can follow a in order of weight.
+    follows = edge & (rest < np.inf)
+    coef = sigma_bar_sq * gap
+    tail = math.sqrt(sigma_bar_sq) * rest
+    with np.errstate(invalid="ignore"):
+        weight = np.where(follows, (np.sqrt(coef * wn[:, None]) + tail) ** 2, np.inf)
+    weight[:, end] = np.where(follows[:, end], coef[:, end] * wn, np.inf)
+    order = np.argsort(weight, axis=1, kind="stable").tolist()
+    n_follows = follows.sum(axis=1).tolist()
+    weight, coef, tail, slopes = weight.tolist(), coef.tolist(), tail.tolist(), slope.tolist()
+    w_node = wn.tolist()
+    moves = {}  # (p, a) -> (weight, b, coefficient, tail) of each b that may follow p -> a
 
-    def bound(first_gap, later, weight):
-        # Error floor of integer plans whose chain starts with gap first_gap,
-        # whose later terms of S sum to at least ``later`` and whose costs sum
-        # to at least ``weight``: counts are nondecreasing, so m_1 is an
-        # integer in [min_samples, ceiling / weight], and for each such m_1
-        # the later levels do no better than their continuous optimum.
-        top = math.floor(ceiling / weight)
-        if top < min_samples:
-            return math.inf
-        if later == 0.0:
-            return sigma_bar_sq * first_gap / top
-        head = math.sqrt(w0 * first_gap)
-        m_star = ceiling * head / (w0 * (head + later))
-        floor_star = min(max(math.floor(m_star), min_samples), top)
-        lowest = math.inf
-        for m1 in (floor_star, min(floor_star + 1, top)):
-            spare = ceiling - w0 * m1
-            if spare > 0.0:
-                lowest = min(lowest, first_gap / m1 + later**2 / spare)
-        return sigma_bar_sq * lowest
+    def next_models(p, a):
+        if (p, a) not in moves:
+            moves[p, a] = [
+                (weight[a][b], b, coef[a][b], tail[a][b])
+                for b in order[a][: n_follows[a]]
+                if a == 0 or _may_rise(slopes[p][a], slopes[a][b])
+            ]
+        return moves[p, a]
 
-    # entries: bound, tie-breaker, path of node positions, later part of S
-    # so far, cost sum so far; the root is model 0 alone
-    heap = [(0.0, 0, (0,), 0.0, w0)]
-    pushed = 1
-    best = None
-    while heap:
-        lb, _, path, later, weight = heapq.heappop(heap)
-        if best is not None and lb * (1.0 - _SLACK) > best[0][0]:
-            break
-        b = path[-1]
-        if b == end:
-            chain = [nodes[p] for p in path[:-1]]
-            found = _solve_chain(chain, rho_bar_sq, w, sigma_bar_sq, budget, min_samples)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
-            continue
-        follow = edge[b] & (rest[b] < np.inf)
-        if b:
-            follow &= _may_rise(slope[path[-2], b], slope[b])
-        for c in np.flatnonzero(follow):
-            later_c = later + step[b, c] if b else 0.0
-            first = path[1] if b else c
-            lb = bound(gap[0, first], later_c + rest[b, c], weight + wn[c])
-            if lb < np.inf:
-                heapq.heappush(heap, (lb, pushed, path + (c,), later_c, weight + wn[c]))
-                pushed += 1
-    return best
+    path, counts = [0], []
+    ratios = {}  # subset mask -> ratios, or None when inadmissible
+    best = None  # ranking key of the best plan
+    visits = 0
 
+    def finish(err, cost, m):
+        # rank the plan of the current path and counts, ending with count m
+        nonlocal best
+        chain = [nodes[i] for i in path]
+        key = (err, cost, len(chain), sum(1 << i for i in chain), (*counts, m))
+        if best is not None and key >= best:
+            return
+        if key[3] not in ratios:
+            v_chain = np.concatenate([[1.0], rho_bar_sq[chain[1:]]])
+            ratios[key[3]] = _chain_ratios(v_chain, w[chain])
+        if ratios[key[3]] is not None:
+            best = key
 
-def _solve_chain(chain, rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
-    """Ratios, real and rounded counts of one chain with its ranking key;
-    None when the chain is inadmissible or cannot be paid for."""
-    w_chain = w[chain]
-    v = np.concatenate([[1.0], rho_bar_sq[chain[1:]]])
-    r_chain = _chain_ratios(v, w_chain)
-    if r_chain is None:
+    def descend(options, a, lo, spent, err):
+        # extend the plan whose chain ends at a, with every count before a's
+        # fixed and a's count at least lo; options are next_models of the
+        # chain's last edge
+        nonlocal visits
+        visits += 1
+        rem = tol - spent
+        if rem <= 0.0:
+            return
+        w_a = w_node[a]
+        for weight, b, c, t in options:
+            if best is not None and (err + weight / rem) * (1.0 - _SLACK) > best[0]:
+                return
+            if b == end:
+                # the error falls as m_a grows: take the largest count it can pay
+                m = int(rem // w_a)
+                while m >= lo and spent + w_a * m > tol:
+                    m -= 1
+                while spent + w_a * (m + 1) <= tol:
+                    m += 1
+                if m >= lo and (best is None or err + c / m <= best[0]):
+                    finish(err + c / m, spent + w_a * m, m)
+                continue
+            # every later count is at least m_a, so m_a (w_a + w_b) <= rem
+            hi = int(rem // (w_a + w_node[b]))
+            if hi < lo:
+                continue
+
+            def bound(m):
+                # the lower bound less its rounding allowance (_ROUND_SLACK)
+                spare = rem - w_a * m
+                if spare <= 0.0:
+                    return math.inf
+                later = t * t / spare
+                low = err + c / m + later
+                return low - _ROUND_SLACK * (low + later * tol / spare)
+
+            # the bound is convex in m_a: walk outward from the conditional
+            # continuous optimum, the smaller bound first, and end each
+            # direction at the first count the bound rules out
+            star = rem / (w_a + t * math.sqrt(w_a / c))
+            down = min(max(math.floor(star), lo), hi)
+            up = down + 1
+            low_down, low_up = bound(down), bound(up) if up <= hi else math.inf
+            after = next_models(a, b)
+            path.append(b)
+            while True:
+                m, low = (down, low_down) if low_down <= low_up else (up, low_up)
+                if low == math.inf or (best is not None and low > best[0]):
+                    break
+                counts.append(m)
+                descend(after, b, m, spent + w_a * m, err + c / m)
+                counts.pop()
+                if visits >= _MAX_VISITS:
+                    break
+                if m == down:
+                    down -= 1
+                    low_down = bound(down) if down >= lo else math.inf
+                else:
+                    up += 1
+                    low_up = bound(up) if up <= hi else math.inf
+            path.pop()
+            if visits >= _MAX_VISITS:
+                return
+
+    descend(next_models(0, 0), 0, min_samples, 0.0, 0.0)
+    if best is None:
         return None
-    levels = v.tolist() + [0.0]
-    coeffs = [sigma_bar_sq * (a - b) for a, b in zip(levels, levels[1:])]
-    found = _round_chain(coeffs, w_chain.tolist(), budget, min_samples)
-    if found is None:
-        return None
-    mse, cost, counts = found
-    m1 = budget / float(np.dot(w_chain, r_chain))
-    key = (mse, cost, len(chain), sum(1 << i for i in chain))
-    return key, chain, r_chain, np.array(counts), m1 * r_chain
+    mask, m_chain = best[3], best[4]
+    chain = [i for i in range(len(rho_bar_sq)) if mask >> i & 1]
+    r_chain = ratios[mask]
+    m1 = budget / float(np.dot(w[chain], r_chain))
+    return chain, r_chain, np.array(m_chain), m1 * r_chain
 
 
 def optimal_allocation(
@@ -485,20 +437,19 @@ def optimal_allocation(
             f"aggregated high-fidelity variance must be positive and finite, "
             f"got {agg.sigma_bar_sq}"
         )
-    # Round chains in order of a lower bound on their integer error and stop
-    # once the bound passes the best plan found: the continuous objective
+    # Chains and counts are searched together: the continuous objective
     # alone cannot rank chains, since at small budgets a cheap companion can
     # soak up fractional budget that plain sampling would waste. Ties in
     # (error, cost, chain length) go to the lowest subset mask, the chain a
     # full enumeration in mask order would meet first.
-    best = _best_chain(agg.rho_bar_sq, w, agg.sigma_bar_sq, budget, min_samples)
+    best = _best_plan(agg.rho_bar_sq, w, agg.sigma_bar_sq, budget, min_samples)
     if best is None:
         # even the bare high-fidelity chain failed, which the budget
         # precondition rules out for any sane min_samples
         raise InfeasibleBudgetError(
             f"budget {budget} cannot pay for {min_samples} high-fidelity sample(s)"
         )
-    _, chain, r_chain, m_chain, m_real_chain = best
+    chain, r_chain, m_chain, m_real_chain = best
 
     k = costs.n_models
     retained = np.zeros(k, dtype=bool)

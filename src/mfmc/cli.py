@@ -106,7 +106,7 @@ def main(argv=None) -> int:
             for key, value in table.items():
                 if not key.startswith("_"):
                     print(f"reference[{key}] = {value}")
-    except (MFMCError, ValueError, FileNotFoundError) as exc:
+    except (MFMCError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -168,13 +168,9 @@ STATISTICS = {
 
 @dataclass(eq=False)
 class EstimateReport:
-    """One multifidelity estimate with the bookkeeping needed to reproduce it."""
+    """One multifidelity estimate."""
 
-    statistic: str
     value: np.ndarray
-    predicted_mse: float
-    realized_cost: float
-    seed: tuple | None = None
 
 
 def mfmc_statistic(evals: PrefixSums | NestedEvaluations, plan, statistic) -> EstimateReport:
@@ -203,13 +199,7 @@ def mfmc_statistic(evals: PrefixSums | NestedEvaluations, plan, statistic) -> Es
         hi = np.atleast_1d(level(evals, i, int(plan.m[i])))
         lo = np.atleast_1d(level(evals, i, int(plan.m[prev])))
         est = est + plan.alpha[i] * (hi - lo)
-    return EstimateReport(
-        statistic=statistic.label,
-        value=est,
-        predicted_mse=plan.predicted_mse,
-        realized_cost=evals.cost,
-        seed=getattr(evals.samples, "seed", None),
-    )
+    return EstimateReport(est)
 
 
 def _bridge_block(bridges, model_index: int, raw: np.ndarray) -> np.ndarray:
@@ -239,7 +229,7 @@ def apply_bridges(evals: NestedEvaluations, bridges) -> NestedEvaluations:
         raw if raw.shape[0] == 0 else _bridge_block(bridges, i, raw)
         for i, raw in enumerate(evals.outputs)
     ]
-    return NestedEvaluations(outputs, evals.m, evals.samples, evals.cost)
+    return NestedEvaluations(outputs, evals.m, evals.cost)
 
 
 def _plan_counts(hierarchy: ModelHierarchy, plan, samples) -> np.ndarray:
@@ -298,6 +288,5 @@ def mfmc_nonlinear(evals, plan, bridges, statistic=STATISTICS["expectation"]):
     return mfmc_statistic(apply_bridges(evals, bridges), plan, statistic)
 
 
-def evaluate_sobol_for_plan(hierarchy, plan, block, cost_convention="per-evaluation"):
-    factor = sobol_cost_factor(block.dimension, cost_convention)
-    return evaluate_for_plan(hierarchy, plan, block, factor)
+def evaluate_sobol_for_plan(hierarchy, plan, block):
+    return evaluate_for_plan(hierarchy, plan, block, sobol_cost_factor(block.dimension))

@@ -62,10 +62,9 @@ def _column_generator(seed, stream: int, column: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """An (m, d) matrix of i.i.d. input samples plus the seed that made it."""
+    """An (m, d) matrix of i.i.d. input samples."""
 
     inputs: np.ndarray
-    seed: tuple
 
     @property
     def n(self) -> int:
@@ -77,14 +76,13 @@ class NestedEvaluations:
     """Per-model outputs on nested prefixes of one shared input sequence.
 
     ``outputs[i]`` has shape (m[i], n_out) and was produced by model i on
-    the first m[i] rows of ``samples``. On a :class:`SobolSampleBlock`,
+    the first m[i] shared input rows. On a :class:`SobolSampleBlock`,
     n_out is d + 2 (base, second, mixed_1..mixed_d), stored column-major so
     each column is contiguous.
     """
 
     outputs: list
     m: np.ndarray
-    samples: SampleSet
     cost: float
 
     def state(self, model_index: int, m: int, fold):
@@ -101,14 +99,13 @@ class PrefixSums:
     """Folded states of each model's outputs at chosen prefixes, without the outputs.
 
     ``sums[i, s][fold]`` is the state of ``fold`` over model i's outputs on
-    the first s rows of ``samples``; ``m`` and ``cost`` are as in
+    the first s input rows; ``m`` and ``cost`` are as in
     :class:`NestedEvaluations`. Built by :func:`_sum_counts`, which never
     holds more than one row block of outputs.
     """
 
     sums: dict
     m: np.ndarray
-    samples: SampleSet
     cost: float
 
     def state(self, model_index: int, m: int, fold):
@@ -136,10 +133,6 @@ class SobolSampleBlock:
     def dimension(self) -> int:
         return self.base.inputs.shape[1]
 
-    @property
-    def seed(self) -> tuple:
-        return self.base.seed
-
     def row_sets(self, rows: slice):
         """``rows`` of the base, second and mixed_1..mixed_d sets, in that
         order; each mixed block is built when it is reached."""
@@ -165,7 +158,7 @@ def draw_inputs(hierarchy: ModelHierarchy, m: int, seed, stream: int = BASE_STRE
         gen = _column_generator(seed, stream, j)
         cols.append(dist.sample(gen, m))
     inputs = np.column_stack(cols)
-    return SampleSet(inputs, _seed_tuple(seed))
+    return SampleSet(inputs)
 
 
 def _validate_m_vec(m_vec, n_models, n_rows):
@@ -497,7 +490,7 @@ def _evaluate_counts(
         out = _evaluate_rows(model, samples, slice(0, m[i]), i, width)
         _check_finite(out, model, i)
         outputs.append(out)
-    return NestedEvaluations(outputs, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
+    return NestedEvaluations(outputs, m, _nested_cost(hierarchy.costs, m, cost_factor))
 
 
 def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, width: int, transform):
@@ -544,7 +537,7 @@ def _sum_counts(
         for stop, states in _fold_prefixes(blocks, stops, folds, width, check).items():
             sums[i, stop] = states
         prev = i
-    return PrefixSums(sums, m, samples, _nested_cost(hierarchy.costs, m, cost_factor))
+    return PrefixSums(sums, m, _nested_cost(hierarchy.costs, m, cost_factor))
 
 
 def evaluate_nested(
@@ -573,26 +566,15 @@ def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SobolSampleBlo
     return SobolSampleBlock(s, s2)
 
 
-SOBOL_COST_CONVENTIONS = ("per-evaluation", "per-sample")
-
-
-def sobol_cost_factor(dimension: int, convention: str) -> float:
-    """Cost units charged per Sobol sample of one model.
-
-    ``per-evaluation`` charges all d + 2 model runs behind each sample;
-    ``per-sample`` charges a flat single evaluation per sample.
-    """
-    if convention == "per-evaluation":
-        return float(dimension + 2)
-    if convention == "per-sample":
-        return 1.0
-    raise ValueError(f"unknown Sobol cost convention {convention!r}")
+def sobol_cost_factor(dimension: int) -> float:
+    """Cost units charged per Sobol sample of one model: the d + 2 model
+    runs behind it."""
+    return float(dimension + 2)
 
 
 # Kept for perfbench, which traces this name; delete it with the next
 # benchmark change.
 
 
-def evaluate_sobol_nested(hierarchy, block, m_vec, cost_convention="per-evaluation"):
-    factor = sobol_cost_factor(block.dimension, cost_convention)
-    return evaluate_nested(hierarchy, block, m_vec, factor)
+def evaluate_sobol_nested(hierarchy, block, m_vec):
+    return evaluate_nested(hierarchy, block, m_vec, sobol_cost_factor(block.dimension))

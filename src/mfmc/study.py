@@ -46,7 +46,6 @@ from .hierarchy import (
 from .pilot import PilotStats, estimate_q_stats
 from .regression import GaussianProcessBridge
 from .sampling import (
-    SOBOL_COST_CONVENTIONS,
     _sum_counts,
     build_sobol_block,
     draw_inputs,
@@ -89,7 +88,6 @@ class StudyConfig:
     seed: int = 0
     out_dir: str = "results"
     output_weights: tuple | None = None
-    sobol_cost_convention: str = "per-evaluation"
     include_pilot_cost: bool = False
     jobs: int = 1
     reference_file: str | None = None
@@ -158,11 +156,6 @@ class StudyConfig:
             )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.sobol_cost_convention not in SOBOL_COST_CONVENTIONS:
-            raise UnknownNameError(
-                f"unknown sobol_cost_convention {self.sobol_cost_convention!r}; "
-                f"available: {', '.join(SOBOL_COST_CONVENTIONS)}"
-            )
         if self.mode == "nonlinear" and any(
             STATISTICS[s].needs_sobol_block for s in self.statistics
         ):
@@ -235,10 +228,10 @@ def _component_weights(config: StudyConfig, hierarchy, stat) -> np.ndarray:
     return w
 
 
-def _cost_factor(config: StudyConfig, hierarchy, stat) -> float:
+def _cost_factor(hierarchy, stat) -> float:
     """Cost units charged per input row of one model (see ``sobol_cost_factor``)."""
     if stat.needs_sobol_block:
-        return sobol_cost_factor(hierarchy.input_dimension, config.sobol_cost_convention)
+        return sobol_cost_factor(hierarchy.input_dimension)
     return 1.0
 
 
@@ -252,7 +245,7 @@ def _draw(hierarchy, stat, n: int, seed):
 def _pilot_cost(config: StudyConfig, hierarchy, stat) -> float:
     """Cost of the pilot stage: the pilot rows, plus the bridge training rows."""
     k = hierarchy.n_models
-    factor = _cost_factor(config, hierarchy, stat)
+    factor = _cost_factor(hierarchy, stat)
     cost = float(np.dot(hierarchy.costs, [config.pilot_size] * k) * factor)
     if config.mode == "nonlinear":
         cost += float(np.dot(hierarchy.costs, [config.regression_train_size] * k))
@@ -351,7 +344,7 @@ def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost)
     a given budget; a tolerance budget is left whole, since the pilot is
     already paid for, and the pilot cost still counts in the cost ledger.
     """
-    costs = CostModel(hierarchy.costs * _cost_factor(config, hierarchy, stat))
+    costs = CostModel(hierarchy.costs * _cost_factor(hierarchy, stat))
     weights = _component_weights(config, hierarchy, stat)
     if config.tolerance is not None:
         budget_abs = budget_for_tolerance(stats, costs, config.tolerance, weights)
@@ -380,7 +373,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
 
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
     samples = _draw(hierarchy, stat, int(plan.m.max()), est_seed)
-    factor = _cost_factor(config, hierarchy, stat)
+    factor = _cost_factor(hierarchy, stat)
     est_evals = sum_for_plan(hierarchy, plan, samples, stat, factor, bridges)
     report = mfmc_statistic(est_evals, plan, stat)
 

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    admissible_chains,
     brute_force_best_two,
     brute_force_counts,
     exact_counts,
@@ -18,9 +17,6 @@ from conftest import (
 from mfmc.allocation import (
     AggregatedStats,
     CostModel,
-    _as_aggregated,
-    _round_chain,
-    _solve_chain,
     aggregate_vector_stats,
     budget_for_tolerance,
     optimal_allocation,
@@ -335,11 +331,6 @@ def _small_budget_problems(draw):
     return stats, CostModel(w), budget, min_samples
 
 
-def _chain_coeffs(agg, chain):
-    v = [1.0] + [float(agg.rho_bar_sq[i]) for i in chain[1:]] + [0.0]
-    return [agg.sigma_bar_sq * (a - b) for a, b in zip(v, v[1:])]
-
-
 @settings(max_examples=120, deadline=None)
 @given(problem=_small_budget_problems())
 @example(  # the full chain's optimum is [1, 4, 5, 5]; a +-2 window found [1, 3, 5, 8]
@@ -359,17 +350,6 @@ def _chain_coeffs(agg, chain):
     )
 )
 def test_every_chain_rounds_to_the_brute_force_optimum(problem):
-    stats, costs, budget, min_samples = problem
-    agg = _as_aggregated(stats)
-    w = costs.w
-    for chain, _ in admissible_chains(agg.rho_bar_sq, w):
-        got = _solve_chain(chain, agg.rho_bar_sq, w, agg.sigma_bar_sq, budget, min_samples)
-        want = brute_force_counts(_chain_coeffs(agg, chain), w[chain].tolist(), budget, min_samples)
-        assert (got is None) == (want is None)
-        if got is not None:
-            key, _, _, m_chain, _ = got
-            assert m_chain.tolist() == want[2], chain
-            assert key[:2] == want[:2], chain
     plan = _allocate_or_infeasible(optimal_allocation, *problem)
     oracle = _allocate_or_infeasible(
         functools.partial(exhaustive_allocation, rounding=brute_force_counts), *problem
@@ -420,7 +400,20 @@ def _admissible_chain_problems(draw, max_models, max_budget):
 @settings(max_examples=100, deadline=None)
 @given(problem=_admissible_chain_problems(max_models=8, max_budget=3000.0))
 def test_rounding_matches_pruned_oracle_at_large_budgets(problem):
-    assert _round_chain(*problem) == exact_counts(*problem)
+    # the chain as aggregated statistics: with v_0 = 1 and
+    # v_i = v_{i-1} - c_{i-1} / sum(c), the full chain's coefficients are c
+    coeffs, w, budget, min_samples = problem
+    total = sum(coeffs)
+    v = [1.0]
+    for c in coeffs[:-1]:
+        v.append(v[-1] - c / total)
+    problem = (AggregatedStats(total, np.array(v)), CostModel(w), budget, min_samples)
+    plan = _allocate_or_infeasible(optimal_allocation, *problem)
+    oracle = _allocate_or_infeasible(exhaustive_allocation, *problem)
+    assert (plan is None) == (oracle is None)
+    if plan is not None:
+        assert np.array_equal(plan.m, oracle.m)
+        assert plan.predicted_mse == oracle.predicted_mse
 
 
 @pytest.mark.parametrize("budget", [1e8, 1e12])

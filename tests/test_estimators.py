@@ -58,7 +58,7 @@ def _manual_plan(m, alpha_rows):
 
 def _evals(m_vec, *columns):
     outputs = [np.asarray(c, dtype=float)[:, None] for c in columns]
-    return NestedEvaluations(outputs, np.asarray(m_vec, dtype=int), None, 0.0)
+    return NestedEvaluations(outputs, np.asarray(m_vec, dtype=int), 0.0)
 
 
 def test_two_level_hand_telescoping():
@@ -94,7 +94,7 @@ def _single_level(stat_label, outputs):
     """``stat_label``'s single-level estimate from all of one model's held outputs."""
     outputs = np.asarray(outputs, dtype=float)
     outputs = outputs[:, None] if outputs.ndim == 1 else outputs
-    evals = NestedEvaluations([outputs], np.array([len(outputs)]), None, 0.0)
+    evals = NestedEvaluations([outputs], np.array([len(outputs)]), 0.0)
     return STATISTICS[stat_label].single_level(evals, 0, len(outputs))
 
 
@@ -153,12 +153,12 @@ def _check_variance(x, n, bound=2e-14):
     """One value bit for bit in every layout and streamed, within ``bound``
     of the extended-precision reference, whatever the width. Returns that
     value's relative error."""
-    evals = NestedEvaluations([x], np.array([x.shape[0]]), None, 0.0)
+    evals = NestedEvaluations([x], np.array([x.shape[0]]), 0.0)
     got = STATISTICS["variance"].single_level(evals, 0, n)
     c_order = np.ascontiguousarray(x[:n])
     assert np.array_equal(got, _streamed_variance(c_order, n))
     for other in (c_order, np.asfortranarray(c_order)):
-        same = NestedEvaluations([other], np.array([n]), None, 0.0)
+        same = NestedEvaluations([other], np.array([n]), 0.0)
         assert np.array_equal(got, STATISTICS["variance"].single_level(same, 0, n))
     error = _relative_error(got, _longdouble_variance(x[:n]))
     assert error < bound
@@ -245,7 +245,7 @@ def test_variance_statistic_matches_reference_property(n, width, seed, layout, o
 
 def test_variance_statistic_memory_is_bounded():
     x = np.random.default_rng(4).normal(size=(20_000, 200))
-    evals = NestedEvaluations([x], np.array([20_000]), None, 0.0)
+    evals = NestedEvaluations([x], np.array([20_000]), 0.0)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -324,7 +324,6 @@ def test_plugin_expectation_matches_dedicated_combiner():
     a = mfmc_expectation(evals, plan)
     b = mfmc_statistic(evals, plan, STATISTICS["expectation"])
     assert np.array_equal(a.value, b.value)
-    assert a.realized_cost == b.realized_cost
 
 
 def test_single_model_plan_reduces_to_single_level():
@@ -356,7 +355,7 @@ def test_interior_dropped_model_is_never_evaluated():
     assert evals.outputs[1].shape[0] == 0
     rep = mfmc_expectation(evals, plan)
     assert np.isfinite(rep.value[0])
-    assert rep.realized_cost == pytest.approx(4 * 1.0 + 12 * 0.1)
+    assert evals.cost == pytest.approx(4 * 1.0 + 12 * 0.1)
 
 
 def test_permutation_within_prefix_blocks_leaves_estimate_unchanged():
@@ -402,7 +401,7 @@ def test_bridged_estimation_requires_fitted_bridges():
     with pytest.raises(NotFittedError):
         mfmc_nonlinear(evals, plan, unfitted)
     with pytest.raises(NotFittedError):
-        sum_for_plan(h, plan, evals.samples, STATISTICS["expectation"], bridges=unfitted)
+        sum_for_plan(h, plan, draw_inputs(h, 9, 4), STATISTICS["expectation"], bridges=unfitted)
     field = synthetic_field_hierarchy(3)
     with pytest.raises(ValueError, match="scalar outputs only"):
         sum_for_plan(
@@ -552,7 +551,7 @@ def test_streamed_expectation_is_bit_identical_to_materialized(width, case):
         m[0] = 1
     a, b, streamed, materialized = _streamed_and_materialized(_row_wise_hierarchy(width), m, width)
     assert np.array_equal(a.value, b.value)
-    assert a.realized_cost == b.realized_cost
+    assert streamed.cost == materialized.cost
     assert np.array_equal(streamed.m, materialized.m)
     fold = STATISTICS["expectation"].fold
     for i, s in streamed.sums:
@@ -567,7 +566,7 @@ def test_streamed_variance_is_bit_identical_to_materialized(width, case):
         _row_wise_hierarchy(width), m, width, "variance"
     )
     assert np.array_equal(a.value, b.value)
-    assert a.realized_cost == b.realized_cost
+    assert streamed.cost == materialized.cost
     assert np.array_equal(streamed.m, materialized.m)
     fold = STATISTICS["variance"].fold
     for i, s in streamed.sums:
@@ -589,9 +588,9 @@ def test_streamed_expectation_matches_materialized_property(width, counts, drop_
     m = sorted(counts)
     if drop_middle:
         m[1] = 0
-    a, b, _, _ = _streamed_and_materialized(_row_wise_hierarchy(width), m, seed)
+    a, b, streamed, materialized = _streamed_and_materialized(_row_wise_hierarchy(width), m, seed)
     assert np.array_equal(a.value, b.value)
-    assert a.realized_cost == b.realized_cost
+    assert streamed.cost == materialized.cost
 
 
 @settings(max_examples=25, deadline=None)
@@ -605,9 +604,11 @@ def test_streamed_variance_matches_materialized_property(width, counts, drop_mid
     m = sorted(counts)
     if drop_middle:
         m[1] = 0
-    a, b, _, _ = _streamed_and_materialized(_row_wise_hierarchy(width), m, seed, "variance")
+    a, b, streamed, materialized = _streamed_and_materialized(
+        _row_wise_hierarchy(width), m, seed, "variance"
+    )
     assert np.array_equal(a.value, b.value)
-    assert a.realized_cost == b.realized_cost
+    assert streamed.cost == materialized.cost
 
 
 def test_streamed_expectation_matches_materialized_synthetic_field():
@@ -663,7 +664,7 @@ def test_streamed_sobol_is_bit_identical_to_held(stat_label, case):
     m = _edge_counts(5, case)  # a Sobol block on ishigami is 5 columns wide
     streamed, held, a, b = _sobol_streamed_and_held(m, stat_label)
     assert np.array_equal(a.value, b.value)
-    assert a.realized_cost == b.realized_cost == 5.0 * np.dot(ishigami_hierarchy().costs, m)
+    assert streamed.cost == held.cost == 5.0 * np.dot(ishigami_hierarchy().costs, m)
     fold = STATISTICS[stat_label].fold
     for i, s in streamed.sums:
         got, want = streamed.state(i, s, fold), held.state(i, s, fold)
@@ -735,9 +736,10 @@ def test_streamed_bridged_is_bit_identical_to_held(stat_label, m):
     samples = draw_inputs(h, max(m), 8)
     stat = STATISTICS[stat_label]
     streamed = sum_for_plan(h, plan, samples, stat, bridges=bridges)
-    held = mfmc_nonlinear(evaluate_for_plan(h, plan, samples), plan, bridges, stat)
-    assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, held.value)
-    assert streamed.cost == held.realized_cost
+    held = evaluate_for_plan(h, plan, samples)
+    value = mfmc_nonlinear(held, plan, bridges, stat).value
+    assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, value)
+    assert streamed.cost == held.cost
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -763,8 +765,8 @@ def _index_sobol_block(n):
     base rows are (r, 10) and second rows (-r - 1, 20), so the mixed sets
     are (r, 20) and (-r - 1, 10)."""
     r = np.arange(n, dtype=float)
-    base = SampleSet(np.column_stack([r, np.full(n, 10.0)]), (0,))
-    second = SampleSet(np.column_stack([-r - 1, np.full(n, 20.0)]), (0,))
+    base = SampleSet(np.column_stack([r, np.full(n, 10.0)]))
+    second = SampleSet(np.column_stack([-r - 1, np.full(n, 20.0)]))
     return SobolSampleBlock(base, second)
 
 
@@ -855,7 +857,7 @@ class _BadRows:
 
 
 def _index_samples(n):
-    return SampleSet(np.arange(n, dtype=float)[:, None], (0,))
+    return SampleSet(np.arange(n, dtype=float)[:, None])
 
 
 def _check_first_non_finite_named(stat_label, width, where, bad, case):

@@ -21,7 +21,7 @@ def _evals_from_arrays(*columns):
     """NestedEvaluations stub: one (n, 1) output array per model."""
     outputs = [np.asarray(c, dtype=float)[:, None] for c in columns]
     n = outputs[0].shape[0]
-    return NestedEvaluations(outputs, np.full(len(outputs), n), None, 0.0)
+    return NestedEvaluations(outputs, np.full(len(outputs), n), 0.0)
 
 
 def test_hand_example_perfectly_correlated_doubling():

@@ -122,13 +122,9 @@ def test_sobol_block_degenerate_identity():
 def test_sobol_cost_counts_d_plus_two_blocks():
     h = ishigami_hierarchy()
     block = build_sobol_block(h, 10, 3)
-    assert sobol_cost_factor(3, "per-evaluation") == 5.0
-    evals = evaluate_nested(h, block, [10, 10, 10], sobol_cost_factor(3, "per-evaluation"))
+    assert sobol_cost_factor(3) == 5.0
+    evals = evaluate_nested(h, block, [10, 10, 10], sobol_cost_factor(3))
     assert evals.cost == pytest.approx(5 * 10 * (1 + 0.05 + 0.001))
-    per_sample = evaluate_nested(h, block, [10, 10, 10], sobol_cost_factor(3, "per-sample"))
-    assert per_sample.cost == pytest.approx(10 * (1 + 0.05 + 0.001))
-    with pytest.raises(ValueError):
-        sobol_cost_factor(3, "per-widget")
 
 
 def test_sobol_block_outputs_are_d_plus_two_contiguous_columns():
@@ -143,7 +139,6 @@ def test_sobol_block_outputs_are_d_plus_two_contiguous_columns():
             assert out[:, c].flags.c_contiguous
             assert np.array_equal(out[:, c], model.evaluate_batch(inputs[: evals.m[i]])[:, 0])
     assert evals.outputs[2].shape == (0, 5)
-    assert evals.samples.seed == block.base.seed
     field = synthetic_field_hierarchy(n_points=3)
     with pytest.raises(ValueError):
         evaluate_nested(field, build_sobol_block(field, 4, 1), [4] * field.n_models)

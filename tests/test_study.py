@@ -162,12 +162,6 @@ def test_pilot_memo_never_stale(tmp_path):
             tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), costs=(1.0, 0.1, 0.002)
         ),
         "pilot": _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), pilot_size=30),
-        "sobol": _tiny_config(
-            tmp_path,
-            statistics=_ALL_STATISTICS,
-            budgets=(160.0,),
-            sobol_cost_convention="per-sample",
-        ),
     }
     calls = [
         (v, stat, rep)
@@ -270,7 +264,6 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"budgets": (float("nan"),)}, ValueError, "budgets"),
         ({"budgets": (float("inf"),)}, ValueError, "budgets"),
         ({"budgets": (10.0, float("nan"))}, ValueError, "budgets"),
-        ({"sobol_cost_convention": "per-run"}, UnknownNameError, "sobol_cost_convention"),
         ({"jobs": 0}, ValueError, "jobs"),
         ({"jobs": -1}, ValueError, "jobs"),
         ({"reference_samples": 0}, ValueError, "reference_samples"),
@@ -485,12 +478,22 @@ def test_cli_config_file_with_overrides(tmp_path, capsys):
     assert summary["config"]["replicates"] == 3
 
 
+def test_cli_config_directory_is_an_error_not_a_traceback(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(tmp_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
-    "key, value", [("pilot_budget", 60), ("budget_unit", "absolute")]
+    "key, value",
+    [("pilot_budget", 60), ("budget_unit", "absolute"), ("sobol_cost_convention", "per-sample")],
 )
 def test_removed_config_keys_fail_loudly_and_name_themselves(tmp_path, capsys, key, value):
-    # pilot_size/regression_train_size and high-fidelity-equivalent budgets
-    # are the one way to set these values
+    # pilot_size/regression_train_size, high-fidelity-equivalent budgets and
+    # the d + 2 runs charged per Sobol sample are the one way to set these
+    # values
     with pytest.raises(UnknownNameError, match=key):
         StudyConfig.from_dict({key: value})
     out = str(tmp_path / "out")
@@ -628,7 +631,7 @@ def test_reference_variance_memory_is_bounded(tmp_path, monkeypatch, statistics)
     assert peak < 16e6  # the high-fidelity outputs alone would take 80 MB
     h = config.build_hierarchy()
     samples = draw_inputs(h, n, (config.seed, study._REFERENCE))
-    held = NestedEvaluations([h.models[0].evaluate_batch(samples.inputs)], [n], samples, 0.0)
+    held = NestedEvaluations([h.models[0].evaluate_batch(samples.inputs)], [n], 0.0)
     for label in statistics:
         expected = STATISTICS[label].single_level(held, 0, n)
         assert np.array_equal(table[label], expected)
