@@ -275,7 +275,7 @@ def _best_plan(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
     gap = v[:, None] - v[None, :]
     edge = np.triu(gap > 0.0, 1)
     edge[end] = False
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         step = np.where(edge, np.sqrt(wn[:, None] * gap), np.inf)
         slope = np.where(edge, gap / wn[:, None], np.nan)
     # rest[a, b]: smallest sum of the terms after edge a -> b
@@ -345,9 +345,9 @@ def _best_plan(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
             if b == end:
                 # the error falls as m_a grows: take the largest count it can pay
                 m = int(rem // w_a)
-                while m >= lo and spent + w_a * m > tol:
+                if spent + w_a * m > tol:
                     m -= 1
-                while spent + w_a * (m + 1) <= tol:
+                elif spent + w_a * (m + 1) <= tol:
                     m += 1
                 if m >= lo and (best is None or err + c / m <= best[0]):
                     finish(err + c / m, spent + w_a * m, m)
@@ -401,7 +401,7 @@ def _best_plan(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
     chain = [i for i in range(len(rho_bar_sq)) if mask >> i & 1]
     r_chain = ratios[mask]
     m1 = budget / float(np.dot(w[chain], r_chain))
-    return chain, r_chain, np.array(m_chain), m1 * r_chain
+    return chain, r_chain, m_chain, m1 * r_chain
 
 
 def optimal_allocation(
@@ -442,7 +442,14 @@ def optimal_allocation(
     # soak up fractional budget that plain sampling would waste. Ties in
     # (error, cost, chain length) go to the lowest subset mask, the chain a
     # full enumeration in mask order would meet first.
-    best = _best_plan(agg.rho_bar_sq, w, agg.sigma_bar_sq, budget, min_samples)
+    try:
+        best = _best_plan(agg.rho_bar_sq, w, agg.sigma_bar_sq, budget, min_samples)
+    except (OverflowError, FloatingPointError) as exc:
+        # a cost ratio or a count beyond a float's range
+        i = int(np.argmin(w))
+        raise InfeasibleBudgetError(
+            f"budget {budget} buys model {i} (cost {w[i]}) more runs than a float can count"
+        ) from exc
     if best is None:
         # even the bare high-fidelity chain failed, which the budget
         # precondition rules out for any sane min_samples
@@ -450,6 +457,12 @@ def optimal_allocation(
             f"budget {budget} cannot pay for {min_samples} high-fidelity sample(s)"
         )
     chain, r_chain, m_chain, m_real_chain = best
+    for i, count in zip(chain, m_chain):
+        if count > 2**53:
+            raise InfeasibleBudgetError(
+                f"budget {budget} asks for {count:.4g} runs of model {i}, more than a "
+                f"float counts exactly (2**53)"
+            )
 
     k = costs.n_models
     retained = np.zeros(k, dtype=bool)

@@ -45,7 +45,6 @@ from .sampling import (
     _fold_sum,
     _sum_counts,
     _validate_m_vec,
-    sobol_cost_factor,
 )
 
 # ---------------------------------------------------------------------------
@@ -241,17 +240,15 @@ def _plan_counts(hierarchy: ModelHierarchy, plan, samples) -> np.ndarray:
     return m
 
 
-def sum_for_plan(
-    hierarchy: ModelHierarchy, plan, samples, statistic, cost_factor: float = 1.0, bridges=None
-) -> PrefixSums:
+def sum_for_plan(hierarchy: ModelHierarchy, plan, samples, statistic, bridges=None) -> PrefixSums:
     """What :func:`mfmc_statistic` reads of ``statistic`` from a plan, without outputs.
 
     Each retained model is evaluated on ``samples`` (a ``SampleSet``, or a
     ``SobolSampleBlock`` whose d + 2 input sets are evaluated per row block
     into d + 2 columns) one row block at a time, and each block is folded
     by ``statistic.fold`` into its state at the prefixes the combiner
-    reads; no model's outputs are ever held whole. ``cost_factor`` (see
-    ``sampling.sobol_cost_factor``) scales the cost. With ``bridges``
+    reads; no model's outputs are ever held whole. A block row is charged
+    its d + 2 runs (``sampling.sobol_cost_factor``). With ``bridges``
     (``bridges[i-1]`` for model i), each checked low-fidelity block is
     mapped onto the high-fidelity scale before it is folded. Costs, error
     checks and values are those of folding the held outputs of
@@ -259,25 +256,23 @@ def sum_for_plan(
     """
     m = _plan_counts(hierarchy, plan, samples)
     transform = None if bridges is None else functools.partial(_bridge_block, bridges)
-    return _sum_counts(hierarchy, samples, m, (statistic.fold,), cost_factor, transform)
+    return _sum_counts(hierarchy, samples, m, (statistic.fold,), transform)
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the
 # next benchmark change.
 
 
-def evaluate_for_plan(
-    hierarchy: ModelHierarchy, plan, samples, cost_factor: float = 1.0
-) -> NestedEvaluations:
+def evaluate_for_plan(hierarchy: ModelHierarchy, plan, samples) -> NestedEvaluations:
     """Evaluate and hold exactly the models and sample counts an allocation plan asks for.
 
-    ``samples`` and ``cost_factor`` are as in :func:`sum_for_plan`. Models
+    ``samples`` and the cost are as in :func:`sum_for_plan`. Models
     the plan dropped are skipped entirely (they may sit anywhere in the
     hierarchy); the returned object is indexed like the full hierarchy
     with empty arrays at dropped positions.
     """
     m = _plan_counts(hierarchy, plan, samples)
-    return _evaluate_counts(hierarchy, samples, m, cost_factor)
+    return _evaluate_counts(hierarchy, samples, m)
 
 
 def mfmc_expectation(evals, plan):
@@ -289,4 +284,4 @@ def mfmc_nonlinear(evals, plan, bridges, statistic=STATISTICS["expectation"]):
 
 
 def evaluate_sobol_for_plan(hierarchy, plan, block):
-    return evaluate_for_plan(hierarchy, plan, block, sobol_cost_factor(block.dimension))
+    return evaluate_for_plan(hierarchy, plan, block)

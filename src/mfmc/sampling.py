@@ -13,8 +13,8 @@ position of that stream. Consequences we rely on everywhere:
 All models are evaluated on prefixes of one shared input sequence (nested
 sampling); the statistics machinery depends on that sharing. A Sobol block
 is just a wider input row: model i's outputs on it are (m[i], d + 2)
-columns (base, second, mixed_1..mixed_d), and its cost convention is a
-plain multiplier on the evaluation cost.
+columns (base, second, mixed_1..mixed_d), and each of its rows costs the
+d + 2 model runs behind it.
 
 Every statistic is read from a *fold*: a function that merges one row
 block of outputs into a running state (column sums, shifted moments,
@@ -463,19 +463,19 @@ def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
     return out
 
 
-def _nested_cost(costs, m, cost_factor: float) -> float:
-    """Cost of evaluating model i on m[i] rows, at ``cost_factor`` units per row.
+def _nested_cost(costs, m, samples) -> float:
+    """Cost of evaluating model i on m[i] rows of ``samples``: a row of a
+    :class:`SobolSampleBlock` costs its :func:`sobol_cost_factor` runs.
 
     The sum runs over the evaluated models (m[i] > 0) only: a dot product
     over zero entries can group the terms differently and round otherwise.
     """
     live = np.flatnonzero(m)
-    return float(np.dot(costs[live], m[live]) * cost_factor)
+    runs = sobol_cost_factor(samples.dimension) if isinstance(samples, SobolSampleBlock) else 1.0
+    return float(np.dot(costs[live], m[live]) * runs)
 
 
-def _evaluate_counts(
-    hierarchy: ModelHierarchy, samples, m, cost_factor: float = 1.0
-) -> NestedEvaluations:
+def _evaluate_counts(hierarchy: ModelHierarchy, samples, m) -> NestedEvaluations:
     """Model i on the first m[i] rows of ``samples``, checked; m[i] == 0 skips it.
 
     ``m`` is indexed like the hierarchy and already validated; the rest is
@@ -490,7 +490,7 @@ def _evaluate_counts(
         out = _evaluate_rows(model, samples, slice(0, m[i]), i, width)
         _check_finite(out, model, i)
         outputs.append(out)
-    return NestedEvaluations(outputs, m, _nested_cost(hierarchy.costs, m, cost_factor))
+    return NestedEvaluations(outputs, m, _nested_cost(hierarchy.costs, m, samples))
 
 
 def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, width: int, transform):
@@ -510,9 +510,7 @@ def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, widt
         yield rows.start, out
 
 
-def _sum_counts(
-    hierarchy: ModelHierarchy, samples, m, folds, cost_factor: float = 1.0, transform=None
-) -> PrefixSums:
+def _sum_counts(hierarchy: ModelHierarchy, samples, m, folds, transform=None) -> PrefixSums:
     """:func:`_evaluate_counts` folded by each of ``folds``, never holding outputs.
 
     Each evaluated model is called one row block at a time
@@ -537,23 +535,21 @@ def _sum_counts(
         for stop, states in _fold_prefixes(blocks, stops, folds, width, check).items():
             sums[i, stop] = states
         prev = i
-    return PrefixSums(sums, m, _nested_cost(hierarchy.costs, m, cost_factor))
+    return PrefixSums(sums, m, _nested_cost(hierarchy.costs, m, samples))
 
 
-def evaluate_nested(
-    hierarchy: ModelHierarchy, samples, m_vec, cost_factor: float = 1.0
-) -> NestedEvaluations:
+def evaluate_nested(hierarchy: ModelHierarchy, samples, m_vec) -> NestedEvaluations:
     """Evaluate model i on the first m_vec[i] rows of ``samples``.
 
     ``samples`` is a :class:`SampleSet` or a :class:`SobolSampleBlock`; a
     block's (d + 2) input sets become output columns of scalar models, and
-    ``cost_factor`` (see :func:`sobol_cost_factor`) scales the cost.
+    each block row is charged d + 2 runs (:func:`sobol_cost_factor`).
     m_vec must be nondecreasing over evaluated models; zeros are allowed
     only for a trailing run of dropped models. Equal consecutive entries are
     fine (the corresponding telescoping term is exactly zero downstream).
     """
     m = _validate_m_vec(m_vec, hierarchy.n_models, samples.n)
-    return _evaluate_counts(hierarchy, samples, m, cost_factor)
+    return _evaluate_counts(hierarchy, samples, m)
 
 
 def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SobolSampleBlock:
@@ -577,4 +573,4 @@ def sobol_cost_factor(dimension: int) -> float:
 
 
 def evaluate_sobol_nested(hierarchy, block, m_vec):
-    return evaluate_nested(hierarchy, block, m_vec, sobol_cost_factor(block.dimension))
+    return evaluate_nested(hierarchy, block, m_vec)

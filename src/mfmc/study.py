@@ -46,6 +46,7 @@ from .hierarchy import (
 from .pilot import PilotStats, estimate_q_stats
 from .regression import GaussianProcessBridge
 from .sampling import (
+    NestedEvaluations,
     _sum_counts,
     build_sobol_block,
     draw_inputs,
@@ -235,9 +236,9 @@ def _cost_factor(hierarchy, stat) -> float:
     return 1.0
 
 
-def _draw(hierarchy, stat, n: int, seed):
-    """n input rows for ``stat``: a Sobol block for Sobol statistics, else plain draws."""
-    if stat.needs_sobol_block:
+def _draw(hierarchy, sobol: bool, n: int, seed):
+    """n input rows: a Sobol block when ``sobol`` is set, else plain draws."""
+    if sobol:
         return build_sobol_block(hierarchy, n, seed)
     return draw_inputs(hierarchy, n, seed)
 
@@ -253,53 +254,31 @@ def _pilot_cost(config: StudyConfig, hierarchy, stat) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _fit_bridges(hierarchy_name: str, n_points: int, n_train: int, seed, rep: int) -> tuple:
-    """GP bridges of replicate ``rep``, one per low-fidelity model.
+def _replicate_pilot(hierarchy_name, n_points, pilot_size, seed, rep, sobol, n_train) -> tuple:
+    """(evaluations, bridges) of the pilot of replicate ``rep``.
 
-    Each is fitted on (low, high) output pairs from the training stream
-    (seed, _TRAIN, rep). The arguments are everything the fit reads (model
-    costs do not enter it), so a cached result is never stale; the single
-    entry lets the statistics of one replicate share a fit while memory
-    stays bounded. The cached bridges are only read, never refitted.
+    One draw from the pilot stream (seed, _PILOT, rep), a Sobol block when
+    ``sobol`` is set, else plain rows, on which every model is evaluated
+    once. Unless ``n_train`` is None (linear mode, where bridges is None),
+    one GP bridge per low-fidelity model is fitted on (low, high) output
+    pairs of ``n_train`` rows from the training stream (seed, _TRAIN, rep),
+    and the low-fidelity pilot outputs go through it. The arguments are
+    everything the result depends on (model costs do not enter it, and
+    ``_pilot_cost`` charges the pilot), so a cached result is never stale;
+    the single entry lets the statistics of one replicate share it while
+    memory stays bounded. The cached result is only read.
     """
     hierarchy = get_hierarchy(hierarchy_name, n_points=n_points)
     k = hierarchy.n_models
-    samples = draw_inputs(hierarchy, n_train, (seed, _TRAIN, rep))
-    train = evaluate_nested(hierarchy, samples, [n_train] * k)
+    samples = _draw(hierarchy, sobol, pilot_size, (seed, _PILOT, rep))
+    evals = evaluate_nested(hierarchy, samples, [pilot_size] * k)
+    if n_train is None:
+        return evals, None
+    rows = draw_inputs(hierarchy, n_train, (seed, _TRAIN, rep))
+    train = evaluate_nested(hierarchy, rows, [n_train] * k)
     hf = train.outputs[0][:, 0]
-    return tuple(GaussianProcessBridge().fit(train.outputs[i][:, 0], hf) for i in range(1, k))
-
-
-@functools.lru_cache(maxsize=2)
-def _pilot_evaluations(
-    hierarchy_name: str,
-    n_points: int,
-    pilot_size: int,
-    seed,
-    rep: int,
-    sobol: bool,
-    mode: str,
-    n_train: int,
-):
-    """Every model on the pilot draw of replicate ``rep``, bridged in nonlinear mode.
-
-    The draw comes from the pilot stream (seed, _PILOT, rep): a Sobol block
-    when ``sobol`` is set, else plain rows. In nonlinear mode the
-    low-fidelity outputs go through the bridges of ``_fit_bridges`` (trained
-    on ``n_train`` rows). The arguments are everything the outputs depend
-    on (model costs do not enter them, and ``_pilot_cost`` charges the
-    pilot), so a cached result is never stale; the two entries hold a
-    replicate's plain and Sobol draws, so each pilot draw is evaluated once
-    per replicate however many statistics read it. The cached evaluations
-    are only read.
-    """
-    hierarchy = get_hierarchy(hierarchy_name, n_points=n_points)
-    draw = build_sobol_block if sobol else draw_inputs
-    samples = draw(hierarchy, pilot_size, (seed, _PILOT, rep))
-    evals = evaluate_nested(hierarchy, samples, [pilot_size] * hierarchy.n_models)
-    if mode == "nonlinear":
-        evals = apply_bridges(evals, _fit_bridges(hierarchy_name, n_points, n_train, seed, rep))
-    return evals
+    bridges = tuple(GaussianProcessBridge().fit(train.outputs[i][:, 0], hf) for i in range(1, k))
+    return apply_bridges(evals, bridges), bridges
 
 
 def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
@@ -307,29 +286,19 @@ def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
 
     Returns (stats, bridges, pilot cost); bridges is None in linear mode.
     The pilot and training streams do not depend on the statistic, so every
-    statistic of a replicate sees the same pilot samples and the same
-    bridges. Each pilot draw (plain, or a Sobol block) is evaluated once
-    per replicate by ``_pilot_evaluations``, and the bridges are fitted
-    once by ``_fit_bridges``; this stage only estimates the statistic's
-    pilot statistics from the shared evaluations.
+    statistic of a replicate reads the one pilot of ``_replicate_pilot``:
+    a Sobol block when any statistic of the config (or ``stat``) needs one,
+    whose base column plain statistics read, else plain rows. This stage
+    only estimates the statistic's pilot statistics from it.
     """
-    evals = _pilot_evaluations(
-        config.hierarchy,
-        config.n_points,
-        config.pilot_size,
-        config.seed,
-        rep,
-        stat.needs_sobol_block,
-        config.mode,
-        config.regression_train_size,
+    sobol = any(STATISTICS[s].needs_sobol_block for s in (*config.statistics, stat.label))
+    n_train = config.regression_train_size if config.mode == "nonlinear" else None
+    evals, bridges = _replicate_pilot(
+        config.hierarchy, config.n_points, config.pilot_size, config.seed, rep, sobol, n_train
     )
-    kind = "raw" if stat.label == "expectation" else "q"
-    bridges = None
-    if config.mode == "nonlinear":
-        bridges = _fit_bridges(
-            config.hierarchy, config.n_points, config.regression_train_size, config.seed, rep
-        )
-        kind = "g"
+    if sobol and not stat.needs_sobol_block:
+        evals = NestedEvaluations([o[:, :1] for o in evals.outputs], evals.m, evals.cost)
+    kind = "g" if bridges is not None else "raw" if stat.label == "expectation" else "q"
     stats = estimate_q_stats(evals, stat, kind=kind)
     return stats, bridges, _pilot_cost(config, hierarchy, stat)
 
@@ -361,10 +330,8 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     """One full pilot -> allocation -> estimation pass.
 
     ``budget`` is in high-fidelity-equivalent units, or None in tolerance
-    mode. The pilot streams are shared across statistics (the same pilot
-    samples are reused for every statistic of a replicate), and each pilot
-    draw is evaluated once per replicate (``_pilot_evaluations``);
-    estimation streams are statistic-specific.
+    mode. Every statistic of a replicate reads one pilot draw, evaluated
+    once (``_pilot_stage``); estimation streams are statistic-specific.
     """
     hierarchy = config.build_hierarchy()
     stat = STATISTICS[stat_label]
@@ -372,9 +339,8 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     plan, budget_abs, weights = _plan_stage(config, hierarchy, stat, stats, budget, pilot_cost)
 
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
-    samples = _draw(hierarchy, stat, int(plan.m.max()), est_seed)
-    factor = _cost_factor(hierarchy, stat)
-    est_evals = sum_for_plan(hierarchy, plan, samples, stat, factor, bridges)
+    samples = _draw(hierarchy, stat.needs_sobol_block, int(plan.m.max()), est_seed)
+    est_evals = sum_for_plan(hierarchy, plan, samples, stat, bridges)
     report = mfmc_statistic(est_evals, plan, stat)
 
     return {
@@ -397,7 +363,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
 
 
 def _replicate_task(payload):
-    """Every configured statistic of one replicate, in order, so they share its bridges."""
+    """Every configured statistic of one replicate, in order, so they share its pilot."""
     config = StudyConfig.from_dict(payload["config"])
     return [
         run_replicate(config, stat_label, payload["budget"], payload["replicate"])
@@ -556,8 +522,9 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     """Run all configured statistics at one budget (or tolerance); write reports.
 
     Each replicate runs every statistic in turn (replicates are spread over
-    ``jobs`` worker processes), so in nonlinear mode the statistics of a
-    replicate share one bridge fit. Produces, in the output directory:
+    ``jobs`` worker processes), so the statistics of a replicate share one
+    pilot evaluation and, in nonlinear mode, one bridge fit. Produces, in
+    the output directory:
     ``allocation_<stat>.csv`` with the averaged sample counts,
     coefficients, and correlations per model;
     ``replicates_<stat>.csv`` with one row per replicate and component; and
@@ -663,7 +630,7 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
         stats = [stat for stat in stats if stat.needs_sobol_block == sobol]
         if not stats:
             continue
-        samples = _draw(hierarchy, stats[0], n, (config.seed, _REFERENCE))
+        samples = _draw(hierarchy, sobol, n, (config.seed, _REFERENCE))
         sums = _sum_counts(hierarchy, samples, m, [stat.fold for stat in stats])
         for stat in stats:
             table[stat.label] = [float(v) for v in stat.single_level(sums, 0, n)]
@@ -679,8 +646,7 @@ def run_pilot(config: StudyConfig, out_dir=None) -> dict:
     """Estimate and save the pilot statistics for each configured statistic.
 
     These are the pilot statistics of replicate 0 of a study on the same
-    config. Statistics on the same draw share one evaluation of it: each
-    pilot draw is evaluated once.
+    config, read from its one pilot evaluation (``_pilot_stage``).
     """
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)

@@ -1,5 +1,10 @@
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from conftest import (
     random_admissible_instance,
     telescoping_mse,
 )
+import mfmc
 from mfmc.allocation import (
     AggregatedStats,
     CostModel,
@@ -428,6 +434,53 @@ def test_rounding_at_huge_budgets_stays_at_the_continuous_optimum(budget):
     s = float(np.sum(np.sqrt(w[plan.chain] * (v[:-1] - v[1:]))))
     assert plan.predicted_mse == pytest.approx(s**2 / budget, rel=2e-12)
     assert plan.budget_used <= budget * (1 + 1e-9)
+
+
+_EXTREME_CALLS = """
+import json, sys, time, warnings
+import numpy as np
+from mfmc.allocation import AggregatedStats, CostModel, optimal_allocation
+from mfmc.errors import InfeasibleBudgetError
+
+warnings.simplefilter("error", RuntimeWarning)
+costs = CostModel(np.array([1.0, float(sys.argv[1])]))
+for budget in map(float, sys.argv[2:]):
+    start = time.perf_counter()
+    try:
+        plan = optimal_allocation(AggregatedStats(1.0, np.array([1.0, 0.5])), costs, budget)
+        outcome = [[int(c) for c in plan.m], plan.budget_used]
+    except InfeasibleBudgetError as exc:
+        outcome = str(exc)
+    print(json.dumps([budget, time.perf_counter() - start, outcome]), flush=True)
+"""
+
+
+@pytest.mark.parametrize("cost", [1e-12, 1e-16, 1e-30, 1e-300, 5e-324])
+def test_tiny_costs_and_huge_budgets_end_in_a_plan_or_a_named_error(cost):
+    # Past 2**53, w * (m + 1) rounds to w * m, so a loop stepping a count
+    # up need never end (cost 1e-30 at budget 10): the calls run in a child
+    # process that a timeout ends; RuntimeWarnings are errors there, as in
+    # this suite.
+    budgets = [10.0, 1e8, 1e12, 1e100, 1e300]
+    src = str(Path(mfmc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXTREME_CALLS, repr(cost), *map(repr, budgets)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [budget for budget, _, _ in results] == budgets
+    for budget, seconds, outcome in results:
+        assert seconds < 10.0
+        if isinstance(outcome, str):
+            assert "model 0" in outcome or "model 1" in outcome
+        else:
+            counts, used = outcome
+            assert max(counts) <= 2**53
+            assert used <= budget * (1 + 1e-9)
 
 
 def test_chain_search_reaches_near_tie_chains():

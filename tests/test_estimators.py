@@ -12,6 +12,7 @@ from mfmc.errors import EvaluationError, NotFittedError
 from mfmc.estimators import (
     STATISTICS,
     evaluate_for_plan,
+    evaluate_sobol_for_plan,
     mfmc_expectation,
     mfmc_nonlinear,
     mfmc_statistic,
@@ -26,7 +27,7 @@ from mfmc.hierarchy import (
     quintic_hierarchy,
     synthetic_field_hierarchy,
 )
-from mfmc.pilot import estimate_moment_stats, pilot_stats_from_exact
+from mfmc.pilot import estimate_moment_stats, estimate_q_stats, pilot_stats_from_exact
 from mfmc.regression import GaussianProcessBridge
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
@@ -653,9 +654,23 @@ def _sobol_streamed_and_held(m, stat_label, seed=5):
     plan = _manual_plan(m, np.random.default_rng(seed).uniform(0.2, 1.2, (3, 3)))
     block = build_sobol_block(h, int(max(m)), seed)
     stat = STATISTICS[stat_label]
-    streamed = sum_for_plan(h, plan, block, stat, 5.0)
-    held = evaluate_for_plan(h, plan, block, 5.0)
+    streamed = sum_for_plan(h, plan, block, stat)
+    held = evaluate_for_plan(h, plan, block)
     return streamed, held, mfmc_statistic(streamed, plan, stat), mfmc_statistic(held, plan, stat)
+
+
+def test_a_plans_block_is_charged_the_plans_budget():
+    # a plan solved at costs x (d + 2) spends its budget on a Sobol block,
+    # and every evaluation of that block charges d + 2 runs per row unasked
+    h = ishigami_hierarchy()
+    stat = STATISTICS["sobol-total"]
+    stats = estimate_q_stats(evaluate_nested(h, build_sobol_block(h, 100, 1), [100] * 3), stat)
+    plan = optimal_allocation(stats, CostModel(h.costs * 5.0), 40.0, min_samples=2)
+    block = build_sobol_block(h, int(plan.m.max()), 2)
+    assert plan.budget_used == 40.0
+    assert evaluate_for_plan(h, plan, block).cost == plan.budget_used
+    assert evaluate_sobol_for_plan(h, plan, block).cost == plan.budget_used
+    assert sum_for_plan(h, plan, block, stat).cost == plan.budget_used
 
 
 @pytest.mark.parametrize("stat_label", ["sobol-main", "sobol-total"])
@@ -820,7 +835,7 @@ def test_streamed_sobol_memory_is_bounded(stat_label):
     plan = _manual_plan(m, np.ones((3, 3)))
     block = build_sobol_block(h, max(m), 3)  # drawn outside the traced region
     stat = STATISTICS[stat_label]
-    peak = traced_peak(lambda: mfmc_statistic(sum_for_plan(h, plan, block, stat, 5.0), plan, stat))
+    peak = traced_peak(lambda: mfmc_statistic(sum_for_plan(h, plan, block, stat), plan, stat))
     held = sum(m) * 5 * 8
     assert held > 20 * _ROW_BLOCK_BYTES  # what holding the outputs would take
     assert peak < 6 * _ROW_BLOCK_BYTES

@@ -123,8 +123,8 @@ def test_sobol_cost_counts_d_plus_two_blocks():
     h = ishigami_hierarchy()
     block = build_sobol_block(h, 10, 3)
     assert sobol_cost_factor(3) == 5.0
-    evals = evaluate_nested(h, block, [10, 10, 10], sobol_cost_factor(3))
-    assert evals.cost == pytest.approx(5 * 10 * (1 + 0.05 + 0.001))
+    # the block itself fixes the d + 2 runs per row: 5 * 10 * (1 + 0.05 + 0.001)
+    assert evaluate_nested(h, block, [10, 10, 10]).cost == 52.55
 
 
 def test_sobol_block_outputs_are_d_plus_two_contiguous_columns():

@@ -109,7 +109,7 @@ def test_bridges_fit_once_per_replicate(tmp_path, monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(GaussianProcessBridge, "fit", counted)
-    study._fit_bridges.cache_clear()
+    study._replicate_pilot.cache_clear()
     config = _bridged_config(tmp_path)
     run_study(config)
     # one GP per low-fidelity model and replicate, shared by both statistics
@@ -129,8 +129,7 @@ def test_bridge_memo_never_stale(tmp_path):
     ]
     interleaved = [run_replicate(variants[v], stat, 40.0, rep) for v, stat, rep in calls]
     for (v, stat, rep), rec in zip(calls, interleaved):
-        study._fit_bridges.cache_clear()
-        study._pilot_evaluations.cache_clear()
+        study._replicate_pilot.cache_clear()
         _same_record(rec, run_replicate(variants[v], stat, 40.0, rep))
 
 
@@ -146,13 +145,21 @@ def test_pilot_draws_evaluated_once_per_replicate(tmp_path, monkeypatch):
         return original(hierarchy, samples, *args)
 
     monkeypatch.setattr(study, "evaluate_nested", counted)
-    study._pilot_evaluations.cache_clear()
+    study._replicate_pilot.cache_clear()
     config = _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), replicates=3)
     run_study(config)
-    # per replicate, one plain draw (expectation, variance) and one Sobol
-    # block (sobol-main, sobol-total), not one draw per statistic
-    assert len(evaluated) == 2 * config.replicates
-    assert sum(isinstance(s, SobolSampleBlock) for s in evaluated) == config.replicates
+    # per replicate, one Sobol block, whose base column the plain statistics
+    # (expectation, variance) read, not one draw per statistic
+    assert len(evaluated) == config.replicates
+    assert all(isinstance(s, SobolSampleBlock) for s in evaluated)
+
+
+def test_each_statistic_is_charged_the_pilot_of_its_draw_kind(tmp_path):
+    # one pilot block is evaluated per replicate, but each statistic is still
+    # charged 100 plain rows (105.1) or 100 block rows at d + 2 runs (525.5)
+    config = _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), pilot_size=100)
+    charges = [run_replicate(config, stat, 160.0, 0)["pilot_cost"] for stat in _ALL_STATISTICS]
+    assert charges == [105.1, 105.1, 525.5, 525.5]
 
 
 def test_pilot_memo_never_stale(tmp_path):
@@ -171,7 +178,7 @@ def test_pilot_memo_never_stale(tmp_path):
     ]
     interleaved = [run_replicate(variants[v], stat, 160.0, rep) for v, stat, rep in calls]
     for (v, stat, rep), rec in zip(calls, interleaved):
-        study._pilot_evaluations.cache_clear()
+        study._replicate_pilot.cache_clear()
         _same_record(rec, run_replicate(variants[v], stat, 160.0, rep))
 
 
@@ -711,9 +718,9 @@ def test_replicate_estimates_through_one_sum_for_plan_call(monkeypatch, override
     expected = run_replicate(config, stat, 20.0, 0)
     calls = []
 
-    def held(hierarchy, plan, samples, statistic, cost_factor, bridges):
+    def held(hierarchy, plan, samples, statistic, bridges):
         calls.append(statistic.label)
-        evals = estimators.evaluate_for_plan(hierarchy, plan, samples, cost_factor)
+        evals = estimators.evaluate_for_plan(hierarchy, plan, samples)
         return evals if bridges is None else estimators.apply_bridges(evals, bridges)
 
     monkeypatch.setattr(study, "sum_for_plan", held)
