@@ -35,7 +35,8 @@ class PilotStats:
     ``rho[i, j]`` its correlation with model 0 there (row 0 is all ones, and
     every entry is clamped to [-1, 1] against floating-point roundoff).
     ``kind`` records which transform produced the values: "raw", "q"
-    (statistic contributions) or "g" (bridged).
+    (statistic contributions) or "g" (bridged). ``cost`` is the pilot's
+    charge in cost units; in a study, this statistic's share of it.
     """
 
     kind: str
@@ -44,6 +45,7 @@ class PilotStats:
     n_samples: int
     statistic: str = "expectation"
     degenerate: np.ndarray | None = None
+    cost: float = 0.0
 
     def __post_init__(self):
         self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
@@ -72,6 +74,7 @@ class PilotStats:
             "sigma": _clean(self.sigma),
             "rho": _clean(self.rho),
             "degenerate": [bool(b) for b in self.degenerate],
+            "cost": float(self.cost),
         }
 
     @classmethod
@@ -81,6 +84,9 @@ class PilotStats:
                 [[np.nan if v is None else float(v) for v in row] for row in rows]
             )
 
+        if "cost" not in d:
+            # A default of 0 would silently drop the pilot from include_pilot_cost.
+            raise ValueError("pilot file has no 'cost' key; rerun the pilot subcommand")
         return cls(
             kind=d["kind"],
             sigma=_arr(d["sigma"]),
@@ -88,6 +94,7 @@ class PilotStats:
             n_samples=int(d["n_samples"]),
             statistic=d.get("statistic", "expectation"),
             degenerate=np.array(d["degenerate"], dtype=bool),
+            cost=float(d["cost"]),
         )
 
     def save(self, path):
@@ -128,7 +135,7 @@ def estimate_q_stats(evals, statistic, kind: str = "q") -> PilotStats:
     the samples every model shares.
 
     ``evals`` may be raw, bridged or Sobol-block evaluations; ``kind`` is
-    stored as the result's label.
+    stored as the result's label, and ``evals.cost`` as its cost.
     """
     if isinstance(statistic, str):
         statistic = STATISTICS[statistic]
@@ -159,7 +166,7 @@ def estimate_q_stats(evals, statistic, kind: str = "q") -> PilotStats:
         rho[i] = np.clip(r, -1.0, 1.0)
     if np.any(degenerate):
         rho[1:, degenerate] = np.nan
-    return PilotStats(kind, sigma, rho, n, statistic.label, degenerate)
+    return PilotStats(kind, sigma, rho, n, statistic.label, degenerate, float(evals.cost))
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the

@@ -31,7 +31,7 @@ from .allocation import (
     budget_for_tolerance,
     optimal_allocation,
 )
-from .errors import MFMCError, UnknownNameError
+from .errors import InfeasibleBudgetError, MFMCError, UnknownNameError
 from .estimators import STATISTICS, apply_bridges, mfmc_statistic, sum_for_plan
 from .hierarchy import (
     HIERARCHY_NAMES,
@@ -70,10 +70,11 @@ class StudyConfig:
 
     Budgets are in high-fidelity-equivalent units p (total cost divided by
     the high-fidelity cost, so p * costs[0] in cost units). Exactly one of
-    ``budgets``/``tolerance`` must be set. Pilot cost is reported
-    separately and only subtracted from a given budget when
-    ``include_pilot_cost`` is set; a tolerance budget is never reduced by
-    it.
+    ``budgets``/``tolerance`` must be set. A replicate's one pilot is
+    charged once, split equally among the statistics that share it, and
+    every record and ``total_cost`` counts that share. With
+    ``include_pilot_cost`` a given budget also pays for it; a tolerance
+    budget is never reduced by it.
     """
 
     hierarchy: str = "ishigami"
@@ -243,32 +244,23 @@ def _draw(hierarchy, sobol: bool, n: int, seed):
     return draw_inputs(hierarchy, n, seed)
 
 
-def _pilot_cost(config: StudyConfig, hierarchy, stat) -> float:
-    """Cost of the pilot stage: the pilot rows, plus the bridge training rows."""
-    k = hierarchy.n_models
-    factor = _cost_factor(hierarchy, stat)
-    cost = float(np.dot(hierarchy.costs, [config.pilot_size] * k) * factor)
-    if config.mode == "nonlinear":
-        cost += float(np.dot(hierarchy.costs, [config.regression_train_size] * k))
-    return cost
-
-
 @functools.lru_cache(maxsize=1)
-def _replicate_pilot(hierarchy_name, n_points, pilot_size, seed, rep, sobol, n_train) -> tuple:
+def _replicate_pilot(hierarchy_name, n_points, costs, pilot_size, seed, rep, sobol, n_train):
     """(evaluations, bridges) of the pilot of replicate ``rep``.
 
     One draw from the pilot stream (seed, _PILOT, rep), a Sobol block when
-    ``sobol`` is set, else plain rows, on which every model is evaluated
-    once. Unless ``n_train`` is None (linear mode, where bridges is None),
-    one GP bridge per low-fidelity model is fitted on (low, high) output
-    pairs of ``n_train`` rows from the training stream (seed, _TRAIN, rep),
-    and the low-fidelity pilot outputs go through it. The arguments are
-    everything the result depends on (model costs do not enter it, and
-    ``_pilot_cost`` charges the pilot), so a cached result is never stale;
-    the single entry lets the statistics of one replicate share it while
-    memory stays bounded. The cached result is only read.
+    ``sobol`` is set, else plain rows, on which every model of the
+    hierarchy with model costs ``costs`` (None for the defaults) is
+    evaluated once. Unless ``n_train`` is None (linear mode, where bridges
+    is None), one GP bridge per low-fidelity model is fitted on (low, high)
+    output pairs of ``n_train`` rows from the training stream (seed,
+    _TRAIN, rep), and the low-fidelity pilot outputs go through it. The
+    evaluations' cost is every model run made here, training included. The
+    arguments are everything the result depends on, so a cached result is
+    never stale; the single entry lets the statistics of one replicate
+    share it while memory stays bounded. The cached result is only read.
     """
-    hierarchy = get_hierarchy(hierarchy_name, n_points=n_points)
+    hierarchy = get_hierarchy(hierarchy_name, costs=costs, n_points=n_points)
     k = hierarchy.n_models
     samples = _draw(hierarchy, sobol, pilot_size, (seed, _PILOT, rep))
     evals = evaluate_nested(hierarchy, samples, [pilot_size] * k)
@@ -278,40 +270,43 @@ def _replicate_pilot(hierarchy_name, n_points, pilot_size, seed, rep, sobol, n_t
     train = evaluate_nested(hierarchy, rows, [n_train] * k)
     hf = train.outputs[0][:, 0]
     bridges = tuple(GaussianProcessBridge().fit(train.outputs[i][:, 0], hf) for i in range(1, k))
-    return apply_bridges(evals, bridges), bridges
+    bridged = apply_bridges(evals, bridges).outputs
+    return NestedEvaluations(bridged, evals.m, evals.cost + train.cost), bridges
 
 
-def _pilot_stage(config: StudyConfig, hierarchy, stat, rep: int):
-    """Pilot statistics, bridges and pilot cost of replicate ``rep``.
+def _pilot_stage(config: StudyConfig, stat, rep: int):
+    """(stats, bridges) of ``stat`` in replicate ``rep``; bridges is None in
+    linear mode.
 
-    Returns (stats, bridges, pilot cost); bridges is None in linear mode.
     The pilot and training streams do not depend on the statistic, so every
     statistic of a replicate reads the one pilot of ``_replicate_pilot``:
     a Sobol block when any statistic of the config (or ``stat``) needs one,
-    whose base column plain statistics read, else plain rows. This stage
-    only estimates the statistic's pilot statistics from it.
+    whose base column plain statistics read, else plain rows. Those
+    statistics share its cost equally, and ``stats.cost`` is this one's
+    share: the only pilot charge the plan stage and the records read.
     """
-    sobol = any(STATISTICS[s].needs_sobol_block for s in (*config.statistics, stat.label))
+    sharing = dict.fromkeys((*config.statistics, stat.label))
+    sobol = any(STATISTICS[s].needs_sobol_block for s in sharing)
     n_train = config.regression_train_size if config.mode == "nonlinear" else None
-    evals, bridges = _replicate_pilot(
-        config.hierarchy, config.n_points, config.pilot_size, config.seed, rep, sobol, n_train
-    )
+    key = (config.hierarchy, config.n_points, config.costs, config.pilot_size, config.seed)
+    evals, bridges = _replicate_pilot(*key, rep, sobol, n_train)
     if sobol and not stat.needs_sobol_block:
         evals = NestedEvaluations([o[:, :1] for o in evals.outputs], evals.m, evals.cost)
     kind = "g" if bridges is not None else "raw" if stat.label == "expectation" else "q"
     stats = estimate_q_stats(evals, stat, kind=kind)
-    return stats, bridges, _pilot_cost(config, hierarchy, stat)
+    stats.cost = evals.cost / len(sharing)
+    return stats, bridges
 
 
-def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost):
+def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget):
     """(plan, absolute estimation budget, component weights) of one statistic.
 
     The one plan stage of ``run_replicate`` and ``run_allocate``. ``budget``
     is in high-fidelity-equivalent units, or None in tolerance mode, where
     the estimation budget the tolerance needs is derived from the pilot
-    statistics. With ``include_pilot_cost`` the pilot cost is taken out of
-    a given budget; a tolerance budget is left whole, since the pilot is
-    already paid for, and the pilot cost still counts in the cost ledger.
+    statistics. With ``include_pilot_cost`` the statistic's pilot share
+    (``stats.cost``) is taken out of a given budget; a tolerance budget is
+    left whole, since the pilot is already paid for.
     """
     costs = CostModel(hierarchy.costs * _cost_factor(hierarchy, stat))
     weights = _component_weights(config, hierarchy, stat)
@@ -321,7 +316,14 @@ def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget, pilot_cost)
     else:
         budget_abs = float(budget) * hierarchy.costs[0]
         if config.include_pilot_cost:
-            budget_abs = budget_abs - pilot_cost
+            budget_abs = budget_abs - stats.cost
+            if budget_abs < costs.w[0] * stat.min_samples:
+                raise InfeasibleBudgetError(
+                    f"budgets entry p={float(budget):g} cannot pay for {stat.label}'s pilot "
+                    f"share of {stats.cost / hierarchy.costs[0]:g} HF (pilot_size="
+                    f"{config.pilot_size}, include_pilot_cost=true) and {stat.min_samples} "
+                    "high-fidelity sample(s); raise budgets or lower pilot_size"
+                )
     plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
     return plan, budget_abs, weights
 
@@ -335,11 +337,19 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     """
     hierarchy = config.build_hierarchy()
     stat = STATISTICS[stat_label]
-    stats, bridges, pilot_cost = _pilot_stage(config, hierarchy, stat, rep)
-    plan, budget_abs, weights = _plan_stage(config, hierarchy, stat, stats, budget, pilot_cost)
+    stats, bridges = _pilot_stage(config, stat, rep)
+    plan, budget_abs, weights = _plan_stage(config, hierarchy, stat, stats, budget)
 
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
-    samples = _draw(hierarchy, stat.needs_sobol_block, int(plan.m.max()), est_seed)
+    rows = int(plan.m.max())
+    try:
+        samples = _draw(hierarchy, stat.needs_sobol_block, rows, est_seed)
+    except MemoryError as exc:
+        model = hierarchy.models[plan.chain[-1]].label
+        raise InfeasibleBudgetError(
+            f"{stat_label}: the plan's {rows} input rows, which model {model!r} needs, "
+            "do not fit in memory; lower budgets or raise the low-fidelity costs"
+        ) from exc
     est_evals = sum_for_plan(hierarchy, plan, samples, stat, bridges)
     report = mfmc_statistic(est_evals, plan, stat)
 
@@ -352,7 +362,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
         "values": np.atleast_1d(report.value),
         "predicted_mse": float(plan.predicted_mse),
         "realized_cost": float(est_evals.cost),
-        "pilot_cost": float(pilot_cost),
+        "pilot_cost": stats.cost,
         "m": plan.m.copy(),
         "m_real": plan.m_real.copy(),
         "retained": plan.retained.copy(),
@@ -494,7 +504,6 @@ def _stat_summary(config, records, reference, weights):
     per_comp, total, relative = _empirical_errors(records, reference, weights)
     realized = float(sum(rec["realized_cost"] for rec in records))
     pilot = float(sum(rec["pilot_cost"] for rec in records))
-    total_cost = realized + pilot if config.include_pilot_cost else realized
     out = {
         "mode": config.mode,
         "replicates": len(records),
@@ -509,7 +518,7 @@ def _stat_summary(config, records, reference, weights):
         "predicted_mse_mean": float(np.mean([rec["predicted_mse"] for rec in records])),
         "realized_cost_total": realized,
         "pilot_cost_total": pilot,
-        "total_cost": total_cost,
+        "total_cost": realized + pilot,
         "m_mean": [float(v) for v in np.mean([rec["m"] for rec in records], axis=0)],
         "retained_fraction": [
             float(v) for v in np.mean([rec["retained"] for rec in records], axis=0)
@@ -630,7 +639,12 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
         stats = [stat for stat in stats if stat.needs_sobol_block == sobol]
         if not stats:
             continue
-        samples = _draw(hierarchy, sobol, n, (config.seed, _REFERENCE))
+        try:
+            samples = _draw(hierarchy, sobol, n, (config.seed, _REFERENCE))
+        except MemoryError as exc:
+            raise InfeasibleBudgetError(
+                f"reference_samples={n} input rows do not fit in memory; lower reference_samples"
+            ) from exc
         sums = _sum_counts(hierarchy, samples, m, [stat.fold for stat in stats])
         for stat in stats:
             table[stat.label] = [float(v) for v in stat.single_level(sums, 0, n)]
@@ -651,10 +665,9 @@ def run_pilot(config: StudyConfig, out_dir=None) -> dict:
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hierarchy = config.build_hierarchy()
     results = {}
     for stat_label in config.statistics:
-        stats, _, _ = _pilot_stage(config, hierarchy, STATISTICS[stat_label], rep=0)
+        stats, _ = _pilot_stage(config, STATISTICS[stat_label], rep=0)
         stats.save(out / f"pilot_{stat_label}.json")
         results[stat_label] = stats
     return results
@@ -664,7 +677,8 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
     """Allocate from previously saved pilot statistics, without new model runs.
 
     The plan equals the one replicate 0 of a study on the same config uses,
-    tolerance mode and ``include_pilot_cost`` included.
+    tolerance mode and ``include_pilot_cost`` included, since each pilot
+    file carries the statistic's pilot share (``PilotStats.cost``).
     """
     config.validate()
     if config.budgets is not None and len(config.budgets) != 1:
@@ -675,13 +689,11 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
     budget = None if config.budgets is None else config.budgets[0]
     plans = {}
     for stat_label in config.statistics:
-        stat = STATISTICS[stat_label]
         pilot_path = out / f"pilot_{stat_label}.json"
         if not pilot_path.exists():
             raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
         stats = PilotStats.load(pilot_path)
-        pilot_cost = _pilot_cost(config, hierarchy, stat)
-        plan, _, _ = _plan_stage(config, hierarchy, stat, stats, budget, pilot_cost)
+        plan, _, _ = _plan_stage(config, hierarchy, STATISTICS[stat_label], stats, budget)
         plan.save(out / f"allocation_{stat_label}.json")
         plans[stat_label] = plan
     return plans

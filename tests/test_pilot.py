@@ -124,8 +124,16 @@ def test_pilot_stats_json_round_trip(tmp_path):
     stats.save(path)
     back = PilotStats.load(path)
     assert back.kind == stats.kind and back.statistic == "variance"
+    assert back.cost == stats.cost == evals.cost
     assert np.allclose(back.sigma, stats.sigma)
     assert np.allclose(back.rho, stats.rho, equal_nan=True)
+
+
+def test_pilot_stats_without_cost_are_refused():
+    d = pilot_stats_from_exact([2.0, 2.0], [1.0, 0.9]).to_dict()
+    del d["cost"]
+    with pytest.raises(ValueError, match="'cost'.*rerun the pilot"):
+        PilotStats.from_dict(d)
 
 
 def test_exact_stats_wrapper():

@@ -236,7 +236,7 @@ def test_quintic_bridges_match_exhaustive_oracle():
     fits = 0
     for seed in (3, 11):
         for rep in range(10):
-            _, bridges = study._replicate_pilot("quintic", 17, 100, seed, rep, False, 100)
+            _, bridges = study._replicate_pilot("quintic", 17, None, 100, seed, rep, False, 100)
             for reg in bridges:
                 _assert_same_fit(reg, exhaustive_gp_fit(reg._x, reg._y))
                 fits += 1

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,10 +9,10 @@ from conftest import traced_peak
 
 from mfmc import estimators, study
 from mfmc.cli import main
-from mfmc.errors import MFMCError, UnknownNameError
+from mfmc.errors import InfeasibleBudgetError, MFMCError, UnknownNameError
 from mfmc.regression import GaussianProcessBridge
 from mfmc.estimators import STATISTICS
-from mfmc.hierarchy import Model
+from mfmc.hierarchy import Model, Uniform
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
@@ -154,15 +155,49 @@ def test_pilot_draws_evaluated_once_per_replicate(tmp_path, monkeypatch):
     assert all(isinstance(s, SobolSampleBlock) for s in evaluated)
 
 
-def test_each_statistic_is_charged_the_pilot_of_its_draw_kind(tmp_path):
-    # one pilot block is evaluated per replicate, but each statistic is still
-    # charged 100 plain rows (105.1) or 100 block rows at d + 2 runs (525.5)
+def test_the_pilot_is_charged_once_in_equal_shares(tmp_path):
+    # one pilot block of 100 rows at d + 2 runs (525.5) is evaluated per
+    # replicate, and the four statistics that read it share its cost equally
     config = _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), pilot_size=100)
     charges = [run_replicate(config, stat, 160.0, 0)["pilot_cost"] for stat in _ALL_STATISTICS]
-    assert charges == [105.1, 105.1, 525.5, 525.5]
+    assert charges == [131.375] * 4
+    assert sum(charges) == 525.5
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"statistics": _ALL_STATISTICS, "budgets": (160.0,)}, id="ishigami"),
+        pytest.param(
+            {"hierarchy": "quintic", "mode": "nonlinear", "statistics": ("expectation", "variance"),
+             "regression_train_size": 20},
+            id="bridged-quintic",
+        ),
+        pytest.param(
+            {"hierarchy": "synthetic-field", "n_points": 5, "costs": (1.0, 0.1, 0.002),
+             "statistics": ("expectation", "variance")},
+            id="field-costs",
+        ),
+    ],
+)
+def test_ledger_equals_the_runs(tmp_path, monkeypatch, overrides):
+    config = _tiny_config(tmp_path, **overrides).validate()
+    charged = []
+    evaluate_batch = Model.evaluate_batch
+
+    def counted(model, inputs):
+        charged.append(len(inputs) * model.cost)
+        return evaluate_batch(model, inputs)
+
+    monkeypatch.setattr(Model, "evaluate_batch", counted)
+    study._replicate_pilot.cache_clear()
+    records = [run_replicate(config, stat, config.budgets[0], 0) for stat in config.statistics]
+    ledger = sum(rec["pilot_cost"] + rec["realized_cost"] for rec in records)
+    assert ledger == pytest.approx(sum(charged), rel=1e-12)
 
 
 def test_pilot_memo_never_stale(tmp_path):
+    # the costs variant draws the same pilot rows but must charge them at its own costs
     variants = {
         "base": _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,)),
         "costs": _tiny_config(
@@ -190,7 +225,11 @@ def test_multi_statistic_study_matches_single_statistic_studies(tmp_path, jobs):
         single = run_study(_bridged_config(tmp_path, statistics=(stat,)), out_dir=out)
         for name in (f"replicates_{stat}.csv", f"allocation_{stat}.csv"):
             assert (out / name).read_bytes() == (tmp_path / "joint" / name).read_bytes()
-        assert single["statistics"][stat] == joint["statistics"][stat]
+        alone, shared = dict(single["statistics"][stat]), dict(joint["statistics"][stat])
+        # the joint study's two statistics share one pilot, and each pays half
+        assert shared.pop("pilot_cost_total") == alone.pop("pilot_cost_total") / 2
+        del shared["total_cost"], alone["total_cost"]
+        assert shared == alone
 
 
 def test_cost_ledger_consistency(tmp_path):
@@ -201,7 +240,7 @@ def test_cost_ledger_consistency(tmp_path):
     costs = [float(r.split(",")[-1]) for r in rows]
     entry = summary["statistics"]["expectation"]
     assert entry["realized_cost_total"] == pytest.approx(sum(costs), rel=1e-9)
-    assert entry["total_cost"] == pytest.approx(entry["realized_cost_total"], rel=1e-9)
+    assert entry["total_cost"] == entry["realized_cost_total"] + entry["pilot_cost_total"]
 
 
 def test_cost_ledger_with_pilot_fold_in(tmp_path):
@@ -412,6 +451,12 @@ def test_pilot_then_allocate_without_reevaluation(tmp_path):
             "pilot_size": 100,
             "include_pilot_cost": True,
         },
+        {
+            "statistics": ("variance", "sobol-total"),
+            "costs": (1.0, 0.1, 0.002),
+            "budgets": (1000.0,),
+            "include_pilot_cost": True,
+        },
     ],
 )
 def test_pilot_then_allocate_matches_replicate_zero(tmp_path, overrides):
@@ -463,6 +508,45 @@ def test_cli_infeasible_budget_is_nonzero_exit(tmp_path, capsys):
     )
     assert code == 2
     assert "budget" in capsys.readouterr().err.lower()
+
+
+def test_a_budget_the_pilot_share_uses_up_is_a_named_error(tmp_path, capsys):
+    # 100 pilot rows cost 105.1 HF, more than the whole budget p = 20
+    words = ["budgets", "p=20", "105.1 HF", "pilot_size=100", "include_pilot_cost"]
+    config = _tiny_config(tmp_path, budgets=(20.0,), pilot_size=100, include_pilot_cost=True)
+    with pytest.raises(InfeasibleBudgetError) as info:
+        run_replicate(config, "expectation", 20.0, 0)
+    assert all(word in str(info.value) for word in words)
+    code = main(
+        ["estimate", "--set", "budgets=[20]", "--set", "pilot_size=100",
+         "--set", "include_pilot_cost=true", "--out-dir", str(tmp_path / "cli")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ")
+    assert all(word in err for word in words)
+
+
+def test_a_draw_that_does_not_fit_in_memory_is_a_named_error(tmp_path, monkeypatch):
+    sample = Uniform.sample
+
+    def limited(self, gen, n):
+        # the pilot still draws; nothing large is ever allocated
+        if n > 10**6:
+            raise MemoryError(f"no memory for {n} rows")
+        return sample(self, gen, n)
+
+    monkeypatch.setattr(Uniform, "sample", limited)
+    # the plan asks for about 4.1e9 rows of the nearly free model 2
+    config = _tiny_config(tmp_path, costs=(1.0, 0.05, 1e-20), budgets=(40.0,))
+    with pytest.raises(InfeasibleBudgetError) as info:
+        run_replicate(config, "expectation", 40.0, 0)
+    message = str(info.value)
+    rows = re.search(r"(\d+) input rows", message)
+    assert rows and int(rows.group(1)) > 10**9
+    assert all(word in message for word in ["expectation", "'f3'", "budgets", "costs"])
+    config = _tiny_config(tmp_path, reference_samples=2 * 10**6)
+    with pytest.raises(InfeasibleBudgetError, match="reference_samples=2000000"):
+        make_reference(config, tmp_path / "ref.json")
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):
@@ -537,6 +621,20 @@ def test_cli_make_reference_and_pilot(tmp_path, capsys):
     )
     assert code == 0
     assert (out / "pilot_expectation.json").exists()
+
+
+def test_cli_pilot_prints_its_cost_and_allocate_refuses_a_file_without_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--set", "pilot_size=30", "--out-dir", str(out)]
+    assert main(["pilot", *args]) == 0
+    assert "pilot[expectation]: N=30 kind=raw cost=31.53" in capsys.readouterr().out
+    path = out / "pilot_expectation.json"
+    stale = json.loads(path.read_text())
+    del stale["cost"]
+    path.write_text(json.dumps(stale))
+    assert main(["allocate", *args]) == 2
+    err = capsys.readouterr().err
+    assert "'cost'" in err and "pilot" in err
 
 
 def test_benchmark_allocation_table_targets(tmp_path):
