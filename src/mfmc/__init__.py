@@ -64,7 +64,6 @@ from .regression import GaussianProcessBridge
 from .sampling import (
     NestedEvaluations,
     SampleSet,
-    SobolSampleBlock,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,

@@ -243,11 +243,11 @@ def _plan_counts(hierarchy: ModelHierarchy, plan, samples) -> np.ndarray:
 def sum_for_plan(hierarchy: ModelHierarchy, plan, samples, statistic, bridges=None) -> PrefixSums:
     """What :func:`mfmc_statistic` reads of ``statistic`` from a plan, without outputs.
 
-    Each retained model is evaluated on ``samples`` (a ``SampleSet``, or a
-    ``SobolSampleBlock`` whose d + 2 input sets are evaluated per row block
-    into d + 2 columns) one row block at a time, and each block is folded
-    by ``statistic.fold`` into its state at the prefixes the combiner
-    reads; no model's outputs are ever held whole. A block row is charged
+    Each retained model is evaluated on ``samples`` (a ``SampleSet``; a
+    Sobol draw's d + 2 input sets give d + 2 columns) one row block at a
+    time, its rows drawn as it goes, and each block is folded by
+    ``statistic.fold`` into its state at the prefixes the combiner reads;
+    no model's inputs or outputs are ever held whole. A block row is charged
     its d + 2 runs (``sampling.sobol_cost_factor``). With ``bridges``
     (``bridges[i-1]`` for model i), each checked low-fidelity block is
     mapped onto the high-fidelity scale before it is folded. Costs, error

@@ -36,7 +36,8 @@ class PilotStats:
     every entry is clamped to [-1, 1] against floating-point roundoff).
     ``kind`` records which transform produced the values: "raw", "q"
     (statistic contributions) or "g" (bridged). ``cost`` is the pilot's
-    charge in cost units; in a study, this statistic's share of it.
+    charge in cost units; in a study, this statistic's share of it, and
+    ``shared_by`` names the statistics that share it.
     """
 
     kind: str
@@ -46,6 +47,7 @@ class PilotStats:
     statistic: str = "expectation"
     degenerate: np.ndarray | None = None
     cost: float = 0.0
+    shared_by: tuple = ()
 
     def __post_init__(self):
         self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
@@ -75,6 +77,7 @@ class PilotStats:
             "rho": _clean(self.rho),
             "degenerate": [bool(b) for b in self.degenerate],
             "cost": float(self.cost),
+            "shared_by": list(self.shared_by),
         }
 
     @classmethod
@@ -95,6 +98,7 @@ class PilotStats:
             statistic=d.get("statistic", "expectation"),
             degenerate=np.array(d["degenerate"], dtype=bool),
             cost=float(d["cost"]),
+            shared_by=tuple(d.get("shared_by", ())),
         )
 
     def save(self, path):

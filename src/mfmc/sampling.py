@@ -6,9 +6,11 @@ position of that stream. Consequences we rely on everywhere:
 
 * prefix stability -- ``draw_inputs(h, m, seed)`` is row-for-row a prefix of
   ``draw_inputs(h, m2, seed)`` for any m2 > m;
-* worker independence -- inputs are drawn up front, model evaluations are
-  pure functions assembled by row index, so parallelism cannot change any
-  result.
+* block invariance -- a :class:`SampleSet` draws its rows a block at a time
+  as they are evaluated, equal to one whole draw bit for bit, so no input
+  matrix is ever held;
+* worker independence -- model evaluations are pure functions assembled by
+  row index, so parallelism cannot change any result.
 
 All models are evaluated on prefixes of one shared input sequence (nested
 sampling); the statistics machinery depends on that sharing. A Sobol block
@@ -55,20 +57,42 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return (int(seed) & 0xFFFFFFFFFFFFFFFF,)
 
 
-def _column_generator(seed, stream: int, column: int) -> np.random.Generator:
-    key = _seed_tuple(seed) + (int(stream), int(column))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """An (m, d) matrix of i.i.d. input samples."""
+    """n i.i.d. input rows, described rather than held: coordinate j is drawn
+    from ``distributions[j]`` on its own Philox stream of ``seed`` as the
+    rows are walked (:meth:`walk`). A Sobol draw (``sobol``) also reads an
+    independent second stream, for the sets of :func:`_sobol_sets`.
+    """
 
-    inputs: np.ndarray
+    distributions: tuple
+    seed: object
+    n: int
+    sobol: bool = False
 
     @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
+    def dimension(self) -> int:
+        return len(self.distributions)
+
+    @functools.cached_property
+    def _seeds(self) -> list:
+        """Each stream's per-coordinate seeds; every walk starts from them."""
+        streams = (BASE_STREAM, SECOND_STREAM) if self.sobol else (BASE_STREAM,)
+        key = _seed_tuple(self.seed)
+        return [[np.random.SeedSequence(key + (s, j)) for j in range(self.dimension)] for s in streams]
+
+    def walk(self, blocks):
+        """The rows of each of ``blocks``, consecutive row slices from row 0,
+        as a tuple of one C-contiguous (k, d) array per stream, base first.
+        The walk's own generators advance block by block, so the rows equal
+        one whole draw's bit for bit."""
+        gens = [[np.random.Generator(np.random.Philox(ss)) for ss in seeds] for seeds in self._seeds]
+        for rows in blocks:
+            k = rows.stop - rows.start
+            yield tuple(
+                np.column_stack([d.sample(g, k) for d, g in zip(self.distributions, stream)])
+                for stream in gens
+            )
 
 
 @dataclass(eq=False)
@@ -76,9 +100,9 @@ class NestedEvaluations:
     """Per-model outputs on nested prefixes of one shared input sequence.
 
     ``outputs[i]`` has shape (m[i], n_out) and was produced by model i on
-    the first m[i] shared input rows. On a :class:`SobolSampleBlock`,
-    n_out is d + 2 (base, second, mixed_1..mixed_d), stored column-major so
-    each column is contiguous.
+    the first m[i] shared input rows. On a Sobol draw, n_out is d + 2
+    (base, second, mixed_1..mixed_d), stored column-major so each column is
+    contiguous.
     """
 
     outputs: list
@@ -112,53 +136,24 @@ class PrefixSums:
         return self.sums[model_index, m][fold]
 
 
-@dataclass(frozen=True, eq=False)
-class SobolSampleBlock:
-    """Base set s and independent second set s2 of a Sobol block.
-
-    Mixed set j equals s2 in every coordinate except coordinate j, which is
-    taken from s. Evaluating one model on all sets therefore costs (d + 2)
-    evaluations per sample. Only s and s2 are stored: the mixed sets are
-    built a row block at a time as they are evaluated (:meth:`row_sets`).
-    """
-
-    base: SampleSet
-    second: SampleSet
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def dimension(self) -> int:
-        return self.base.inputs.shape[1]
-
-    def row_sets(self, rows: slice):
-        """``rows`` of the base, second and mixed_1..mixed_d sets, in that
-        order; each mixed block is built when it is reached."""
-        base, second = self.base.inputs[rows], self.second.inputs[rows]
-        yield base
-        yield second
-        for j in range(self.dimension):
-            mixed = second.copy()
-            mixed[:, j] = base[:, j]
-            yield mixed
+def _sobol_sets(base, second):
+    """A Sobol block's base, second and mixed_1..mixed_d input sets: mixed
+    set j is the second set with coordinate j from the base set, built when
+    it is reached."""
+    yield base
+    yield second
+    for j in range(base.shape[1]):
+        mixed = second.copy()
+        mixed[:, j] = base[:, j]
+        yield mixed
 
 
-def draw_inputs(hierarchy: ModelHierarchy, m: int, seed, stream: int = BASE_STREAM) -> SampleSet:
-    """Draw m rows from the hierarchy's input distribution.
-
-    Rows are generated column-by-column from per-coordinate Philox streams,
-    so the result for a given (seed, stream) is a prefix of any longer draw.
-    """
+def draw_inputs(hierarchy: ModelHierarchy, m: int, seed) -> SampleSet:
+    """m rows from the hierarchy's input distribution, drawn when they are
+    evaluated; for a given seed, a prefix of any longer draw."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    cols = []
-    for j, dist in enumerate(hierarchy.input_distributions):
-        gen = _column_generator(seed, stream, j)
-        cols.append(dist.sample(gen, m))
-    inputs = np.column_stack(cols)
-    return SampleSet(inputs)
+    return SampleSet(hierarchy.input_distributions, seed, int(m))
 
 
 def _validate_m_vec(m_vec, n_models, n_rows):
@@ -199,10 +194,10 @@ def _row_blocks(n_rows: int, width: int) -> list:
 def _output_width(hierarchy: ModelHierarchy, samples) -> int:
     """Output columns of the hierarchy's models on ``samples``.
 
-    A :class:`SobolSampleBlock`'s d + 2 sets give one column each, so its
-    models must have scalar outputs.
+    A Sobol draw's d + 2 sets give one column each, so its models must have
+    scalar outputs.
     """
-    if isinstance(samples, SobolSampleBlock):
+    if samples.sobol:
         if hierarchy.output_length != 1:
             raise ValueError("Sobol evaluation requires scalar-output models")
         return samples.dimension + 2
@@ -227,15 +222,15 @@ def _evaluate_shaped(
     return out
 
 
-def _evaluate_rows(model: Model, samples, rows: slice, model_index: int, width: int) -> np.ndarray:
-    """``model`` on sample ``rows`` of every input set, shape-checked
-    (:func:`_evaluate_shaped`). The d + 2 sets of a Sobol block give one
+def _evaluate_rows(model: Model, drawn: tuple, model_index: int, width: int) -> np.ndarray:
+    """``model`` on every input set of the ``drawn`` rows, shape-checked
+    (:func:`_evaluate_shaped`). The d + 2 sets of a Sobol draw give one
     column each, stored column-major; each mixed set's rows are built just
     before they are evaluated."""
-    if isinstance(samples, SampleSet):
-        return _evaluate_shaped(model, samples.inputs[rows], model_index, width)
-    out = np.empty((rows.stop - rows.start, width), order="F")
-    for c, inputs in enumerate(samples.row_sets(rows)):
+    if len(drawn) == 1:
+        return _evaluate_shaped(model, drawn[0], model_index, width)
+    out = np.empty((len(drawn[0]), width), order="F")
+    for c, inputs in enumerate(_sobol_sets(*drawn)):
         out[:, c] = _evaluate_shaped(model, inputs, model_index, 1)[:, 0]
     return out
 
@@ -444,7 +439,7 @@ def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
     state it was folded into is not finite (:func:`_finite_state`), so
     finite rows are never scanned element by element. The fold's
     arithmetic on a bad block raises no warning (``inf - inf``); ``check``
-    reports the block.
+    reports the block. A block is dropped before the next is made.
     """
     buf = _Scratch(width)
     states = dict.fromkeys(folds)
@@ -460,18 +455,19 @@ def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
             check(rows, start=start)
         if stop in stops:
             out[stop] = states
+        del rows
     return out
 
 
 def _nested_cost(costs, m, samples) -> float:
     """Cost of evaluating model i on m[i] rows of ``samples``: a row of a
-    :class:`SobolSampleBlock` costs its :func:`sobol_cost_factor` runs.
+    Sobol draw costs its :func:`sobol_cost_factor` runs.
 
     The sum runs over the evaluated models (m[i] > 0) only: a dot product
     over zero entries can group the terms differently and round otherwise.
     """
     live = np.flatnonzero(m)
-    runs = sobol_cost_factor(samples.dimension) if isinstance(samples, SobolSampleBlock) else 1.0
+    runs = sobol_cost_factor(samples.dimension) if samples.sobol else 1.0
     return float(np.dot(costs[live], m[live]) * runs)
 
 
@@ -479,15 +475,16 @@ def _evaluate_counts(hierarchy: ModelHierarchy, samples, m) -> NestedEvaluations
     """Model i on the first m[i] rows of ``samples``, checked; m[i] == 0 skips it.
 
     ``m`` is indexed like the hierarchy and already validated; the rest is
-    as in :func:`evaluate_nested`.
+    as in :func:`evaluate_nested`. The rows are drawn once, as one block.
     """
     width = _output_width(hierarchy, samples)
+    (drawn,) = samples.walk([slice(0, int(m.max()))])
     outputs = []
     for i, model in enumerate(hierarchy.models):
         if m[i] == 0:
             outputs.append(np.empty((0, width)))
             continue
-        out = _evaluate_rows(model, samples, slice(0, m[i]), i, width)
+        out = _evaluate_rows(model, tuple(x[: m[i]] for x in drawn), i, width)
         _check_finite(out, model, i)
         outputs.append(out)
     return NestedEvaluations(outputs, m, _nested_cost(hierarchy.costs, m, samples))
@@ -495,19 +492,28 @@ def _evaluate_counts(hierarchy: ModelHierarchy, samples, m) -> NestedEvaluations
 
 def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, width: int, transform):
     """(start, outputs) of ``model`` on the first ``n_rows`` sample rows, one
-    block of the grid of :func:`_row_blocks` at a time.
+    block of the grid of :func:`_row_blocks` at a time. A block's rows are
+    drawn just before they are evaluated, in parts of at most two blocks of
+    input values: smaller parts would bound memory tighter, but make the
+    allocator return and refetch freed pages on every part.
 
     With ``transform``, each block is scanned for finiteness
     (:func:`_check_finite`) and then mapped by ``transform(model_index,
     block)``, which must map each row on its own, as
     ``regression.GaussianProcessBridge`` predicts.
     """
-    for rows in _row_blocks(n_rows, width):
-        out = _evaluate_rows(model, samples, rows, model_index, width)
+    blocks = _row_blocks(n_rows, width)
+    step = 2 * _block_rows(samples.dimension)
+    parts = [[slice(a, min(a + step, b.stop)) for a in range(b.start, b.stop, step)] for b in blocks]
+    walk = samples.walk([part for block_parts in parts for part in block_parts])
+    for rows, block_parts in zip(blocks, parts):
+        out = [_evaluate_rows(model, next(walk), model_index, width) for _ in block_parts]
+        out = out[0] if len(out) == 1 else np.concatenate(out)
         if transform is not None:
             _check_finite(out, model, model_index, rows.start)
             out = transform(model_index, out)
         yield rows.start, out
+        del out  # before the next block is drawn
 
 
 def _sum_counts(hierarchy: ModelHierarchy, samples, m, folds, transform=None) -> PrefixSums:
@@ -521,7 +527,8 @@ def _sum_counts(hierarchy: ModelHierarchy, samples, m, folds, transform=None) ->
     sample as the held path does, or finds finite rows whose sums
     overflowed and lets them fold on. The states are kept at the model's
     own count and at the previous evaluated model's, the prefixes the
-    telescoping combiner reads. One walk per model serves every fold.
+    telescoping combiner reads. One walk per model from row 0 serves every
+    fold, so the first bad model's first bad sample is the one named.
     """
     width = _output_width(hierarchy, samples)
     sums = {}
@@ -541,9 +548,9 @@ def _sum_counts(hierarchy: ModelHierarchy, samples, m, folds, transform=None) ->
 def evaluate_nested(hierarchy: ModelHierarchy, samples, m_vec) -> NestedEvaluations:
     """Evaluate model i on the first m_vec[i] rows of ``samples``.
 
-    ``samples`` is a :class:`SampleSet` or a :class:`SobolSampleBlock`; a
-    block's (d + 2) input sets become output columns of scalar models, and
-    each block row is charged d + 2 runs (:func:`sobol_cost_factor`).
+    ``samples`` is a :class:`SampleSet`; a Sobol draw's (d + 2) input sets
+    become output columns of scalar models, and each of its rows is charged
+    d + 2 runs (:func:`sobol_cost_factor`).
     m_vec must be nondecreasing over evaluated models; zeros are allowed
     only for a trailing run of dropped models. Equal consecutive entries are
     fine (the corresponding telescoping term is exactly zero downstream).
@@ -552,14 +559,12 @@ def evaluate_nested(hierarchy: ModelHierarchy, samples, m_vec) -> NestedEvaluati
     return _evaluate_counts(hierarchy, samples, m)
 
 
-def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SobolSampleBlock:
-    """Draw the base and second input sets of a Sobol block (the mixed sets
-    are built from them as they are evaluated)."""
+def build_sobol_block(hierarchy: ModelHierarchy, m: int, seed) -> SampleSet:
+    """A Sobol draw of m rows: base and second input sets on their own
+    streams, from which the mixed sets are built as they are evaluated."""
     if m < 2:
         raise ValueError("Sobol blocks need m >= 2")
-    s = draw_inputs(hierarchy, m, seed, stream=BASE_STREAM)
-    s2 = draw_inputs(hierarchy, m, seed, stream=SECOND_STREAM)
-    return SobolSampleBlock(s, s2)
+    return SampleSet(hierarchy.input_distributions, seed, int(m), sobol=True)
 
 
 def sobol_cost_factor(dimension: int) -> float:

@@ -239,9 +239,7 @@ def _cost_factor(hierarchy, stat) -> float:
 
 def _draw(hierarchy, sobol: bool, n: int, seed):
     """n input rows: a Sobol block when ``sobol`` is set, else plain draws."""
-    if sobol:
-        return build_sobol_block(hierarchy, n, seed)
-    return draw_inputs(hierarchy, n, seed)
+    return (build_sobol_block if sobol else draw_inputs)(hierarchy, n, seed)
 
 
 @functools.lru_cache(maxsize=1)
@@ -295,6 +293,7 @@ def _pilot_stage(config: StudyConfig, stat, rep: int):
     kind = "g" if bridges is not None else "raw" if stat.label == "expectation" else "q"
     stats = estimate_q_stats(evals, stat, kind=kind)
     stats.cost = evals.cost / len(sharing)
+    stats.shared_by = tuple(sharing)
     return stats, bridges
 
 
@@ -341,15 +340,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     plan, budget_abs, weights = _plan_stage(config, hierarchy, stat, stats, budget)
 
     est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
-    rows = int(plan.m.max())
-    try:
-        samples = _draw(hierarchy, stat.needs_sobol_block, rows, est_seed)
-    except MemoryError as exc:
-        model = hierarchy.models[plan.chain[-1]].label
-        raise InfeasibleBudgetError(
-            f"{stat_label}: the plan's {rows} input rows, which model {model!r} needs, "
-            "do not fit in memory; lower budgets or raise the low-fidelity costs"
-        ) from exc
+    samples = _draw(hierarchy, stat.needs_sobol_block, int(plan.m.max()), est_seed)
     est_evals = sum_for_plan(hierarchy, plan, samples, stat, bridges)
     report = mfmc_statistic(est_evals, plan, stat)
 
@@ -639,12 +630,7 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
         stats = [stat for stat in stats if stat.needs_sobol_block == sobol]
         if not stats:
             continue
-        try:
-            samples = _draw(hierarchy, sobol, n, (config.seed, _REFERENCE))
-        except MemoryError as exc:
-            raise InfeasibleBudgetError(
-                f"reference_samples={n} input rows do not fit in memory; lower reference_samples"
-            ) from exc
+        samples = _draw(hierarchy, sobol, n, (config.seed, _REFERENCE))
         sums = _sum_counts(hierarchy, samples, m, [stat.fold for stat in stats])
         for stat in stats:
             table[stat.label] = [float(v) for v in stat.single_level(sums, 0, n)]
@@ -678,7 +664,8 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
 
     The plan equals the one replicate 0 of a study on the same config uses,
     tolerance mode and ``include_pilot_cost`` included, since each pilot
-    file carries the statistic's pilot share (``PilotStats.cost``).
+    file carries the statistic's pilot share (``PilotStats.cost``) and
+    is refused when other statistics than the config's shared its pilot.
     """
     config.validate()
     if config.budgets is not None and len(config.budgets) != 1:
@@ -693,6 +680,11 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
         if not pilot_path.exists():
             raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
         stats = PilotStats.load(pilot_path)
+        if set(stats.shared_by) != set(config.statistics):
+            raise MFMCError(
+                f"pilot file {pilot_path} was shared by {list(stats.shared_by)}, not by the "
+                f"config's statistics {list(config.statistics)}; rerun the pilot subcommand"
+            )
         plan, _, _ = _plan_stage(config, hierarchy, STATISTICS[stat_label], stats, budget)
         plan.save(out / f"allocation_{stat_label}.json")
         plans[stat_label] = plan

@@ -349,6 +349,27 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def whole_draw(samples):
+    """Every row of ``samples`` (a ``sampling.SampleSet``) in one block: a
+    tuple of one (n, d) array per stream, base first."""
+    (drawn,) = samples.walk([slice(0, samples.n)])
+    return drawn
+
+
+class RowSource:
+    """A fake ``sampling.SampleSet`` that walks given rows: one (n, d) array
+    per stream, base first; two streams make a Sobol draw."""
+
+    def __init__(self, *streams):
+        self.streams = streams
+        self.n, self.dimension = streams[0].shape
+        self.sobol = len(streams) == 2
+
+    def walk(self, blocks):
+        for rows in blocks:
+            yield tuple(x[rows] for x in self.streams)
+
+
 class IdentityBridge:
     """A fitted bridge that maps every low-fidelity output to itself."""
 

@@ -11,7 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_best_two, random_admissible_instance, telescoping_mse
+from conftest import (
+    brute_force_best_two,
+    random_admissible_instance,
+    telescoping_mse,
+    whole_draw,
+)
 from mfmc.allocation import (
     CostModel,
     aggregate_vector_stats,
@@ -78,7 +83,7 @@ def test_criterion_1_ishigami_expectation(ishigami_expectation_records):
     mc = np.empty(len(records))
     for r in range(len(records)):
         s = draw_inputs(h, 160, (5150, r))
-        mc[r] = h.models[0].evaluate_batch(s.inputs)[:, 0].mean()
+        mc[r] = h.models[0].evaluate_batch(whole_draw(s)[0])[:, 0].mean()
     mse_mfmc = float(np.mean((values - ishigami_mean()) ** 2))
     mse_mc = float(np.mean((mc - ishigami_mean()) ** 2))
     elapsed = time.time() - t0

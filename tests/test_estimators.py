@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfmc.sampling
-from conftest import IdentityBridge, telescoping_mse, traced_peak
+from conftest import IdentityBridge, RowSource, telescoping_mse, traced_peak, whole_draw
 from mfmc.allocation import AllocationPlan, CostModel, optimal_allocation
 from mfmc.errors import EvaluationError, NotFittedError
 from mfmc.estimators import (
@@ -32,8 +32,6 @@ from mfmc.regression import GaussianProcessBridge
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
-    SampleSet,
-    SobolSampleBlock,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -261,7 +259,7 @@ def test_variance_statistic_memory_is_bounded():
 def test_large_sample_ishigami_variance():
     h = ishigami_hierarchy()
     s = draw_inputs(h, 1_000_000, 55)
-    y = h.models[0].evaluate_batch(s.inputs)
+    y = h.models[0].evaluate_batch(whole_draw(s)[0])
     from mfmc.hierarchy import ishigami_variance
 
     assert abs(_single_level("variance", y)[0] - ishigami_variance()) < 0.1
@@ -333,7 +331,7 @@ def test_single_model_plan_reduces_to_single_level():
     samples = draw_inputs(h, 40, 2)
     evals = evaluate_for_plan(h, plan, samples)
     rep = mfmc_statistic(evals, plan, STATISTICS["variance"])
-    y = h.models[0].evaluate_batch(samples.inputs[:40])[:, 0]
+    y = h.models[0].evaluate_batch(whole_draw(samples)[0][:40])[:, 0]
     assert rep.value[0] == pytest.approx(np.var(y, ddof=1))
 
 
@@ -468,7 +466,7 @@ def test_mfmc_variance_beats_plain_variance_at_equal_cost():
     plain = np.empty(reps)
     for r in range(reps):
         s = draw_inputs(h, 160, (4242, r))
-        plain[r] = np.var(h.models[0].evaluate_batch(s.inputs)[:, 0], ddof=1)
+        plain[r] = np.var(h.models[0].evaluate_batch(whole_draw(s)[0])[:, 0], ddof=1)
     truth = ishigami_variance()
     assert np.mean((vals - truth) ** 2) < np.mean((plain - truth) ** 2)
 
@@ -780,9 +778,9 @@ def _index_sobol_block(n):
     base rows are (r, 10) and second rows (-r - 1, 20), so the mixed sets
     are (r, 20) and (-r - 1, 10)."""
     r = np.arange(n, dtype=float)
-    base = SampleSet(np.column_stack([r, np.full(n, 10.0)]))
-    second = SampleSet(np.column_stack([-r - 1, np.full(n, 20.0)]))
-    return SobolSampleBlock(base, second)
+    return RowSource(
+        np.column_stack([r, np.full(n, 10.0)]), np.column_stack([-r - 1, np.full(n, 20.0)])
+    )
 
 
 def _row_and_set(z):
@@ -833,12 +831,17 @@ def test_streamed_sobol_memory_is_bounded(stat_label):
     h = ishigami_hierarchy()
     m = [20_000, 80_000, 200_000]
     plan = _manual_plan(m, np.ones((3, 3)))
-    block = build_sobol_block(h, max(m), 3)  # drawn outside the traced region
     stat = STATISTICS[stat_label]
-    peak = traced_peak(lambda: mfmc_statistic(sum_for_plan(h, plan, block, stat), plan, stat))
+
+    def run():
+        block = build_sobol_block(h, max(m), 3)
+        return mfmc_statistic(sum_for_plan(h, plan, block, stat), plan, stat)
+
+    peak = traced_peak(run)
     held = sum(m) * 5 * 8
     assert held > 20 * _ROW_BLOCK_BYTES  # what holding the outputs would take
-    assert peak < 6 * _ROW_BLOCK_BYTES
+    # the base and second sets alone would take 2 x 4.8 MB
+    assert peak < 6 * _ROW_BLOCK_BYTES  # inputs, outputs and folds together
 
 
 @pytest.mark.parametrize("stat_label", ["expectation", "variance"])
@@ -847,14 +850,17 @@ def test_streamed_bridged_memory_is_bounded(stat_label):
     bridges = _quintic_bridges()
     m = [20_000, 100_000, 400_000]
     plan = _manual_plan(m, np.ones((3, 1)))
-    samples = draw_inputs(h, max(m), 4)  # drawn outside the traced region
     stat = STATISTICS[stat_label]
-    peak = traced_peak(
-        lambda: mfmc_statistic(sum_for_plan(h, plan, samples, stat, bridges=bridges), plan, stat)
-    )
+
+    def run():
+        samples = draw_inputs(h, max(m), 4)
+        return mfmc_statistic(sum_for_plan(h, plan, samples, stat, bridges=bridges), plan, stat)
+
+    peak = traced_peak(run)
     held = sum(m) * 8
     assert held > 6 * _ROW_BLOCK_BYTES  # the raw outputs alone, before their bridged copies
-    assert peak < 6 * _ROW_BLOCK_BYTES
+    # the inputs alone would take 9.6 MB
+    assert peak < 6 * _ROW_BLOCK_BYTES  # inputs, outputs and folds together
 
 
 class _BadRows:
@@ -872,7 +878,7 @@ class _BadRows:
 
 
 def _index_samples(n):
-    return SampleSet(np.arange(n, dtype=float)[:, None])
+    return RowSource(np.arange(n, dtype=float)[:, None])
 
 
 def _check_first_non_finite_named(stat_label, width, where, bad, case):

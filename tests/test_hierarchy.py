@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import whole_draw
 from mfmc.errors import UnknownNameError
 from mfmc.hierarchy import (
     get_hierarchy,
@@ -60,7 +61,7 @@ def test_evaluation_determinism():
 def test_ishigami_monte_carlo_moments():
     h = ishigami_hierarchy()
     samples = draw_inputs(h, 1_000_000, 123)
-    y = h.models[0].evaluate_batch(samples.inputs)[:, 0]
+    y = h.models[0].evaluate_batch(whole_draw(samples)[0])[:, 0]
     assert abs(y.mean() - ishigami_mean()) < 0.02
     assert abs(np.var(y, ddof=1) - ishigami_variance()) < 0.1
 
@@ -68,7 +69,7 @@ def test_ishigami_monte_carlo_moments():
 def test_quintic_monte_carlo_mean():
     h = quintic_hierarchy()
     samples = draw_inputs(h, 1_000_000, 5)
-    y = h.models[0].evaluate_batch(samples.inputs)[:, 0]
+    y = h.models[0].evaluate_batch(whole_draw(samples)[0])[:, 0]
     # mean 0.5 exactly; MC noise at 1e6 draws is ~0.01
     assert abs(y.mean() - quintic_mean()) < 0.04
     assert abs(np.var(y, ddof=1) - quintic_variance()) / quintic_variance() < 0.05

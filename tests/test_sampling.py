@@ -5,10 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import whole_draw
 from mfmc.errors import EvaluationError
-from mfmc.hierarchy import ishigami_hierarchy, synthetic_field_hierarchy, Model, ModelHierarchy, Normal
+from mfmc.hierarchy import (
+    Model,
+    ModelHierarchy,
+    Normal,
+    Uniform,
+    ishigami_hierarchy,
+    synthetic_field_hierarchy,
+)
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
+    BASE_STREAM,
+    SECOND_STREAM,
+    SampleSet,
+    _sobol_sets,
     _row_blocks,
     build_sobol_block,
     draw_inputs,
@@ -27,28 +39,51 @@ def test_draw_inputs_prefix_property(m, extra, seed):
     h = ishigami_hierarchy()
     short = draw_inputs(h, m, seed)
     long = draw_inputs(h, m + extra, seed)
-    assert np.array_equal(short.inputs, long.inputs[:m])
+    assert np.array_equal(whole_draw(short)[0], whole_draw(long)[0][:m])
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[65536, 65536, 1], [13107, 13107, 1], [327, 327, 1], [43690, 21846, 43690, 1]],
+    ids=["scalar", "d=3 Sobol", "200-point field", "d=3 scalar parts"],
+)
+def test_block_draws_equal_one_whole_draw(sizes):
+    # a walk draws on the row-block grid of the outputs it feeds: 65,536
+    # rows for scalar outputs (in parts of 43,690 rows at d = 3), 13,107
+    # for a d = 3 Sobol block, 327 for the 200-point field; each split here
+    # ends in a lone row
+    dists = (Uniform(-np.pi, np.pi), Normal(0.0, 1.0), Uniform(0.0, 1.0))
+    edges = np.cumsum([0, *sizes])
+    n, seed = int(edges[-1]), (3, 7)
+    parts = list(SampleSet(dists, seed, n, sobol=True).walk(map(slice, edges[:-1], edges[1:])))
+    assert [len(part[0]) for part in parts] == sizes
+    for s, stream in enumerate((BASE_STREAM, SECOND_STREAM)):
+        rows = np.concatenate([part[s] for part in parts])
+        assert rows.shape == (n, 3)
+        for j, dist in enumerate(dists):
+            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((*seed, stream, j))))
+            assert np.array_equal(rows[:, j], dist.sample(gen, n))
 
 
 def test_draw_inputs_distribution_mean():
     h = ishigami_hierarchy()
-    s = draw_inputs(h, 1_000_000, 42)
-    assert np.all(np.abs(s.inputs.mean(axis=0)) < 0.01)
-    assert s.inputs.min() >= -np.pi and s.inputs.max() <= np.pi
+    (x,) = whole_draw(draw_inputs(h, 1_000_000, 42))
+    assert np.all(np.abs(x.mean(axis=0)) < 0.01)
+    assert x.min() >= -np.pi and x.max() <= np.pi
 
 
 def test_draw_inputs_seeds_differ():
     h = ishigami_hierarchy()
-    a = draw_inputs(h, 3, 1)
-    b = draw_inputs(h, 3, 2)
-    assert not np.array_equal(a.inputs[0], b.inputs[0])
+    a = whole_draw(draw_inputs(h, 3, 1))[0]
+    b = whole_draw(draw_inputs(h, 3, 2))[0]
+    assert not np.array_equal(a[0], b[0])
 
 
 def test_draw_inputs_normal_coordinates():
     h = synthetic_field_hierarchy(3)
-    s = draw_inputs(h, 200_000, 9)
-    assert np.all(np.abs(s.inputs.mean(axis=0)) < 0.02)
-    assert np.all(np.abs(s.inputs.std(axis=0) - 1.0) < 0.02)
+    (x,) = whole_draw(draw_inputs(h, 200_000, 9))
+    assert np.all(np.abs(x.mean(axis=0)) < 0.02)
+    assert np.all(np.abs(x.std(axis=0) - 1.0) < 0.02)
 
 
 def test_evaluate_nested_shapes_and_shared_inputs():
@@ -58,7 +93,7 @@ def test_evaluate_nested_shapes_and_shared_inputs():
     assert evals.outputs[0].shape == (2, 6)
     assert evals.outputs[1].shape == (5, 6)
     # the first model's rows coincide with the second model's leading rows
-    direct = h.models[1].evaluate_batch(s.inputs[:2])
+    direct = h.models[1].evaluate_batch(whole_draw(s)[0][:2])
     assert np.array_equal(evals.outputs[1][:2], direct)
 
 
@@ -101,8 +136,8 @@ def test_nested_reproducibility_bit_exact():
 def test_sobol_block_swap_structure():
     h = ishigami_hierarchy()
     block = build_sobol_block(h, 6, 13)
-    s, s2 = block.base.inputs, block.second.inputs
-    y1 = list(block.row_sets(slice(0, block.n)))[2]
+    s, s2 = whole_draw(block)
+    y1 = list(_sobol_sets(s, s2))[2]
     assert np.array_equal(y1[:, 0], s[:, 0])
     assert np.array_equal(y1[:, 1:], s2[:, 1:])
     assert not np.array_equal(s, s2)
@@ -111,12 +146,11 @@ def test_sobol_block_swap_structure():
 def test_sobol_block_degenerate_identity():
     # forcing the second set equal to the base set makes every mixed set equal too
     h = ishigami_hierarchy()
-    block = build_sobol_block(h, 4, 5)
-    forced = [block.base.inputs.copy() for _ in range(3)]
-    for j, yj in enumerate(forced):
-        yj[:, j] = block.base.inputs[:, j]
-    for yj in forced:
-        assert np.array_equal(yj, block.base.inputs)
+    base, _ = whole_draw(build_sobol_block(h, 4, 5))
+    mixed = list(_sobol_sets(base, base.copy()))[2:]
+    assert len(mixed) == 3
+    for yj in mixed:
+        assert np.array_equal(yj, base)
 
 
 def test_sobol_cost_counts_d_plus_two_blocks():
@@ -131,7 +165,7 @@ def test_sobol_block_outputs_are_d_plus_two_contiguous_columns():
     h = ishigami_hierarchy()
     block = build_sobol_block(h, 12, 4)
     evals = evaluate_nested(h, block, [5, 12, 0])
-    sets = list(block.row_sets(slice(0, block.n)))
+    sets = list(_sobol_sets(*whole_draw(block)))
     for i, model in enumerate(h.models[:2]):
         out = evals.outputs[i]
         assert out.shape == (evals.m[i], 5)

@@ -1,11 +1,10 @@
 import json
-import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import traced_peak, whole_draw
 
 from mfmc import estimators, study
 from mfmc.cli import main
@@ -16,7 +15,6 @@ from mfmc.hierarchy import Model, Uniform
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
-    SobolSampleBlock,
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
@@ -152,7 +150,7 @@ def test_pilot_draws_evaluated_once_per_replicate(tmp_path, monkeypatch):
     # per replicate, one Sobol block, whose base column the plain statistics
     # (expectation, variance) read, not one draw per statistic
     assert len(evaluated) == config.replicates
-    assert all(isinstance(s, SobolSampleBlock) for s in evaluated)
+    assert all(s.sobol for s in evaluated)
 
 
 def test_the_pilot_is_charged_once_in_equal_shares(tmp_path):
@@ -526,27 +524,22 @@ def test_a_budget_the_pilot_share_uses_up_is_a_named_error(tmp_path, capsys):
     assert all(word in err for word in words)
 
 
-def test_a_draw_that_does_not_fit_in_memory_is_a_named_error(tmp_path, monkeypatch):
+def test_inputs_are_drawn_no_more_than_a_row_block_at_a_time(tmp_path, monkeypatch):
     sample = Uniform.sample
 
     def limited(self, gen, n):
-        # the pilot still draws; nothing large is ever allocated
-        if n > 10**6:
+        if n > _BLOCK_ELEMENTS:
             raise MemoryError(f"no memory for {n} rows")
         return sample(self, gen, n)
 
     monkeypatch.setattr(Uniform, "sample", limited)
-    # the plan asks for about 4.1e9 rows of the nearly free model 2
-    config = _tiny_config(tmp_path, costs=(1.0, 0.05, 1e-20), budgets=(40.0,))
-    with pytest.raises(InfeasibleBudgetError) as info:
-        run_replicate(config, "expectation", 40.0, 0)
-    message = str(info.value)
-    rows = re.search(r"(\d+) input rows", message)
-    assert rows and int(rows.group(1)) > 10**9
-    assert all(word in message for word in ["expectation", "'f3'", "budgets", "costs"])
+    # the plan asks for about 2.4e6 rows of the cheapest model
+    config = _tiny_config(tmp_path, budgets=(1e4,))
+    rec = run_replicate(config, "expectation", 1e4, 0)
+    assert rec["m"].max() >= 2 * 10**6
     config = _tiny_config(tmp_path, reference_samples=2 * 10**6)
-    with pytest.raises(InfeasibleBudgetError, match="reference_samples=2000000"):
-        make_reference(config, tmp_path / "ref.json")
+    table = make_reference(config, tmp_path / "ref.json")
+    assert table["_meta"]["n_samples"] == 2 * 10**6
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):
@@ -637,6 +630,25 @@ def test_cli_pilot_prints_its_cost_and_allocate_refuses_a_file_without_it(tmp_pa
     assert "'cost'" in err and "pilot" in err
 
 
+def test_allocate_refuses_a_pilot_file_shared_by_other_statistics(tmp_path, capsys):
+    # an expectation pilot written alone carries the whole pilot as its
+    # share; shared with variance, replicate 0 charges it half and plans
+    # more samples
+    out = tmp_path / "out"
+    args = ["--set", "seed=5", "--set", "budgets=[200]", "--set", "include_pilot_cost=true",
+            "--out-dir", str(out)]
+    assert main(["pilot", *args]) == 0
+    shared = json.loads((out / "pilot_expectation.json").read_text())["shared_by"]
+    assert shared == ["expectation"]
+    both = ["--set", 'statistics=["expectation","variance"]']
+    assert main(["allocate", *args, *both]) == 2
+    err = capsys.readouterr().err
+    path = str(out / "pilot_expectation.json")
+    assert all(word in err for word in [path, "['expectation']", "['expectation', 'variance']"])
+    assert main(["pilot", *args, *both]) == 0
+    assert main(["allocate", *args, *both]) == 0
+
+
 def test_benchmark_allocation_table_targets(tmp_path):
     """At budget 40 the averaged table lands on the known benchmark numbers."""
     config = _tiny_config(
@@ -717,7 +729,7 @@ def test_reference_expectation_memory_is_bounded(tmp_path):
     assert peak < 16e6  # the high-fidelity outputs alone would take 80 MB
     h = config.build_hierarchy()
     samples = draw_inputs(h, n, (config.seed, study._REFERENCE))
-    outputs = h.models[0].evaluate_batch(samples.inputs)
+    outputs = h.models[0].evaluate_batch(whole_draw(samples)[0])
     assert np.array_equal(table["expectation"], np.add.reduce(outputs, axis=0) / n)
 
 
@@ -736,7 +748,7 @@ def test_reference_variance_memory_is_bounded(tmp_path, monkeypatch, statistics)
     assert peak < 16e6  # the high-fidelity outputs alone would take 80 MB
     h = config.build_hierarchy()
     samples = draw_inputs(h, n, (config.seed, study._REFERENCE))
-    held = NestedEvaluations([h.models[0].evaluate_batch(samples.inputs)], [n], 0.0)
+    held = NestedEvaluations([h.models[0].evaluate_batch(whole_draw(samples)[0])], [n], 0.0)
     for label in statistics:
         expected = STATISTICS[label].single_level(held, 0, n)
         assert np.array_equal(table[label], expected)
@@ -753,13 +765,30 @@ def test_reference_variance_memory_is_bounded(tmp_path, monkeypatch, statistics)
     assert sum(rows) == n
 
 
-def test_reference_sobol_inputs_are_held_twice_not_d_plus_two_times(tmp_path):
-    n = 200_000
-    config = StudyConfig(hierarchy="ishigami", statistics=("sobol-main",), reference_samples=n)
+# Bytes of one row block of scalar outputs, or of one model's outputs on
+# 5-column Sobol blocks (_BLOCK_ELEMENTS float64 values either way).
+_ROW_BLOCK_BYTES = 8 * _BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("statistics", [("expectation", "variance"), ("sobol-main", "sobol-total")])
+def test_reference_inputs_are_drawn_a_row_block_at_a_time(tmp_path, statistics):
+    config = StudyConfig(hierarchy="ishigami", statistics=statistics)
+    assert config.reference_samples == 10**6
     peak = traced_peak(lambda: make_reference(config, tmp_path / "ref.json"))
-    # the base and second sets take 2 x 4.8 MB; holding the d = 3 mixed sets
-    # as well would add 14.4 MB
-    assert peak < 16e6
+    # the inputs alone would take 24 MB, or 48 MB for a Sobol block's base
+    # and second sets
+    assert peak < 6 * _ROW_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("stat", ["expectation", "sobol-total"])
+def test_replicate_memory_does_not_grow_with_the_budget(tmp_path, stat):
+    # the cheapest model's count grows tenfold with the budget (2.5e5 to
+    # 2.5e6 rows for the expectation); its inputs are drawn, and its outputs
+    # folded, a block at a time
+    for budget in (1e3, 1e4):
+        config = _tiny_config(tmp_path, statistics=(stat,), budgets=(budget,), pilot_size=100)
+        peak = traced_peak(lambda: run_replicate(config, stat, budget, 0))
+        assert peak < 6 * _ROW_BLOCK_BYTES
 
 
 @pytest.mark.parametrize(
@@ -769,12 +798,10 @@ def test_reference_sobol_memory_is_bounded(tmp_path, monkeypatch, statistics):
     n = 200_000
     config = StudyConfig(hierarchy="ishigami", statistics=statistics, reference_samples=n)
     h = config.build_hierarchy()
-    drawn = traced_peak(lambda: build_sobol_block(h, n, (config.seed, study._REFERENCE)))
     table = {}
     peak = traced_peak(lambda: table.update(make_reference(config, tmp_path / "ref.json")))
-    row_block = 8 * _BLOCK_ELEMENTS
-    assert n * 5 * 8 > 12 * row_block  # what holding the outputs would take
-    assert peak - drawn < 6 * row_block  # beyond the drawn Sobol block
+    assert n * 5 * 8 > 12 * _ROW_BLOCK_BYTES  # what holding the outputs would take
+    assert peak < 6 * _ROW_BLOCK_BYTES  # inputs included
     block = build_sobol_block(h, n, (config.seed, study._REFERENCE))
     held = evaluate_nested(h, block, [n, 0, 0])
     for label in statistics:
