@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         if args.command == "pilot":
             stats = run_pilot(config)
             for label, s in stats.items():
-                print(f"pilot[{label}]: N={s.n_samples} kind={s.kind} cost={s.cost:.6g}")
+                print(f"pilot[{label}]: N={s.n_samples} cost={s.cost:.6g}")
         elif args.command == "allocate":
             plans = run_allocate(config)
             for label, plan in plans.items():

@@ -7,9 +7,7 @@ high-fidelity model are what the allocation solver consumes. One function,
 contributions. What gets correlated is decided by the evaluations it is
 given: raw model outputs, low-fidelity outputs bridged onto the
 high-fidelity scale (:func:`~mfmc.estimators.apply_bridges`, which leaves
-model 0 raw), or the (d + 2)-column outputs of a Sobol block. ``kind``
-only labels the result: "raw", "q" (statistic contributions) or "g"
-(bridged).
+model 0 raw), or the (d + 2)-column outputs of a Sobol block.
 
 Components whose high-fidelity variance is exactly zero are flagged
 degenerate; their correlations are undefined and they are excluded from
@@ -18,9 +16,7 @@ any downstream aggregation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,20 +30,15 @@ class PilotStats:
     ``sigma[i, j]`` is the standard deviation of model i at component j;
     ``rho[i, j]`` its correlation with model 0 there (row 0 is all ones, and
     every entry is clamped to [-1, 1] against floating-point roundoff).
-    ``kind`` records which transform produced the values: "raw", "q"
-    (statistic contributions) or "g" (bridged). ``cost`` is the pilot's
-    charge in cost units; in a study, this statistic's share of it, and
-    ``shared_by`` names the statistics that share it.
+    ``cost`` is the pilot's charge in cost units; in a study, this
+    statistic's share of it.
     """
 
-    kind: str
     sigma: np.ndarray
     rho: np.ndarray
     n_samples: int
-    statistic: str = "expectation"
     degenerate: np.ndarray | None = None
     cost: float = 0.0
-    shared_by: tuple = ()
 
     def __post_init__(self):
         self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
@@ -70,14 +61,11 @@ class PilotStats:
             return [[None if not np.isfinite(v) else float(v) for v in row] for row in a]
 
         return {
-            "kind": self.kind,
-            "statistic": self.statistic,
             "n_samples": int(self.n_samples),
             "sigma": _clean(self.sigma),
             "rho": _clean(self.rho),
             "degenerate": [bool(b) for b in self.degenerate],
             "cost": float(self.cost),
-            "shared_by": list(self.shared_by),
         }
 
     @classmethod
@@ -91,25 +79,15 @@ class PilotStats:
             # A default of 0 would silently drop the pilot from include_pilot_cost.
             raise ValueError("pilot file has no 'cost' key; rerun the pilot subcommand")
         return cls(
-            kind=d["kind"],
             sigma=_arr(d["sigma"]),
             rho=_arr(d["rho"]),
             n_samples=int(d["n_samples"]),
-            statistic=d.get("statistic", "expectation"),
             degenerate=np.array(d["degenerate"], dtype=bool),
             cost=float(d["cost"]),
-            shared_by=tuple(d.get("shared_by", ())),
         )
 
-    def save(self, path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
 
-    @classmethod
-    def load(cls, path) -> "PilotStats":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def pilot_stats_from_exact(sigma, rho, kind="raw", statistic="expectation") -> PilotStats:
+def pilot_stats_from_exact(sigma, rho) -> PilotStats:
     """Wrap exactly-known moments so they can feed allocation directly.
 
     1-D inputs are treated as one scalar component per model.
@@ -120,7 +98,7 @@ def pilot_stats_from_exact(sigma, rho, kind="raw", statistic="expectation") -> P
         sigma = sigma[:, None]
     if rho.ndim == 1:
         rho = rho[:, None]
-    return PilotStats(kind=kind, sigma=sigma, rho=rho, n_samples=0, statistic=statistic)
+    return PilotStats(sigma=sigma, rho=rho, n_samples=0)
 
 
 def _resolve_n(evals) -> int:
@@ -134,12 +112,12 @@ def _resolve_n(evals) -> int:
     return n
 
 
-def estimate_q_stats(evals, statistic, kind: str = "q") -> PilotStats:
+def estimate_q_stats(evals, statistic) -> PilotStats:
     """Deviations/correlations of a statistic's per-sample contributions on
     the samples every model shares.
 
-    ``evals`` may be raw, bridged or Sobol-block evaluations; ``kind`` is
-    stored as the result's label, and ``evals.cost`` as its cost.
+    ``evals`` may be raw, bridged or Sobol-block evaluations; ``evals.cost``
+    is stored as the result's cost.
     """
     if isinstance(statistic, str):
         statistic = STATISTICS[statistic]
@@ -170,7 +148,7 @@ def estimate_q_stats(evals, statistic, kind: str = "q") -> PilotStats:
         rho[i] = np.clip(r, -1.0, 1.0)
     if np.any(degenerate):
         rho[1:, degenerate] = np.nan
-    return PilotStats(kind, sigma, rho, n, statistic.label, degenerate, float(evals.cost))
+    return PilotStats(sigma, rho, n, degenerate, float(evals.cost))
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the
@@ -178,8 +156,8 @@ def estimate_q_stats(evals, statistic, kind: str = "q") -> PilotStats:
 
 
 def estimate_moment_stats(evals):
-    return estimate_q_stats(evals, "expectation", kind="raw")
+    return estimate_q_stats(evals, "expectation")
 
 
 def estimate_g_stats(evals, bridges, statistic="expectation"):
-    return estimate_q_stats(apply_bridges(evals, bridges), statistic, kind="g")
+    return estimate_q_stats(apply_bridges(evals, bridges), statistic)

@@ -111,6 +111,7 @@ class StudyConfig:
             raise UnknownNameError(
                 f"unknown hierarchy {self.hierarchy!r}; available: {', '.join(HIERARCHY_NAMES)}"
             )
+        _refuse_empty_or_repeated("statistics", self.statistics)
         for name in self.statistics:
             if name not in STATISTICS:
                 raise UnknownNameError(
@@ -142,15 +143,17 @@ class StudyConfig:
                 _component_weights(self, hierarchy, STATISTICS[name])
         if (self.budgets is None) == (self.tolerance is None):
             raise ValueError("exactly one of budgets/tolerance must be set")
-        if self.budgets is not None and not all(math.isfinite(b) and b > 0 for b in self.budgets):
-            raise ValueError(f"budgets must be finite and > 0, got {list(self.budgets)}")
+        if self.budgets is not None:
+            _refuse_empty_or_repeated("budgets", self.budgets)
+            if not all(math.isfinite(b) and b > 0 for b in self.budgets):
+                raise ValueError(f"budgets must be finite and > 0, got {list(self.budgets)}")
         if self.tolerance is not None and not (
             math.isfinite(self.tolerance) and self.tolerance > 0
         ):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        min_samples = max((STATISTICS[s].min_samples for s in self.statistics), default=1)
+        min_samples = max(STATISTICS[s].min_samples for s in self.statistics)
         if self.reference_samples < min_samples:
             raise ValueError(
                 f"reference_samples must be >= {min_samples} for statistics "
@@ -183,16 +186,33 @@ class StudyConfig:
         return get_hierarchy(self.hierarchy, costs=self.costs, n_points=self.n_points)
 
 
+def _refuse_empty_or_repeated(key: str, values: tuple):
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"{key} must be a non-empty list without repeats, got {list(values)}")
+
+
 def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndarray | None:
     """Reference statistic values: a user oracle file, else analytic built-ins.
 
     Sobol references are returned on the raw (variance-scaled) scale the
-    estimators work on.
+    estimators work on. A file is refused when its ``_meta`` (which
+    ``make_reference`` writes) names another hierarchy, or when its entry
+    does not have one value per component of the statistic.
     """
     if config.reference_file:
         table = json.loads(Path(config.reference_file).read_text())
         if stat_label in table:
-            return np.asarray(table[stat_label], dtype=float)
+            where = f"reference_file {config.reference_file!r}, entry {stat_label!r}"
+            made_for = table.get("_meta", {}).get("hierarchy", config.hierarchy)
+            if made_for != config.hierarchy:
+                raise MFMCError(f"{where} was made for hierarchy {made_for!r}, "
+                                f"not {config.hierarchy!r}")
+            values = np.asarray(table[stat_label], dtype=float)
+            p = _n_components(hierarchy, STATISTICS[stat_label])
+            if values.shape != (p,):
+                raise MFMCError(f"{where} has {values.size} values, but {stat_label} has "
+                                f"{p} components")
+            return values
     name = hierarchy.label
     if name == "ishigami":
         if stat_label == "expectation":
@@ -219,9 +239,14 @@ def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndar
     return None
 
 
+def _n_components(hierarchy, stat) -> int:
+    """Components of ``stat``: one per input for Sobol indices, else per output."""
+    return hierarchy.input_dimension if stat.needs_sobol_block else hierarchy.output_length
+
+
 def _component_weights(config: StudyConfig, hierarchy, stat) -> np.ndarray:
     """``output_weights``, one per component of ``stat``; all ones when unset."""
-    p = hierarchy.input_dimension if stat.needs_sobol_block else hierarchy.output_length
+    p = _n_components(hierarchy, stat)
     if config.output_weights is None:
         return np.ones(p)
     w = np.asarray(config.output_weights, dtype=float)
@@ -272,28 +297,40 @@ def _replicate_pilot(hierarchy_name, n_points, costs, pilot_size, seed, rep, sob
     return NestedEvaluations(bridged, evals.m, evals.cost + train.cost), bridges
 
 
+def _pilot_key(config: StudyConfig, stat_label: str | None = None) -> dict:
+    """Everything the pilot of a study on ``config`` depends on: the one list
+    of it, which ``_pilot_stage`` draws from and ``run_allocate`` checks a
+    pilot file against. ``statistics``, the set that shares the pilot (the
+    config's, plus ``stat_label``), sets the draw and each one's cost share.
+    """
+    n_train = config.regression_train_size if config.mode == "nonlinear" else None
+    return {
+        "hierarchy": config.hierarchy, "n_points": config.n_points, "costs": config.costs,
+        "pilot_size": config.pilot_size, "seed": config.seed, "mode": config.mode,
+        "regression_train_size": n_train,
+        "statistics": sorted({*config.statistics, stat_label} - {None}),
+    }
+
+
 def _pilot_stage(config: StudyConfig, stat, rep: int):
     """(stats, bridges) of ``stat`` in replicate ``rep``; bridges is None in
     linear mode.
 
     The pilot and training streams do not depend on the statistic, so every
     statistic of a replicate reads the one pilot of ``_replicate_pilot``:
-    a Sobol block when any statistic of the config (or ``stat``) needs one,
+    a Sobol block when any statistic sharing it (``_pilot_key``) needs one,
     whose base column plain statistics read, else plain rows. Those
     statistics share its cost equally, and ``stats.cost`` is this one's
     share: the only pilot charge the plan stage and the records read.
     """
-    sharing = dict.fromkeys((*config.statistics, stat.label))
-    sobol = any(STATISTICS[s].needs_sobol_block for s in sharing)
-    n_train = config.regression_train_size if config.mode == "nonlinear" else None
-    key = (config.hierarchy, config.n_points, config.costs, config.pilot_size, config.seed)
-    evals, bridges = _replicate_pilot(*key, rep, sobol, n_train)
+    key = _pilot_key(config, stat.label)
+    sobol = any(STATISTICS[s].needs_sobol_block for s in key["statistics"])
+    drawn = [key[k] for k in ("hierarchy", "n_points", "costs", "pilot_size", "seed")]
+    evals, bridges = _replicate_pilot(*drawn, rep, sobol, key["regression_train_size"])
     if sobol and not stat.needs_sobol_block:
         evals = NestedEvaluations([o[:, :1] for o in evals.outputs], evals.m, evals.cost)
-    kind = "g" if bridges is not None else "raw" if stat.label == "expectation" else "q"
-    stats = estimate_q_stats(evals, stat, kind=kind)
-    stats.cost = evals.cost / len(sharing)
-    stats.shared_by = tuple(sharing)
+    stats = estimate_q_stats(evals, stat)
+    stats.cost = evals.cost / len(key["statistics"])
     return stats, bridges
 
 
@@ -363,13 +400,9 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     }
 
 
-def _replicate_task(payload):
+def _replicate_task(config: StudyConfig, budget, rep: int) -> list:
     """Every configured statistic of one replicate, in order, so they share its pilot."""
-    config = StudyConfig.from_dict(payload["config"])
-    return [
-        run_replicate(config, stat_label, payload["budget"], payload["replicate"])
-        for stat_label in config.statistics
-    ]
+    return [run_replicate(config, stat_label, budget, rep) for stat_label in config.statistics]
 
 
 def _run_replicates(config: StudyConfig, budget) -> list:
@@ -377,15 +410,12 @@ def _run_replicates(config: StudyConfig, budget) -> list:
 
     One task runs one replicate; each list is in replicate order.
     """
-    payloads = [
-        {"config": config.to_dict(), "budget": budget, "replicate": r}
-        for r in range(config.replicates)
-    ]
+    task = functools.partial(_replicate_task, config, budget)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_replicate = list(pool.map(_replicate_task, payloads))
+            per_replicate = list(pool.map(task, range(config.replicates)))
     else:
-        per_replicate = [_replicate_task(p) for p in payloads]
+        per_replicate = [task(r) for r in range(config.replicates)]
     return list(zip(*per_replicate))
 
 
@@ -540,8 +570,9 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     # The worker count never changes a result, so it is left out of the report.
     settings = {k: v for k, v in config.to_dict().items() if k != "jobs"}
     summary = {"config": settings, "statistics": {}}
-    for stat_label, records in zip(config.statistics, _run_replicates(config, budget)):
-        reference = reference_values(config, stat_label, hierarchy)
+    references = [reference_values(config, s, hierarchy) for s in config.statistics]
+    runs = _run_replicates(config, budget)
+    for stat_label, records, reference in zip(config.statistics, runs, references):
         weights = _component_weights(config, hierarchy, STATISTICS[stat_label])
         _write_replicates_csv(out / f"replicates_{stat_label}.csv", records)
         alloc = _allocation_summary(records, [m.label for m in hierarchy.models])
@@ -643,7 +674,8 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
 
 
 def run_pilot(config: StudyConfig, out_dir=None) -> dict:
-    """Estimate and save the pilot statistics for each configured statistic.
+    """Estimate each configured statistic's pilot statistics; save them and
+    the pilot's key (``_pilot_key``) to ``pilot.json``.
 
     These are the pilot statistics of replicate 0 of a study on the same
     config, read from its one pilot evaluation (``_pilot_stage``).
@@ -651,11 +683,10 @@ def run_pilot(config: StudyConfig, out_dir=None) -> dict:
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for stat_label in config.statistics:
-        stats, _ = _pilot_stage(config, STATISTICS[stat_label], rep=0)
-        stats.save(out / f"pilot_{stat_label}.json")
-        results[stat_label] = stats
+    results = {s: _pilot_stage(config, STATISTICS[s], rep=0)[0] for s in config.statistics}
+    per_stat = {s: stats.to_dict() for s, stats in results.items()}
+    saved = {"key": _pilot_key(config), "statistics": per_stat}
+    (out / "pilot.json").write_text(json.dumps(saved, indent=2))
     return results
 
 
@@ -663,28 +694,34 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
     """Allocate from previously saved pilot statistics, without new model runs.
 
     The plan equals the one replicate 0 of a study on the same config uses,
-    tolerance mode and ``include_pilot_cost`` included, since each pilot
-    file carries the statistic's pilot share (``PilotStats.cost``) and
-    is refused when other statistics than the config's shared its pilot.
+    tolerance mode and ``include_pilot_cost`` included, since ``pilot.json``
+    carries each statistic's pilot share (``PilotStats.cost``) and is
+    refused when its key differs from the config's. Keys outside the pilot
+    key, such as budgets, tolerance or include_pilot_cost, may change.
     """
     config.validate()
     if config.budgets is not None and len(config.budgets) != 1:
         raise ValueError("allocate needs exactly one budget")
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    pilot_path = out / "pilot.json"
+    if not pilot_path.exists():
+        raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
+    saved = json.loads(pilot_path.read_text())
+    key = saved.get("key", {})
+    stale = [
+        f"{name}={key.get(name)!r} in the file, {value!r} in the config"
+        for name, value in json.loads(json.dumps(_pilot_key(config))).items()
+        if key.get(name) != value
+    ]
+    if stale:
+        raise MFMCError(f"pilot file {pilot_path} does not match the config: "
+                        f"{'; '.join(stale)}; rerun the pilot subcommand")
     hierarchy = config.build_hierarchy()
     budget = None if config.budgets is None else config.budgets[0]
     plans = {}
     for stat_label in config.statistics:
-        pilot_path = out / f"pilot_{stat_label}.json"
-        if not pilot_path.exists():
-            raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
-        stats = PilotStats.load(pilot_path)
-        if set(stats.shared_by) != set(config.statistics):
-            raise MFMCError(
-                f"pilot file {pilot_path} was shared by {list(stats.shared_by)}, not by the "
-                f"config's statistics {list(config.statistics)}; rerun the pilot subcommand"
-            )
+        stats = PilotStats.from_dict(saved["statistics"][stat_label])
         plan, _, _ = _plan_stage(config, hierarchy, STATISTICS[stat_label], stats, budget)
         plan.save(out / f"allocation_{stat_label}.json")
         plans[stat_label] = plan

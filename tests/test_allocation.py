@@ -116,7 +116,7 @@ def test_cost_ratio_can_exceed_one():
 def test_aggregate_hand_example():
     sigma = np.array([[1.0, math.sqrt(3.0)]])
     rho = np.array([[1.0, 1.0], [math.sqrt(0.9), math.sqrt(0.5)]])
-    stats = PilotStats("raw", np.vstack([sigma, sigma]), rho, 10)
+    stats = PilotStats(np.vstack([sigma, sigma]), rho, 10)
     agg = aggregate_vector_stats(stats, np.array([1.0, 1.0]))
     assert agg.sigma_bar_sq == pytest.approx(4.0)
     assert agg.rho_bar_sq[1] == pytest.approx(0.6)
@@ -142,7 +142,7 @@ def test_aggregate_synthetic_field_closed_form():
 
 
 def test_aggregate_rejects_all_degenerate():
-    stats = PilotStats("raw", np.zeros((2, 2)), np.full((2, 2), np.nan), 10,
+    stats = PilotStats(np.zeros((2, 2)), np.full((2, 2), np.nan), 10,
                        degenerate=np.array([True, True]))
     with pytest.raises(DegenerateStatsError):
         aggregate_vector_stats(stats)
@@ -226,7 +226,7 @@ def test_predicted_mse_monotone_in_budget(rng):
 def test_scalar_and_vector_allocation_agree_exactly():
     sigma = np.array([[2.0], [1.9], [2.4]])
     rho = np.array([[1.0], [0.99], [0.91]])
-    stats = PilotStats("raw", sigma, rho, 50)
+    stats = PilotStats(sigma, rho, 50)
     w = CostModel([1.0, 0.04, 0.002])
     scalar_plan = optimal_allocation(pilot_stats_from_exact(sigma[:, 0], rho[:, 0]), w, 60.0)
     vector_plan = optimal_allocation(stats, w, 60.0, weights=np.array([1.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -314,6 +315,12 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"statistics": ("expectation", "variance"), "reference_samples": 1},
          ValueError, "reference_samples"),
         ({"statistics": ("sobol-main",), "reference_samples": 1}, ValueError, "reference_samples"),
+        ({"statistics": ()}, ValueError, "statistics"),
+        ({"statistics": ("expectation", "expectation")}, ValueError, "statistics"),
+        ({"statistics": ("variance", "expectation", "variance")}, ValueError, "statistics"),
+        ({"budgets": ()}, ValueError, "budgets"),
+        ({"budgets": (20.0, 20.0)}, ValueError, "budgets"),
+        ({"budgets": (10, 20, 10.0)}, ValueError, "budgets"),
     ],
 )
 def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
@@ -369,6 +376,28 @@ def test_reference_values_builtin_and_file(tmp_path):
     assert reference_values(field, "sobol-main", fh) is None
 
 
+def test_reference_file_for_another_hierarchy_or_shape_is_refused(tmp_path):
+    # at a quintic reference an ishigami study would read a mean of 0.451,
+    # and a 3-entry mean would broadcast into 3 error components
+    made = make_reference(
+        _tiny_config(tmp_path, hierarchy="quintic", reference_samples=1000), tmp_path / "q.json"
+    )
+    assert made["_meta"]["hierarchy"] == "quintic"
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"expectation": [2.5, 2.5, 2.5], "variance": [10.8]}))
+    cases = [(tmp_path / "q.json", "quintic"), (wide, "3 values")]
+    for path, words in cases:
+        config = _tiny_config(tmp_path, reference_file=str(path), replicates=1)
+        with pytest.raises(MFMCError) as info:
+            reference_values(config, "expectation", config.build_hierarchy())
+        assert all(w in str(info.value) for w in ["reference_file", "'expectation'", words])
+        with pytest.raises(MFMCError, match="reference_file"):
+            run_study(config)
+    # an entry of the right length, in a file without _meta, is a user oracle
+    config = _tiny_config(tmp_path, reference_file=str(wide))
+    assert reference_values(config, "variance", config.build_hierarchy()).tolist() == [10.8]
+
+
 def test_make_reference_matches_analytic(tmp_path):
     config = _tiny_config(
         tmp_path,
@@ -421,7 +450,7 @@ def test_pilot_then_allocate_without_reevaluation(tmp_path):
     config = _tiny_config(tmp_path, statistics=("expectation", "variance"))
     run_pilot(config)
     out = Path(config.out_dir)
-    assert (out / "pilot_expectation.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["pilot.json"]
     plans = run_allocate(config)
     assert (out / "allocation_expectation.json").exists()
     assert plans["expectation"].m[0] >= 1
@@ -613,40 +642,74 @@ def test_cli_make_reference_and_pilot(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert (out / "pilot_expectation.json").exists()
+    assert (out / "pilot.json").exists()
 
 
 def test_cli_pilot_prints_its_cost_and_allocate_refuses_a_file_without_it(tmp_path, capsys):
     out = tmp_path / "out"
     args = ["--set", "pilot_size=30", "--out-dir", str(out)]
     assert main(["pilot", *args]) == 0
-    assert "pilot[expectation]: N=30 kind=raw cost=31.53" in capsys.readouterr().out
-    path = out / "pilot_expectation.json"
+    assert "pilot[expectation]: N=30 cost=31.53" in capsys.readouterr().out
+    path = out / "pilot.json"
     stale = json.loads(path.read_text())
-    del stale["cost"]
+    del stale["statistics"]["expectation"]["cost"]
     path.write_text(json.dumps(stale))
     assert main(["allocate", *args]) == 2
     err = capsys.readouterr().err
     assert "'cost'" in err and "pilot" in err
 
 
-def test_allocate_refuses_a_pilot_file_shared_by_other_statistics(tmp_path, capsys):
-    # an expectation pilot written alone carries the whole pilot as its
-    # share; shared with variance, replicate 0 charges it half and plans
-    # more samples
-    out = tmp_path / "out"
-    args = ["--set", "seed=5", "--set", "budgets=[200]", "--set", "include_pilot_cost=true",
-            "--out-dir", str(out)]
+_PILOT_ARGS = ["--set", "seed=5", "--set", "budgets=[200]", "--set", "include_pilot_cost=true",
+               "--set", "pilot_size=30"]
+_STALE = [
+    ([], "pilot_size=100"),
+    ([], "seed=6"),
+    ([], "costs=[1, 0.1, 0.002]"),
+    ([], "hierarchy=quintic"),
+    ([], "mode=nonlinear"),
+    (["--set", "mode=nonlinear", "--set", "regression_train_size=20"], "regression_train_size=25"),
+    ([], 'statistics=["expectation","variance"]'),
+]
+
+
+@pytest.mark.parametrize("base, changed", _STALE, ids=[c.split("=")[0] for _, c in _STALE])
+def test_allocate_refuses_a_pilot_from_another_config(tmp_path, capsys, base, changed):
+    # each change would make replicate 0 draw or share another pilot, so a
+    # plan read off the saved one would be silently stale
+    args = [*_PILOT_ARGS, *base, "--out-dir", str(tmp_path / "out")]
+    key = changed.split("=")[0]
+    changed = ["--set", changed]
     assert main(["pilot", *args]) == 0
-    shared = json.loads((out / "pilot_expectation.json").read_text())["shared_by"]
-    assert shared == ["expectation"]
-    both = ["--set", 'statistics=["expectation","variance"]']
-    assert main(["allocate", *args, *both]) == 2
+    assert main(["allocate", *args, *changed]) == 2
     err = capsys.readouterr().err
-    path = str(out / "pilot_expectation.json")
-    assert all(word in err for word in [path, "['expectation']", "['expectation', 'variance']"])
-    assert main(["pilot", *args, *both]) == 0
-    assert main(["allocate", *args, *both]) == 0
+    assert all(word in err for word in [f"{key}=", "in the file", "in the config", "pilot.json"])
+    assert main(["pilot", *args, *changed]) == 0
+    assert main(["allocate", *args, *changed]) == 0
+
+
+@pytest.mark.parametrize(
+    "plan_stage",
+    [
+        {"budgets": (80.0,)},
+        {"include_pilot_cost": False},
+        {"budgets": None, "tolerance": 0.2},
+        {"budgets": (300.0,), "output_weights": (2.0,), "replicates": 1, "jobs": 2},
+        # a linear pilot fits no bridges
+        {"regression_train_size": 25},
+    ],
+)
+def test_allocate_reads_a_pilot_across_plan_stage_changes(tmp_path, plan_stage):
+    pilot = _tiny_config(tmp_path, seed=5, budgets=(200.0,), include_pilot_cost=True,
+                         pilot_size=30, statistics=("expectation", "variance"))
+    run_pilot(pilot)
+    config = dataclasses.replace(pilot, **plan_stage)
+    plans = run_allocate(config)
+    budget = None if config.budgets is None else config.budgets[0]
+    for stat in config.statistics:
+        rec = run_replicate(config, stat, budget, 0)
+        assert np.array_equal(plans[stat].m, rec["m"])
+        assert plans[stat].predicted_mse == rec["predicted_mse"]
+        assert plans[stat].budget == rec["budget_abs"]
 
 
 def test_benchmark_allocation_table_targets(tmp_path):
