@@ -240,23 +240,25 @@ def _plan_counts(hierarchy: ModelHierarchy, plan, samples) -> np.ndarray:
     return m
 
 
-def sum_for_plan(hierarchy: ModelHierarchy, plan, samples, statistic, bridges=None) -> PrefixSums:
-    """What :func:`mfmc_statistic` reads of ``statistic`` from a plan, without outputs.
+def sum_for_plan(hierarchy: ModelHierarchy, plan, samples, statistics, bridges=None) -> PrefixSums:
+    """What :func:`mfmc_statistic` reads of each of ``statistics`` from a plan,
+    without outputs.
 
     Each retained model is evaluated on ``samples`` (a ``SampleSet``; a
     Sobol draw's d + 2 input sets give d + 2 columns) one row block at a
-    time, its rows drawn as it goes, and each block is folded by
-    ``statistic.fold`` into its state at the prefixes the combiner reads;
-    no model's inputs or outputs are ever held whole. A block row is charged
+    time, its rows drawn as it goes, and each block is folded by every
+    statistic's ``fold`` into its state at the prefixes the combiner reads;
+    no model's inputs or outputs are ever held whole, and each model runs
+    once per row however many statistics read it. A block row is charged
     its d + 2 runs (``sampling.sobol_cost_factor``). With ``bridges``
     (``bridges[i-1]`` for model i), each checked low-fidelity block is
-    mapped onto the high-fidelity scale before it is folded. Costs, error
-    checks and values are those of folding the held outputs of
+    mapped onto the high-fidelity scale once, before it is folded. Costs,
+    error checks and values are those of folding the held outputs of
     :func:`evaluate_for_plan` (through :func:`apply_bridges`), bit for bit.
     """
     m = _plan_counts(hierarchy, plan, samples)
     transform = None if bridges is None else functools.partial(_bridge_block, bridges)
-    return _sum_counts(hierarchy, samples, m, (statistic.fold,), transform)
+    return _sum_counts(hierarchy, samples, m, [stat.fold for stat in statistics], transform)
 
 
 # Kept for perfbench, which calls or traces these names; delete them with the

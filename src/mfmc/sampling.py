@@ -289,16 +289,25 @@ class _Scratch:
 def _fold_sum(total, block: np.ndarray, buf: _Scratch) -> np.ndarray:
     """``total`` (None before the first block) plus the column sums of ``block``.
 
-    A later block is copied into ``buf`` under the running sum, which it
-    carries in as its first row; the first block is summed C-contiguous.
-    numpy sums a C-contiguous float64 array of width >= 2 down axis 0 one
-    row after another, so the result equals ``np.add.reduce(outputs[:s],
-    axis=0)`` of all rows so far bit for bit. A single column is summed
-    pairwise, so it equals that sum within the first block (65,536 rows)
-    and adds each later block's pairwise sum.
+    The first block is summed C-contiguous. numpy sums a C-contiguous
+    float64 array of width >= 2 down axis 0 one row after another, so a
+    later such block, if writeable, is summed in place with the running
+    sum added into its first row for the call (the row is put back after);
+    any other later block is copied into ``buf`` under the running sum,
+    which it carries in as its first row. Either way the result equals
+    ``np.add.reduce(outputs[:s], axis=0)`` of all rows so far bit for bit.
+    A single column is summed pairwise, so it equals that sum within the
+    first block (65,536 rows) and adds each later block's pairwise sum.
     """
     if total is None:
         return np.add.reduce(np.ascontiguousarray(block), axis=0)
+    if block.shape[1] >= 2 and block.flags.c_contiguous and block.flags.writeable:
+        first = block[0].copy()
+        try:
+            np.add(total, first, out=block[0])
+            return np.add.reduce(block, axis=0)
+        finally:
+            block[0] = first
     rows = buf.rows(len(block) + 1)
     rows[1:] = block
     rows[0] = total
@@ -334,8 +343,10 @@ def _fold_moments(state, block: np.ndarray, buf: _Scratch) -> _Moments:
     by its first row, which stays the state's ``shift``, and centred on its
     mean in a second pass; that mean is summed pairwise
     (:func:`_pairwise_row_sum`), since its error enters every later merge.
-    Every later block is shifted in one subtract by the running mean ``c``;
-    from the sum ``s1`` and the pairwise sum of squares of the shifted rows
+    Every later block is copied into ``buf`` and shifted there in place by
+    the running mean ``c`` (an in-place subtract streams two arrays, where
+    one into ``buf`` streams three); from the sum ``s1`` and the pairwise
+    sum of squares of the shifted rows
     ``y``, its centred sum of squares is ``sum(y**2) - s1 * (s1 / k)`` and
     its mean ``c + s1 / k``. Near the running mean, ``s1`` is small and the
     difference loses few digits. The block is merged into the state by the
@@ -349,7 +360,9 @@ def _fold_moments(state, block: np.ndarray, buf: _Scratch) -> _Moments:
         np.subtract(y, mean, out=y)
         return _Moments(shift, k, mean, _pairwise_row_sum(np.square(y, out=y)))
     c = state.shift + state.mean
-    y = np.subtract(block, c, out=buf.rows(k))
+    y = buf.rows(k)
+    np.copyto(y, block)
+    np.subtract(y, c, out=y)
     s1 = np.add.reduce(y, axis=0)
     mean = (c - state.shift) + s1 / k
     m2 = _pairwise_row_sum(np.square(y, out=y)) - s1 * (s1 / k)
@@ -492,10 +505,14 @@ def _evaluate_counts(hierarchy: ModelHierarchy, samples, m) -> NestedEvaluations
 
 def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, width: int, transform):
     """(start, outputs) of ``model`` on the first ``n_rows`` sample rows, one
-    block of the grid of :func:`_row_blocks` at a time. A block's rows are
-    drawn just before they are evaluated, in parts of at most two blocks of
-    input values: smaller parts would bound memory tighter, but make the
-    allocator return and refetch freed pages on every part.
+    block of the grid of :func:`_row_blocks` at a time. Rows are drawn just
+    before they are evaluated. Where an output block is larger than an
+    input block, it is drawn in parts of at most two blocks of input
+    values: smaller parts would bound memory tighter, but make the
+    allocator return and refetch freed pages on every part. Where it is
+    smaller (wide outputs), as many whole output blocks as one input block
+    holds are drawn together, so the generators are not called once per
+    few hundred rows; each output block is evaluated on its own rows.
 
     With ``transform``, each block is scanned for finiteness
     (:func:`_check_finite`) and then mapped by ``transform(model_index,
@@ -503,11 +520,28 @@ def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, widt
     ``regression.GaussianProcessBridge`` predicts.
     """
     blocks = _row_blocks(n_rows, width)
-    step = 2 * _block_rows(samples.dimension)
-    parts = [[slice(a, min(a + step, b.stop)) for a in range(b.start, b.stop, step)] for b in blocks]
-    walk = samples.walk([part for block_parts in parts for part in block_parts])
-    for rows, block_parts in zip(blocks, parts):
-        out = [_evaluate_rows(model, next(walk), model_index, width) for _ in block_parts]
+    span = _block_rows(samples.dimension)
+    together = span // _block_rows(width)
+    if together > 1:
+        edges = [rows.start for rows in blocks[::together]] + [n_rows]
+        draws = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    else:
+        step = 2 * span
+        draws = [slice(a, min(a + step, b.stop)) for b in blocks for a in range(b.start, b.stop, step)]
+    walk, parts = samples.walk(draws), iter(draws)
+    held, drawn = slice(0, 0), None
+    for rows in blocks:
+        out, a = [], rows.start
+        while a < rows.stop:
+            if a == held.stop:
+                drawn = None  # before the next part is drawn
+                held, drawn = next(parts), next(walk)
+            stop = min(rows.stop, held.stop)
+            cut = slice(a - held.start, stop - held.start)
+            out.append(_evaluate_rows(model, tuple(x[cut] for x in drawn), model_index, width))
+            a = stop
+        if a == held.stop:
+            drawn = None
         out = out[0] if len(out) == 1 else np.concatenate(out)
         if transform is not None:
             _check_finite(out, model, model_index, rows.start)

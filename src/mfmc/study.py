@@ -30,8 +30,9 @@ from .allocation import (
     CostModel,
     budget_for_tolerance,
     optimal_allocation,
+    predicted_mse,
 )
-from .errors import InfeasibleBudgetError, MFMCError, UnknownNameError
+from .errors import DegenerateStatsError, InfeasibleBudgetError, MFMCError, UnknownNameError
 from .estimators import STATISTICS, apply_bridges, mfmc_statistic, sum_for_plan
 from .hierarchy import (
     HIERARCHY_NAMES,
@@ -60,7 +61,7 @@ MODES = ("linear", "nonlinear")
 # Seed-stream purposes; replicate r of a study uses (seed, purpose, r).
 _PILOT = 101
 _TRAIN = 211
-_ESTIMATE = 307  # plus the statistic's index
+_ESTIMATE = 307  # plus the STAT_ORDER of a group's first member
 _REFERENCE = 977
 
 
@@ -72,9 +73,13 @@ class StudyConfig:
     the high-fidelity cost, so p * costs[0] in cost units). Exactly one of
     ``budgets``/``tolerance`` must be set. A replicate's one pilot is
     charged once, split equally among the statistics that share it, and
-    every record and ``total_cost`` counts that share. With
-    ``include_pilot_cost`` a given budget also pays for it; a tolerance
-    budget is never reduced by it.
+    every record and ``total_cost`` counts that share. The statistics that
+    read the same draw kind (plain rows: expectation and variance; a Sobol
+    block: the two Sobol statistics) share one plan and one estimation
+    walk, so a budget is what a replicate spends on the estimation of each
+    draw kind, and the members split that walk's cost equally too. With
+    ``include_pilot_cost`` a given budget also pays for the members' pilot
+    shares; a tolerance budget is never reduced by them.
     """
 
     hierarchy: str = "ishigami"
@@ -129,11 +134,14 @@ class StudyConfig:
                 f"got {self.regression_train_size}"
             )
         hierarchy = get_hierarchy(self.hierarchy, n_points=self.n_points)
-        if self.costs is not None and len(self.costs) != hierarchy.n_models:
-            raise ValueError(
-                f"costs has {len(self.costs)} entries but hierarchy "
-                f"{self.hierarchy!r} has {hierarchy.n_models} models"
-            )
+        if self.costs is not None:
+            if len(self.costs) != hierarchy.n_models:
+                raise ValueError(
+                    f"costs has {len(self.costs)} entries but hierarchy "
+                    f"{self.hierarchy!r} has {hierarchy.n_models} models"
+                )
+            if not all(math.isfinite(c) and c > 0 for c in self.costs):
+                raise ValueError(f"costs must be finite and > 0, got {list(self.costs)}")
         if self.output_weights is not None:
             if not all(math.isfinite(v) and v > 0 for v in self.output_weights):
                 raise ValueError(
@@ -147,6 +155,12 @@ class StudyConfig:
             _refuse_empty_or_repeated("budgets", self.budgets)
             if not all(math.isfinite(b) and b > 0 for b in self.budgets):
                 raise ValueError(f"budgets must be finite and > 0, got {list(self.budgets)}")
+            unit = float(self.build_hierarchy().costs[0])
+            if not all(math.isfinite(b * unit) for b in self.budgets):
+                raise ValueError(
+                    f"budgets {list(self.budgets)} times costs[0]={unit:g} overflow a float; "
+                    "lower budgets or costs"
+                )
         if self.tolerance is not None and not (
             math.isfinite(self.tolerance) and self.tolerance > 0
         ):
@@ -300,12 +314,17 @@ def _replicate_pilot(hierarchy_name, n_points, costs, pilot_size, seed, rep, sob
 def _pilot_key(config: StudyConfig, stat_label: str | None = None) -> dict:
     """Everything the pilot of a study on ``config`` depends on: the one list
     of it, which ``_pilot_stage`` draws from and ``run_allocate`` checks a
-    pilot file against. ``statistics``, the set that shares the pilot (the
-    config's, plus ``stat_label``), sets the draw and each one's cost share.
+    pilot file against. Values are the ones the run reads: the model costs
+    the hierarchy resolves (so unset ``costs`` equal their defaults written
+    out), and ``n_points`` only for the one hierarchy that reads it.
+    ``statistics``, the set that shares the pilot (the config's, plus
+    ``stat_label``), sets the draw and each one's cost share.
     """
     n_train = config.regression_train_size if config.mode == "nonlinear" else None
     return {
-        "hierarchy": config.hierarchy, "n_points": config.n_points, "costs": config.costs,
+        "hierarchy": config.hierarchy,
+        "n_points": config.n_points if config.hierarchy == "synthetic-field" else None,
+        "costs": tuple(float(c) for c in config.build_hierarchy().costs),
         "pilot_size": config.pilot_size, "seed": config.seed, "mode": config.mode,
         "regression_train_size": n_train,
         "statistics": sorted({*config.statistics, stat_label} - {None}),
@@ -334,74 +353,185 @@ def _pilot_stage(config: StudyConfig, stat, rep: int):
     return stats, bridges
 
 
-def _plan_stage(config: StudyConfig, hierarchy, stat, stats, budget):
-    """(plan, absolute estimation budget, component weights) of one statistic.
+def _members(statistics, sobol: bool) -> tuple:
+    """The group of ``statistics`` that reads one draw kind, a Sobol block
+    when ``sobol`` is set, else plain rows, in ``STAT_ORDER``."""
+    same = (s for s in statistics if STATISTICS[s].needs_sobol_block == sobol)
+    return tuple(sorted(same, key=STAT_ORDER.get))
 
-    The one plan stage of ``run_replicate`` and ``run_allocate``. ``budget``
-    is in high-fidelity-equivalent units, or None in tolerance mode, where
-    the estimation budget the tolerance needs is derived from the pilot
-    statistics. With ``include_pilot_cost`` the statistic's pilot share
-    (``stats.cost``) is taken out of a given budget; a tolerance budget is
-    left whole, since the pilot is already paid for.
+
+def _stack(stats, pilots, weights):
+    """(pilot statistics, weights) with every member's components side by side.
+
+    Member j's weights are scaled by S_first / S_j, with S the sum over its
+    valid components of w * sigma_1^2, so every member counts equally in
+    the aggregate, and a group of one keeps its weights bit for bit. A
+    member without a valid component raises ``DegenerateStatsError``.
     """
-    costs = CostModel(hierarchy.costs * _cost_factor(hierarchy, stat))
-    weights = _component_weights(config, hierarchy, stat)
+    spread = []
+    for stat, pilot, w in zip(stats, pilots, weights):
+        valid = ~pilot.degenerate
+        if not valid.any():
+            raise DegenerateStatsError(
+                f"all output components of {stat.label} have zero variance in the pilot"
+            )
+        spread.append(float(np.sum(w[valid] * pilot.sigma[0, valid] ** 2)))
+    stacked = PilotStats(
+        np.hstack([p.sigma for p in pilots]),
+        np.hstack([p.rho for p in pilots]),
+        pilots[0].n_samples,
+        np.concatenate([p.degenerate for p in pilots]),
+    )
+    return stacked, np.concatenate([w * (spread[0] / s) for w, s in zip(weights, spread)])
+
+
+def _views(plan, pilots, weights) -> list:
+    """Each member's view of a group plan: the group's counts, its own
+    columns of ``alpha``, its predicted MSE under its own pilot statistics
+    and weights, and an equal share of the plan's budget and cost (so the
+    counts cost the members' budgets together)."""
+    views, start, n = [], 0, len(pilots)
+    for pilot, w in zip(pilots, weights):
+        stop = start + pilot.n_components
+        view = dataclasses.replace(
+            plan, alpha=plan.alpha[:, start:stop], budget=plan.budget / n,
+            budget_used=plan.budget_used / n,
+        )
+        view.predicted_mse = predicted_mse(view, pilot, w)
+        views.append(view)
+        start = stop
+    return views
+
+
+def _plan_stage(config: StudyConfig, hierarchy, stats, pilots, budget):
+    """Each member's view of the one plan of a group (``_views``).
+
+    The one plan stage of ``run_replicate`` and ``run_allocate``. ``stats``
+    are the statistics that read one draw kind (``_members``) and
+    ``pilots`` their pilot statistics. Their components, side by side
+    (``_stack``), get one ``optimal_allocation``, and each member reads its
+    view of it (``_views``). ``budget`` is in high-fidelity-equivalent
+    units and pays for the group's one estimation walk, or is None in
+    tolerance mode. There the budget starts at the largest member's
+    ``budget_for_tolerance`` and, in a group of several, is scaled once by
+    the largest member's predicted MSE over epsilon^2 when that exceeds 1;
+    a group of one keeps the plan of its own tolerance budget. With
+    ``include_pilot_cost`` the members' pilot shares (``stats.cost``) are
+    taken out of a given budget; a tolerance budget is left whole, since
+    the pilot is already paid for.
+    """
+    costs = CostModel(hierarchy.costs * _cost_factor(hierarchy, stats[0]))
+    weights = [_component_weights(config, hierarchy, stat) for stat in stats]
+    min_samples = max(stat.min_samples for stat in stats)
+    stacked, stacked_weights = _stack(stats, pilots, weights)
     if config.tolerance is not None:
-        budget_abs = budget_for_tolerance(stats, costs, config.tolerance, weights)
-        budget_abs = max(budget_abs, costs.w[0] * stat.min_samples)
+        budget_abs = max(
+            max(budget_for_tolerance(pilot, costs, config.tolerance, w),
+                costs.w[0] * stat.min_samples)
+            for stat, pilot, w in zip(stats, pilots, weights)
+        )
     else:
         budget_abs = float(budget) * hierarchy.costs[0]
         if config.include_pilot_cost:
-            budget_abs = budget_abs - stats.cost
-            if budget_abs < costs.w[0] * stat.min_samples:
+            share = sum(pilot.cost for pilot in pilots)
+            budget_abs = budget_abs - share
+            if budget_abs < costs.w[0] * min_samples:
                 raise InfeasibleBudgetError(
-                    f"budgets entry p={float(budget):g} cannot pay for {stat.label}'s pilot "
-                    f"share of {stats.cost / hierarchy.costs[0]:g} HF (pilot_size="
-                    f"{config.pilot_size}, include_pilot_cost=true) and {stat.min_samples} "
-                    "high-fidelity sample(s); raise budgets or lower pilot_size"
+                    f"budgets entry p={float(budget):g} cannot pay for the pilot share of "
+                    f"{' and '.join(stat.label for stat in stats)} ({share / hierarchy.costs[0]:g} "
+                    f"HF; pilot_size={config.pilot_size}, include_pilot_cost=true) and "
+                    f"{min_samples} high-fidelity sample(s); raise budgets or lower pilot_size"
                 )
-    plan = optimal_allocation(stats, costs, budget_abs, weights, stat.min_samples)
-    return plan, budget_abs, weights
+    plan = optimal_allocation(stacked, costs, budget_abs, stacked_weights, min_samples)
+    views = _views(plan, pilots, weights)
+    if config.tolerance is not None and len(stats) > 1:
+        excess = max(view.predicted_mse for view in views) / config.tolerance**2
+        if excess > 1.0:
+            budget_abs = budget_abs * excess
+            plan = optimal_allocation(stacked, costs, budget_abs, stacked_weights, min_samples)
+            views = _views(plan, pilots, weights)
+    return views
+
+
+# Config keys no replicate reads, left out of the group cache's key.
+_NOT_READ = ("budgets", "replicates", "out_dir", "jobs", "reference_file", "reference_samples")
+
+
+@functools.lru_cache(maxsize=2)
+def _replicate_group(settings: tuple, sobol: bool, budget, rep: int):
+    """({member: (pilot statistics, plan)}, folded states) of one group in
+    replicate ``rep``.
+
+    ``settings`` are the (name, value) pairs of the config keys a replicate
+    reads; the group is the statistics among them that read the draw kind
+    ``sobol`` (``_members``). Each member's pilot statistics come from the
+    replicate's one pilot (``_pilot_stage``); they get one plan
+    (``_plan_stage``); one estimation draw, from the stream of the first
+    member, is walked once by ``sum_for_plan``, which folds every member's
+    statistic from each block and bridges each block once. So each model
+    runs once per row for the whole group. The arguments are everything
+    the result depends on, so a cached result is never stale; one entry
+    per draw kind lets the later members of a replicate read what the
+    first one's call computed, while memory stays bounded. The cached
+    result is only read.
+    """
+    config = StudyConfig(**dict(settings))
+    hierarchy = config.build_hierarchy()
+    members = _members(config.statistics, sobol)
+    stats = [STATISTICS[s] for s in members]
+    pilots, bridges = zip(*(_pilot_stage(config, stat, rep) for stat in stats))
+    plans = _plan_stage(config, hierarchy, stats, pilots, budget)
+    est_seed = (config.seed, _ESTIMATE + STAT_ORDER[members[0]], rep)
+    samples = _draw(hierarchy, sobol, int(plans[0].m.max()), est_seed)
+    sums = sum_for_plan(hierarchy, plans[0], samples, stats, bridges[0])
+    return dict(zip(members, zip(pilots, plans))), sums
 
 
 def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dict:
-    """One full pilot -> allocation -> estimation pass.
+    """One full pilot -> allocation -> estimation pass for one statistic.
 
     ``budget`` is in high-fidelity-equivalent units, or None in tolerance
     mode. Every statistic of a replicate reads one pilot draw, evaluated
-    once (``_pilot_stage``); estimation streams are statistic-specific.
+    once (``_pilot_stage``). Estimation is per group: the statistics that
+    read the same draw kind (``stat_label`` and those of the config) share
+    one plan, one estimation draw and one walk over it
+    (``_replicate_group``), which the first of them to run computes and
+    the others read. The record carries this statistic's view of the plan
+    (``_views``: the group's counts, its own coefficients and predicted
+    MSE, and an equal share of the budget), its estimate from its own fold
+    on the shared draw, and an equal share of the walk's cost.
     """
-    hierarchy = config.build_hierarchy()
     stat = STATISTICS[stat_label]
-    stats, bridges = _pilot_stage(config, stat, rep)
-    plan, budget_abs, weights = _plan_stage(config, hierarchy, stat, stats, budget)
-
-    est_seed = (config.seed, _ESTIMATE + STAT_ORDER[stat_label], rep)
-    samples = _draw(hierarchy, stat.needs_sobol_block, int(plan.m.max()), est_seed)
-    est_evals = sum_for_plan(hierarchy, plan, samples, stat, bridges)
-    report = mfmc_statistic(est_evals, plan, stat)
-
+    shared = dataclasses.replace(config, statistics=tuple(sorted({*config.statistics, stat_label})))
+    settings = tuple(
+        (f.name, getattr(shared, f.name)) for f in dataclasses.fields(shared) if f.name not in _NOT_READ
+    )
+    group, sums = _replicate_group(settings, stat.needs_sobol_block, budget, rep)
+    stats, plan = group[stat_label]
+    report = mfmc_statistic(sums, plan, stat)
+    hierarchy = config.build_hierarchy()
     return {
         "replicate": rep,
         "statistic": stat_label,
         "mode": config.mode,
-        "budget_p": budget_abs / hierarchy.costs[0],
-        "budget_abs": budget_abs,
+        "budget_p": plan.budget / hierarchy.costs[0],
+        "budget_abs": plan.budget,
         "values": np.atleast_1d(report.value),
         "predicted_mse": float(plan.predicted_mse),
-        "realized_cost": float(est_evals.cost),
+        "realized_cost": float(sums.cost / len(group)),
         "pilot_cost": stats.cost,
         "m": plan.m.copy(),
         "m_real": plan.m_real.copy(),
         "retained": plan.retained.copy(),
         "alpha": None if plan.alpha is None else plan.alpha.copy(),
         "rho": stats.rho.copy(),
-        "weights": weights,
+        "weights": _component_weights(config, hierarchy, stat),
     }
 
 
 def _replicate_task(config: StudyConfig, budget, rep: int) -> list:
-    """Every configured statistic of one replicate, in order, so they share its pilot."""
+    """Every configured statistic of one replicate, in order, so they share
+    its pilot and each group's estimation walk."""
     return [run_replicate(config, stat_label, budget, rep) for stat_label in config.statistics]
 
 
@@ -553,8 +683,11 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
 
     Each replicate runs every statistic in turn (replicates are spread over
     ``jobs`` worker processes), so the statistics of a replicate share one
-    pilot evaluation and, in nonlinear mode, one bridge fit. Produces, in
-    the output directory:
+    pilot evaluation and, in nonlinear mode, one bridge fit, and those that
+    read the same draw kind share one plan and one estimation walk
+    (``run_replicate``): a budget pays for the estimation of each draw
+    kind, and its members split the walk's cost as they split the pilot's.
+    Produces, in the output directory:
     ``allocation_<stat>.csv`` with the averaged sample counts,
     coefficients, and correlations per model;
     ``replicates_<stat>.csv`` with one row per replicate and component; and
@@ -657,8 +790,7 @@ def make_reference(config: StudyConfig, out_path=None) -> dict:
     m[0] = n
     table = {"_meta": {"hierarchy": config.hierarchy, "n_samples": n, "seed": config.seed}}
     for sobol in (False, True):
-        stats = [STATISTICS[s] for s in config.statistics]
-        stats = [stat for stat in stats if stat.needs_sobol_block == sobol]
+        stats = [STATISTICS[s] for s in _members(config.statistics, sobol)]
         if not stats:
             continue
         samples = _draw(hierarchy, sobol, n, (config.seed, _REFERENCE))
@@ -693,8 +825,9 @@ def run_pilot(config: StudyConfig, out_dir=None) -> dict:
 def run_allocate(config: StudyConfig, out_dir=None) -> dict:
     """Allocate from previously saved pilot statistics, without new model runs.
 
-    The plan equals the one replicate 0 of a study on the same config uses,
-    tolerance mode and ``include_pilot_cost`` included, since ``pilot.json``
+    Each statistic's plan is its view of its group's plan (``_plan_stage``),
+    the one replicate 0 of a study on the same config uses, tolerance mode
+    and ``include_pilot_cost`` included, since ``pilot.json``
     carries each statistic's pilot share (``PilotStats.cost``) and is
     refused when its key differs from the config's. Keys outside the pilot
     key, such as budgets, tolerance or include_pilot_cost, may change.
@@ -720,9 +853,13 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
     hierarchy = config.build_hierarchy()
     budget = None if config.budgets is None else config.budgets[0]
     plans = {}
-    for stat_label in config.statistics:
-        stats = PilotStats.from_dict(saved["statistics"][stat_label])
-        plan, _, _ = _plan_stage(config, hierarchy, STATISTICS[stat_label], stats, budget)
+    for sobol in (False, True):
+        members = _members(config.statistics, sobol)
+        if not members:
+            continue
+        pilots = [PilotStats.from_dict(saved["statistics"][s]) for s in members]
+        views = _plan_stage(config, hierarchy, [STATISTICS[s] for s in members], pilots, budget)
+        plans.update(zip(members, views))
+    for stat_label, plan in plans.items():
         plan.save(out / f"allocation_{stat_label}.json")
-        plans[stat_label] = plan
-    return plans
+    return {s: plans[s] for s in config.statistics}

@@ -112,6 +112,24 @@ def test_scalar_expectation_equals_one_call_mean_within_a_block(n):
     assert np.array_equal(_single_level("expectation", x), np.add.reduce(x, axis=0) / n)
 
 
+def test_wide_expectation_equals_one_call_sum_and_leaves_the_outputs_alone():
+    # a writeable C-contiguous later block is summed in place, the running
+    # sum added into its first row for the call; any other block through a
+    # copy under the sum. Both give numpy's row-after-row sum of all rows.
+    rng = np.random.default_rng(3)
+    n, width = 50_000, 4  # four row blocks
+    c_order = rng.normal(size=(n, width)) * 1e3 + 1e6
+    read_only = c_order.copy()
+    read_only.flags.writeable = False
+    layouts = [c_order, np.asfortranarray(c_order), read_only,
+               np.repeat(c_order, 2, axis=1)[:, ::2]]
+    expected = np.add.reduce(c_order, axis=0) / n
+    for x in layouts:
+        before = x.copy()
+        assert np.array_equal(_single_level("expectation", x), expected)
+        assert np.array_equal(x, before)
+
+
 def _variance_layouts(rng, n, width, offset_decades=(-3, 3)):
     """(name, array) pairs of n x width outputs in the layouts a plugin may get."""
     scale = 10.0 ** rng.uniform(-3, 3, size=width)
@@ -145,7 +163,7 @@ def _streamed_variance(x, n):
     h = ModelHierarchy((model,), (Normal(0.0, 1.0),), output_length=x.shape[1])
     plan = _manual_plan([n], np.ones((1, x.shape[1])))
     stat = STATISTICS["variance"]
-    return mfmc_statistic(sum_for_plan(h, plan, _index_samples(n), stat), plan, stat).value
+    return mfmc_statistic(sum_for_plan(h, plan, _index_samples(n), (stat,)), plan, stat).value
 
 
 def _check_variance(x, n, bound=2e-14):
@@ -388,7 +406,7 @@ def test_bridged_identity_matches_plain_expectation():
     b = mfmc_expectation(evals, plan)
     assert np.array_equal(a.value, b.value)
     stat = STATISTICS["expectation"]
-    streamed = sum_for_plan(h, plan, samples, stat, bridges=identity)
+    streamed = sum_for_plan(h, plan, samples, (stat,), bridges=identity)
     assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, b.value)
 
 
@@ -400,11 +418,11 @@ def test_bridged_estimation_requires_fitted_bridges():
     with pytest.raises(NotFittedError):
         mfmc_nonlinear(evals, plan, unfitted)
     with pytest.raises(NotFittedError):
-        sum_for_plan(h, plan, draw_inputs(h, 9, 4), STATISTICS["expectation"], bridges=unfitted)
+        sum_for_plan(h, plan, draw_inputs(h, 9, 4), (STATISTICS["expectation"],), bridges=unfitted)
     field = synthetic_field_hierarchy(3)
     with pytest.raises(ValueError, match="scalar outputs only"):
         sum_for_plan(
-            field, plan, draw_inputs(field, 9, 4), STATISTICS["expectation"],
+            field, plan, draw_inputs(field, 9, 4), (STATISTICS["expectation"],),
             bridges=[IdentityBridge(), IdentityBridge()],
         )
 
@@ -519,7 +537,7 @@ def _streamed_and_materialized(h, m, seed, stat_label="expectation"):
     plan = _manual_plan(m, np.random.default_rng(seed).uniform(0.2, 1.2, (3, h.output_length)))
     samples = draw_inputs(h, int(max(m)), seed)
     stat = STATISTICS[stat_label]
-    streamed = sum_for_plan(h, plan, samples, stat)
+    streamed = sum_for_plan(h, plan, samples, (stat,))
     materialized = evaluate_for_plan(h, plan, samples)
     return (
         mfmc_statistic(streamed, plan, stat),
@@ -652,7 +670,7 @@ def _sobol_streamed_and_held(m, stat_label, seed=5):
     plan = _manual_plan(m, np.random.default_rng(seed).uniform(0.2, 1.2, (3, 3)))
     block = build_sobol_block(h, int(max(m)), seed)
     stat = STATISTICS[stat_label]
-    streamed = sum_for_plan(h, plan, block, stat)
+    streamed = sum_for_plan(h, plan, block, (stat,))
     held = evaluate_for_plan(h, plan, block)
     return streamed, held, mfmc_statistic(streamed, plan, stat), mfmc_statistic(held, plan, stat)
 
@@ -668,7 +686,7 @@ def test_a_plans_block_is_charged_the_plans_budget():
     assert plan.budget_used == 40.0
     assert evaluate_for_plan(h, plan, block).cost == plan.budget_used
     assert evaluate_sobol_for_plan(h, plan, block).cost == plan.budget_used
-    assert sum_for_plan(h, plan, block, stat).cost == plan.budget_used
+    assert sum_for_plan(h, plan, block, (stat,)).cost == plan.budget_used
 
 
 @pytest.mark.parametrize("stat_label", ["sobol-main", "sobol-total"])
@@ -715,7 +733,7 @@ def test_row_loop_evaluation_is_bit_identical_to_vectorized(h, stat_label):
         assert got.shape == want.shape and np.array_equal(got, want)
     plan = _manual_plan(m, np.full((3, h.output_length), 0.7))
     stat = STATISTICS[stat_label]
-    streamed, vectorized = (sum_for_plan(x, plan, samples, stat) for x in (twin, h))
+    streamed, vectorized = (sum_for_plan(x, plan, samples, (stat,)) for x in (twin, h))
     assert streamed.sums.keys() == vectorized.sums.keys()
     for i, s in streamed.sums:
         got, want = streamed.state(i, s, stat.fold), vectorized.state(i, s, stat.fold)
@@ -748,7 +766,7 @@ def test_streamed_bridged_is_bit_identical_to_held(stat_label, m):
     plan = _manual_plan(m, [[1.0], [0.8], [0.6]])
     samples = draw_inputs(h, max(m), 8)
     stat = STATISTICS[stat_label]
-    streamed = sum_for_plan(h, plan, samples, stat, bridges=bridges)
+    streamed = sum_for_plan(h, plan, samples, (stat,), bridges=bridges)
     held = evaluate_for_plan(h, plan, samples)
     value = mfmc_nonlinear(held, plan, bridges, stat).value
     assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, value)
@@ -768,7 +786,7 @@ def test_streamed_bridged_blocks_name_first_non_finite_sample(bad):
     bridge = GaussianProcessBridge().fit(x, x**2)
     plan = _manual_plan([10, n], np.ones((2, 1)))
     with pytest.raises(EvaluationError) as info:
-        sum_for_plan(h, plan, _index_samples(n), STATISTICS["expectation"], bridges=[bridge])
+        sum_for_plan(h, plan, _index_samples(n), (STATISTICS["expectation"],), bridges=[bridge])
     err = info.value
     assert (err.model_index, err.model_label, err.sample_index) == (1, "lo", row)
 
@@ -815,7 +833,7 @@ def test_streamed_sobol_names_first_non_finite_sample(stat_label, column, bad):
     h = ModelHierarchy(models, (Normal(0.0, 1.0), Normal(0.0, 1.0)))
     plan = _manual_plan([10, n], np.ones((2, 2)))
     block = _index_sobol_block(n)
-    for evaluate in (lambda *args: sum_for_plan(*args, STATISTICS[stat_label]), evaluate_for_plan):
+    for evaluate in (lambda *args: sum_for_plan(*args, (STATISTICS[stat_label],)), evaluate_for_plan):
         with pytest.raises(EvaluationError) as info:
             evaluate(h, plan, block)
         assert (info.value.model_index, info.value.sample_index) == (1, row)
@@ -835,7 +853,7 @@ def test_streamed_sobol_memory_is_bounded(stat_label):
 
     def run():
         block = build_sobol_block(h, max(m), 3)
-        return mfmc_statistic(sum_for_plan(h, plan, block, stat), plan, stat)
+        return mfmc_statistic(sum_for_plan(h, plan, block, (stat,)), plan, stat)
 
     peak = traced_peak(run)
     held = sum(m) * 5 * 8
@@ -854,7 +872,7 @@ def test_streamed_bridged_memory_is_bounded(stat_label):
 
     def run():
         samples = draw_inputs(h, max(m), 4)
-        return mfmc_statistic(sum_for_plan(h, plan, samples, stat, bridges=bridges), plan, stat)
+        return mfmc_statistic(sum_for_plan(h, plan, samples, (stat,), bridges=bridges), plan, stat)
 
     peak = traced_peak(run)
     held = sum(m) * 8
@@ -901,7 +919,7 @@ def _check_first_non_finite_named(stat_label, width, where, bad, case):
     plan = _manual_plan(m, np.ones((3, width)))
     stat = STATISTICS[stat_label]
     errors = []
-    for evaluate in (lambda *args: sum_for_plan(*args, stat), evaluate_for_plan):
+    for evaluate in (lambda *args: sum_for_plan(*args, (stat,)), evaluate_for_plan):
         with pytest.raises(EvaluationError) as info:
             evaluate(h, plan, _index_samples(n))
         errors.append(info.value)
@@ -968,7 +986,7 @@ def test_streamed_finite_blocks_are_not_scanned(stat_label, monkeypatch):
     plan = _manual_plan(m, np.ones((3, 200)))
     samples = draw_inputs(h, max(m), 3)
     calls = _count_scans(monkeypatch)
-    sum_for_plan(h, plan, samples, STATISTICS[stat_label])
+    sum_for_plan(h, plan, samples, (STATISTICS[stat_label],))
     assert calls == []
 
 
@@ -985,7 +1003,7 @@ def test_streamed_overflowing_finite_outputs_fold_as_held(width, stat_label, mon
     calls = _count_scans(monkeypatch)
     # the fold keeps numpy's overflow warning
     with pytest.warns(RuntimeWarning, match="overflow"):
-        streamed = sum_for_plan(h, plan, samples, stat)
+        streamed = sum_for_plan(h, plan, samples, (stat,))
     assert calls
     held = evaluate_for_plan(h, plan, samples)
     # held rows fold on reading, and the combine takes inf - inf
@@ -1009,7 +1027,7 @@ def _check_wrong_output_shape_named(stat_label):
     h = ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=2)
     plan = _manual_plan([20, 50], np.ones((2, 2)))
     with pytest.raises(EvaluationError, match="shape") as info:
-        sum_for_plan(h, plan, _index_samples(50), STATISTICS[stat_label])
+        sum_for_plan(h, plan, _index_samples(50), (STATISTICS[stat_label],))
     assert (info.value.model_index, info.value.model_label) == (1, "short")
 
 

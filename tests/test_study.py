@@ -8,11 +8,13 @@ import pytest
 from conftest import traced_peak, whole_draw
 
 from mfmc import estimators, study
+from mfmc.allocation import AllocationPlan
 from mfmc.cli import main
-from mfmc.errors import InfeasibleBudgetError, MFMCError, UnknownNameError
+from mfmc.errors import DegenerateStatsError, InfeasibleBudgetError, MFMCError, UnknownNameError
 from mfmc.regression import GaussianProcessBridge
-from mfmc.estimators import STATISTICS
+from mfmc.estimators import STATISTICS, mfmc_statistic
 from mfmc.hierarchy import Model, Uniform
+from mfmc.pilot import PilotStats
 from mfmc.sampling import (
     _BLOCK_ELEMENTS,
     NestedEvaluations,
@@ -195,6 +197,91 @@ def test_ledger_equals_the_runs(tmp_path, monkeypatch, overrides):
     assert ledger == pytest.approx(sum(charged), rel=1e-12)
 
 
+def test_a_replicate_runs_each_model_once_per_row_of_each_draw_kind(tmp_path, monkeypatch):
+    # per model: the pilot block's d + 2 = 5 sets, then the plain group's
+    # rows once and the Sobol group's rows once per set, however many
+    # statistics of a group read them
+    config = _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,))
+    rows = dict.fromkeys(["f1", "f2", "f3"], 0)
+    evaluate_batch = Model.evaluate_batch
+
+    def counted(model, inputs):
+        rows[model.label] += len(inputs)
+        return evaluate_batch(model, inputs)
+
+    monkeypatch.setattr(Model, "evaluate_batch", counted)
+    study._replicate_pilot.cache_clear()
+    study._replicate_group.cache_clear()
+    records = {s: run_replicate(config, s, 160.0, 0) for s in _ALL_STATISTICS}
+    plain, sobol = records["expectation"]["m"], records["sobol-main"]["m"]
+    assert np.array_equal(plain, records["variance"]["m"])
+    assert np.array_equal(sobol, records["sobol-total"]["m"])
+    expected = [5 * config.pilot_size + plain[i] + 5 * sobol[i] for i in range(3)]
+    assert list(rows.values()) == expected
+
+
+def test_group_memo_never_stale(tmp_path):
+    # each variant changes one thing a group's plan or walk depends on, and
+    # is called right after the base call it would otherwise hit
+    def config(**overrides):
+        return _tiny_config(tmp_path, **{"statistics": _ALL_STATISTICS, "budgets": (160.0,),
+                                         **overrides})
+
+    variants = {
+        "base": (config(), 160.0),
+        "budget": (config(), 200.0),
+        "moments": (config(statistics=("expectation", "variance")), 160.0),
+        "costs": (config(costs=(1.0, 0.1, 0.002)), 160.0),
+        "include": (config(include_pilot_cost=True), 160.0),
+        "sobol-weights": (config(statistics=("sobol-main", "sobol-total"),
+                                 output_weights=(1.0, 2.0, 3.0)), 160.0),
+        "tolerance": (config(budgets=None, tolerance=0.5), None),
+    }
+    calls = [
+        call
+        for rep in (0, 1)
+        for stat in ("expectation", "sobol-main", "variance", "sobol-total")
+        for v in variants
+        if v != "base" and stat in variants[v][0].statistics
+        for call in (("base", stat, rep), (v, stat, rep))
+    ]
+    interleaved = [run_replicate(variants[v][0], stat, variants[v][1], rep) for v, stat, rep in calls]
+    latest = dict(zip(calls, interleaved))
+    for (v, stat, rep), rec in zip(calls, interleaved):
+        study._replicate_pilot.cache_clear()
+        study._replicate_group.cache_clear()
+        _same_record(rec, run_replicate(variants[v][0], stat, variants[v][1], rep))
+        partner = {"expectation": "variance", "sobol-main": "sobol-total"}.get(stat)
+        if (v, partner, rep) in latest:
+            assert np.array_equal(rec["m"], latest[v, partner, rep]["m"])
+
+
+def test_stacked_members_count_equally(tmp_path):
+    # member j's weights are scaled by S_first / S_j (S = sum of w sigma_1^2),
+    # so both members weigh the same in the aggregate; the first member, and
+    # a group of one, keep their weights bit for bit
+    config = _tiny_config(tmp_path, hierarchy="synthetic-field", n_points=5,
+                          statistics=("expectation", "variance"), output_weights=(1, 2, 3, 4, 5))
+    h = config.build_hierarchy()
+    stats = [STATISTICS[s] for s in config.statistics]
+    pilots = [study._pilot_stage(config, stat, 0)[0] for stat in stats]
+    weights = [study._component_weights(config, h, stat) for stat in stats]
+    stacked, w = study._stack(stats, pilots, weights)
+    first, second = np.split(w * stacked.sigma[0] ** 2, 2)
+    assert first.sum() == pytest.approx(second.sum(), rel=1e-12)
+    assert np.array_equal(w[:5], weights[0])
+    assert np.array_equal(study._stack(stats[1:], pilots[1:], weights[1:])[1], weights[1])
+
+
+def test_a_member_without_variance_is_named(tmp_path):
+    config = _tiny_config(tmp_path, statistics=("expectation", "variance"))
+    moments = [STATISTICS["expectation"], STATISTICS["variance"]]
+    varied = study._pilot_stage(config, moments[0], 0)[0]
+    flat = PilotStats(np.zeros((3, 1)), np.ones((3, 1)), 40, np.array([True]))
+    with pytest.raises(DegenerateStatsError, match="variance"):
+        study._plan_stage(config, config.build_hierarchy(), moments, [varied, flat], 40.0)
+
+
 def test_pilot_memo_never_stale(tmp_path):
     # the costs variant draws the same pilot rows but must charge them at its own costs
     variants = {
@@ -216,19 +303,43 @@ def test_pilot_memo_never_stale(tmp_path):
         _same_record(rec, run_replicate(variants[v], stat, 160.0, rep))
 
 
+def _csv_rows(path):
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_multi_statistic_study_matches_single_statistic_studies(tmp_path, jobs):
-    joint = run_study(_bridged_config(tmp_path, jobs=jobs), out_dir=tmp_path / "joint")
-    for stat in ("expectation", "variance"):
-        out = tmp_path / stat
-        single = run_study(_bridged_config(tmp_path, statistics=(stat,)), out_dir=out)
-        for name in (f"replicates_{stat}.csv", f"allocation_{stat}.csv"):
-            assert (out / name).read_bytes() == (tmp_path / "joint" / name).read_bytes()
-        alone, shared = dict(single["statistics"][stat]), dict(joint["statistics"][stat])
-        # the joint study's two statistics share one pilot, and each pays half
-        assert shared.pop("pilot_cost_total") == alone.pop("pilot_cost_total") / 2
-        del shared["total_cost"], alone["total_cost"]
-        assert shared == alone
+def test_multi_statistic_study_shares_one_plan_and_one_estimation_draw(tmp_path, jobs):
+    # expectation and variance read plain rows, so one plan and one
+    # estimation draw (the expectation's stream) serve both; each value is
+    # its own fold of that draw, and each statistic pays half of the draw's
+    # model runs, as it pays half of the pilot
+    config = _bridged_config(tmp_path, jobs=jobs)
+    summary = run_study(config, out_dir=tmp_path / "joint")
+    h = config.build_hierarchy()
+    rows = {s: _csv_rows(tmp_path / "joint" / f"replicates_{s}.csv") for s in config.statistics}
+    for rep in range(config.replicates):
+        records = {s: run_replicate(config, s, 40.0, rep) for s in config.statistics}
+        first, second = records.values()
+        for key in ("m", "retained", "budget_abs"):
+            assert np.array_equal(first[key], second[key]), key
+        assert first["realized_cost"] == second["realized_cost"]
+        _, bridges = study._pilot_stage(config, STATISTICS["expectation"], rep)
+        samples = draw_inputs(h, int(first["m"].max()), (config.seed, study._ESTIMATE, rep))
+        for stat, rec in records.items():
+            plan = AllocationPlan(rec["m"], rec["alpha"], rec["retained"], rec["predicted_mse"],
+                                  rec["budget_abs"], np.nan, np.full(3, np.nan), rec["m_real"])
+            held = estimators.apply_bridges(estimators.evaluate_for_plan(h, plan, samples), bridges)
+            value = mfmc_statistic(held, plan, STATISTICS[stat]).value
+            assert np.array_equal(rec["values"], value)
+            assert rec["realized_cost"] == held.cost / 2
+            row = rows[stat][rep]
+            assert float(row["value"]) == value[0]
+            assert float(row["realized_cost"]) == held.cost / 2
+    entries = summary["statistics"].values()
+    assert len({e["realized_cost_total"] for e in entries}) == 1
+    assert len({e["pilot_cost_total"] for e in entries}) == 1
 
 
 def test_cost_ledger_consistency(tmp_path):
@@ -321,11 +432,32 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"budgets": ()}, ValueError, "budgets"),
         ({"budgets": (20.0, 20.0)}, ValueError, "budgets"),
         ({"budgets": (10, 20, 10.0)}, ValueError, "budgets"),
+        ({"costs": (1.0, 0.05, float("inf"))}, ValueError, "costs"),
+        ({"costs": (float("nan"), 0.05, 0.001)}, ValueError, "costs"),
+        ({"costs": (1.0, -0.05, 0.001)}, ValueError, "costs"),
+        ({"costs": (1.0, 0.0, 0.001)}, ValueError, "costs"),
+        ({"costs": (1e308, 0.05, 0.001)}, ValueError, "budgets"),
+        ({"budgets": (1e308,), "costs": (10.0, 0.05, 0.001)}, ValueError, "budgets"),
     ],
 )
 def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
     with pytest.raises(error, match=key):
         StudyConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "costs, key",
+    [("[1, 0.05, Infinity]", "costs"), ("[1, -0.05, 0.001]", "costs"),
+     ("[1e308, 0.05, 0.001]", "budgets")],
+)
+def test_cli_refuses_bad_costs_naming_the_key(tmp_path, capsys, costs, key):
+    # these used to exit 0 with a NaN cost, name model 'f2', or fail to
+    # convert NaN to an integer
+    out = tmp_path / "out"
+    assert main(["estimate", "--set", f"costs={costs}", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
 
 
 def test_tolerance_budget_is_not_cut_by_pilot_cost(tmp_path):
@@ -340,6 +472,25 @@ def test_tolerance_budget_is_not_cut_by_pilot_cost(tmp_path):
     assert rec["budget_abs"] == alone["budget_abs"] > 0
     assert np.array_equal(rec["m"], alone["m"])
     assert rec["pilot_cost"] > rec["budget_abs"]
+
+
+@pytest.mark.parametrize(
+    "statistics, tolerance",
+    [(("expectation", "variance"), 1.0), (("sobol-main", "sobol-total"), 0.3)],
+)
+def test_tolerance_group_plan_meets_every_members_tolerance(tmp_path, statistics, tolerance):
+    # The group budget starts at the largest member's tolerance budget, and
+    # is scaled once when a member's predicted MSE still exceeds epsilon^2;
+    # each member's record carries an equal share of it. What is left is
+    # the integer rounding of the counts: rounding m[0] moves
+    # sigma^2 / m[0] by at most a factor 1 + 1 / m[0].
+    config = _tiny_config(tmp_path, statistics=statistics, budgets=None, tolerance=tolerance)
+    for rep in range(4):
+        records = [run_replicate(config, s, None, rep) for s in statistics]
+        for stat, rec in zip(statistics, records):
+            assert rec["predicted_mse"] <= tolerance**2 * (1.0 + 1.0 / rec["m"][0])
+            alone = run_replicate(dataclasses.replace(config, statistics=(stat,)), stat, None, rep)
+            assert rec["budget_abs"] * len(statistics) >= alone["budget_abs"]
 
 
 def test_tolerance_mode_derives_budget(tmp_path):
@@ -498,6 +649,45 @@ def test_pilot_then_allocate_matches_replicate_zero(tmp_path, overrides):
         assert np.array_equal(plan.retained, rec["retained"])
         assert plan.predicted_mse == rec["predicted_mse"]
         assert plan.budget == rec["budget_abs"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"statistics": _ALL_STATISTICS, "budgets": (160.0,)},
+        {"statistics": ("expectation", "variance"), "budgets": None, "tolerance": 0.5},
+        {"statistics": ("variance", "expectation"), "budgets": (200.0,), "pilot_size": 30,
+         "include_pilot_cost": True},
+    ],
+)
+def test_allocate_writes_each_statistics_view_of_the_group_plan(tmp_path, overrides):
+    config = _tiny_config(tmp_path, **overrides)
+    run_pilot(config)
+    run_allocate(config)
+    budget = None if config.budgets is None else config.budgets[0]
+    saved = {s: AllocationPlan.load(Path(config.out_dir) / f"allocation_{s}.json")
+             for s in config.statistics}
+    for stat in config.statistics:
+        rec = run_replicate(config, stat, budget, 0)
+        plan = saved[stat]
+        assert np.array_equal(plan.m, rec["m"])
+        assert np.array_equal(plan.alpha, rec["alpha"])
+        assert plan.predicted_mse == rec["predicted_mse"]
+        assert plan.budget == rec["budget_abs"]
+    for first, second in [("expectation", "variance"), ("sobol-main", "sobol-total")]:
+        if first in saved:
+            assert np.array_equal(saved[first].m, saved[second].m)
+
+
+def test_allocate_compares_the_values_a_run_reads(tmp_path):
+    # unset costs are the default costs written out, and ishigami reads no
+    # n_points, so neither makes the pilot stale
+    args = [*_PILOT_ARGS, "--out-dir", str(tmp_path / "out")]
+    assert main(["pilot", *args]) == 0
+    key = json.loads((tmp_path / "out" / "pilot.json").read_text())["key"]
+    assert key["costs"] == [1.0, 0.05, 0.001] and key["n_points"] is None
+    for same in ("costs=[1, 0.05, 0.001]", "n_points=5"):
+        assert main(["allocate", *args, "--set", same]) == 0
 
 
 def test_cli_estimate_and_errors(tmp_path, capsys):
@@ -668,6 +858,7 @@ _STALE = [
     ([], "hierarchy=quintic"),
     ([], "mode=nonlinear"),
     (["--set", "mode=nonlinear", "--set", "regression_train_size=20"], "regression_train_size=25"),
+    (["--set", "hierarchy=synthetic-field"], "n_points=5"),
     ([], 'statistics=["expectation","variance"]'),
 ]
 
@@ -900,18 +1091,20 @@ def test_reference_sobol_memory_is_bounded(tmp_path, monkeypatch, statistics):
     ],
 )
 def test_replicate_estimates_through_one_sum_for_plan_call(monkeypatch, overrides, stat):
-    # Every statistic in every mode is estimated by one sum_for_plan call,
-    # and gives the record that folding held (and bridged) outputs gives.
+    # Every statistic in every mode is estimated by one sum_for_plan call
+    # for its group (the config's expectation joins a variance), and gives
+    # the record that folding held (and bridged) outputs gives.
     config = _field_config(budgets=(20.0,), **overrides)
     expected = run_replicate(config, stat, 20.0, 0)
     calls = []
 
-    def held(hierarchy, plan, samples, statistic, bridges):
-        calls.append(statistic.label)
+    def held(hierarchy, plan, samples, statistics, bridges):
+        calls.append(tuple(s.label for s in statistics))
         evals = estimators.evaluate_for_plan(hierarchy, plan, samples)
         return evals if bridges is None else estimators.apply_bridges(evals, bridges)
 
     monkeypatch.setattr(study, "sum_for_plan", held)
+    study._replicate_group.cache_clear()
     got = run_replicate(config, stat, 20.0, 0)
-    assert calls == [stat]
+    assert calls == [("expectation", "variance") if stat == "variance" else (stat,)]
     _same_record(expected, got)
