@@ -281,44 +281,11 @@ def _draw(hierarchy, sobol: bool, n: int, seed):
     return (build_sobol_block if sobol else draw_inputs)(hierarchy, n, seed)
 
 
-@functools.lru_cache(maxsize=1)
-def _replicate_pilot(hierarchy_name, n_points, costs, pilot_size, seed, rep, sobol, n_train):
-    """(evaluations, bridges) of the pilot of replicate ``rep``.
-
-    One draw from the pilot stream (seed, _PILOT, rep), a Sobol block when
-    ``sobol`` is set, else plain rows, on which every model of the
-    hierarchy with model costs ``costs`` (None for the defaults) is
-    evaluated once. Unless ``n_train`` is None (linear mode, where bridges
-    is None), one GP bridge per low-fidelity model is fitted on (low, high)
-    output pairs of ``n_train`` rows from the training stream (seed,
-    _TRAIN, rep), and the low-fidelity pilot outputs go through it. The
-    evaluations' cost is every model run made here, training included. The
-    arguments are everything the result depends on, so a cached result is
-    never stale; the single entry lets the statistics of one replicate
-    share it while memory stays bounded. The cached result is only read.
-    """
-    hierarchy = get_hierarchy(hierarchy_name, costs=costs, n_points=n_points)
-    k = hierarchy.n_models
-    samples = _draw(hierarchy, sobol, pilot_size, (seed, _PILOT, rep))
-    evals = evaluate_nested(hierarchy, samples, [pilot_size] * k)
-    if n_train is None:
-        return evals, None
-    rows = draw_inputs(hierarchy, n_train, (seed, _TRAIN, rep))
-    train = evaluate_nested(hierarchy, rows, [n_train] * k)
-    hf = train.outputs[0][:, 0]
-    bridges = tuple(GaussianProcessBridge().fit(train.outputs[i][:, 0], hf) for i in range(1, k))
-    bridged = apply_bridges(evals, bridges).outputs
-    return NestedEvaluations(bridged, evals.m, evals.cost + train.cost), bridges
-
-
-def _pilot_key(config: StudyConfig, stat_label: str | None = None) -> dict:
-    """Everything the pilot of a study on ``config`` depends on: the one list
-    of it, which ``_pilot_stage`` draws from and ``run_allocate`` checks a
-    pilot file against. Values are the ones the run reads: the model costs
-    the hierarchy resolves (so unset ``costs`` equal their defaults written
-    out), and ``n_points`` only for the one hierarchy that reads it.
-    ``statistics``, the set that shares the pilot (the config's, plus
-    ``stat_label``), sets the draw and each one's cost share.
+def _pilot_key(config: StudyConfig) -> dict:
+    """Everything the pilot of a study on ``config`` (``_Replicate.pilot``)
+    depends on, as the run reads it: the resolved model costs, ``n_points``
+    only for the one hierarchy that reads it, and the statistics that share
+    the pilot's draw and cost. ``run_allocate`` checks ``pilot.json`` by it.
     """
     n_train = config.regression_train_size if config.mode == "nonlinear" else None
     return {
@@ -327,30 +294,8 @@ def _pilot_key(config: StudyConfig, stat_label: str | None = None) -> dict:
         "costs": tuple(float(c) for c in config.build_hierarchy().costs),
         "pilot_size": config.pilot_size, "seed": config.seed, "mode": config.mode,
         "regression_train_size": n_train,
-        "statistics": sorted({*config.statistics, stat_label} - {None}),
+        "statistics": sorted(config.statistics),
     }
-
-
-def _pilot_stage(config: StudyConfig, stat, rep: int):
-    """(stats, bridges) of ``stat`` in replicate ``rep``; bridges is None in
-    linear mode.
-
-    The pilot and training streams do not depend on the statistic, so every
-    statistic of a replicate reads the one pilot of ``_replicate_pilot``:
-    a Sobol block when any statistic sharing it (``_pilot_key``) needs one,
-    whose base column plain statistics read, else plain rows. Those
-    statistics share its cost equally, and ``stats.cost`` is this one's
-    share: the only pilot charge the plan stage and the records read.
-    """
-    key = _pilot_key(config, stat.label)
-    sobol = any(STATISTICS[s].needs_sobol_block for s in key["statistics"])
-    drawn = [key[k] for k in ("hierarchy", "n_points", "costs", "pilot_size", "seed")]
-    evals, bridges = _replicate_pilot(*drawn, rep, sobol, key["regression_train_size"])
-    if sobol and not stat.needs_sobol_block:
-        evals = NestedEvaluations([o[:, :1] for o in evals.outputs], evals.m, evals.cost)
-    stats = estimate_q_stats(evals, stat)
-    stats.cost = evals.cost / len(key["statistics"])
-    return stats, bridges
 
 
 def _members(statistics, sobol: bool) -> tuple:
@@ -453,68 +398,107 @@ def _plan_stage(config: StudyConfig, hierarchy, stats, pilots, budget):
     return views
 
 
-# Config keys no replicate reads, left out of the group cache's key.
-_NOT_READ = ("budgets", "replicates", "out_dir", "jobs", "reference_file", "reference_samples")
-
-
-@functools.lru_cache(maxsize=2)
-def _replicate_group(settings: tuple, sobol: bool, budget, rep: int):
-    """({member: (pilot statistics, plan)}, folded states) of one group in
-    replicate ``rep``.
-
-    ``settings`` are the (name, value) pairs of the config keys a replicate
-    reads; the group is the statistics among them that read the draw kind
-    ``sobol`` (``_members``). Each member's pilot statistics come from the
-    replicate's one pilot (``_pilot_stage``); they get one plan
-    (``_plan_stage``); one estimation draw, from the stream of the first
-    member, is walked once by ``sum_for_plan``, which folds every member's
-    statistic from each block and bridges each block once. So each model
-    runs once per row for the whole group. The arguments are everything
-    the result depends on, so a cached result is never stale; one entry
-    per draw kind lets the later members of a replicate read what the
-    first one's call computed, while memory stays bounded. The cached
-    result is only read.
+class _Replicate:
+    """Replicate ``rep`` of a study on ``config`` at ``budget`` (None in
+    tolerance mode). Its pilot and each draw kind's group are made the
+    first time they are read, so the pilot is evaluated in the call of the
+    first statistic to run and a group's walk in the call of its first
+    member (``run_replicate``). What is made is only read.
     """
-    config = StudyConfig(**dict(settings))
-    hierarchy = config.build_hierarchy()
-    members = _members(config.statistics, sobol)
-    stats = [STATISTICS[s] for s in members]
-    pilots, bridges = zip(*(_pilot_stage(config, stat, rep) for stat in stats))
-    plans = _plan_stage(config, hierarchy, stats, pilots, budget)
-    est_seed = (config.seed, _ESTIMATE + STAT_ORDER[members[0]], rep)
-    samples = _draw(hierarchy, sobol, int(plans[0].m.max()), est_seed)
-    sums = sum_for_plan(hierarchy, plans[0], samples, stats, bridges[0])
-    return dict(zip(members, zip(pilots, plans))), sums
+
+    def __init__(self, config: StudyConfig, budget, rep: int):
+        self.config = dataclasses.replace(config)  # later edits of the caller's are not read
+        self.budget, self.rep = budget, rep
+        self.hierarchy = config.build_hierarchy()
+        self.sobol = any(STATISTICS[s].needs_sobol_block for s in config.statistics)
+        self.groups = {}
+
+    @functools.cached_property
+    def pilot(self):
+        """(evaluations, bridges) of the one pilot: a draw from the stream
+        (seed, _PILOT, rep), a Sobol block when any configured statistic
+        needs one, else plain rows, on which every model runs once. In
+        nonlinear mode (else bridges is None) one GP bridge per low-fidelity
+        model is fitted on ``regression_train_size`` (low, high) output pairs
+        from the stream (seed, _TRAIN, rep), and the low-fidelity pilot
+        outputs go through it. The cost counts every run, training included.
+        """
+        config, h, k = self.config, self.hierarchy, self.hierarchy.n_models
+        samples = _draw(h, self.sobol, config.pilot_size, (config.seed, _PILOT, self.rep))
+        evals = evaluate_nested(h, samples, [config.pilot_size] * k)
+        if config.mode == "linear":
+            return evals, None
+        n = config.regression_train_size
+        train = evaluate_nested(h, draw_inputs(h, n, (config.seed, _TRAIN, self.rep)), [n] * k)
+        hf = train.outputs[0][:, 0]
+        bridges = tuple(GaussianProcessBridge().fit(train.outputs[i][:, 0], hf) for i in range(1, k))
+        bridged = apply_bridges(evals, bridges).outputs
+        return NestedEvaluations(bridged, evals.m, evals.cost + train.cost), bridges
+
+    def pilot_stage(self, stat):
+        """(stats, bridges) of ``stat`` from the one pilot, whose base column
+        plain statistics read on a Sobol block. ``stats.cost`` is an equal
+        share of the pilot's cost among the configured statistics: the only
+        pilot charge the plan stage and the records read."""
+        evals, bridges = self.pilot
+        if self.sobol and not stat.needs_sobol_block:
+            evals = NestedEvaluations([o[:, :1] for o in evals.outputs], evals.m, evals.cost)
+        stats = estimate_q_stats(evals, stat)
+        stats.cost = evals.cost / len(self.config.statistics)
+        return stats, bridges
+
+    def group(self, sobol: bool):
+        """({member: (pilot statistics, plan)}, folded states) of the group
+        that reads the draw kind ``sobol`` (``_members``): one plan
+        (``_plan_stage``), and one estimation draw, from the stream of the
+        first member, walked once by ``sum_for_plan``, which folds every
+        member's statistic from each block and bridges each block once."""
+        if sobol not in self.groups:
+            members = _members(self.config.statistics, sobol)
+            stats = [STATISTICS[s] for s in members]
+            pilots, bridges = zip(*(self.pilot_stage(stat) for stat in stats))
+            plans = _plan_stage(self.config, self.hierarchy, stats, pilots, self.budget)
+            est_seed = (self.config.seed, _ESTIMATE + STAT_ORDER[members[0]], self.rep)
+            samples = _draw(self.hierarchy, sobol, int(plans[0].m.max()), est_seed)
+            sums = sum_for_plan(self.hierarchy, plans[0], samples, stats, bridges[0])
+            self.groups[sobol] = dict(zip(members, zip(pilots, plans))), sums
+        return self.groups[sobol]
+
+
+# The last run_replicate call's _Replicate, keyed by every config field, the
+# budget and the replicate: one entry, shared by the statistics of a replicate.
+_MEMO: dict = {}
 
 
 def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dict:
-    """One full pilot -> allocation -> estimation pass for one statistic.
+    """One pilot -> allocation -> estimation pass for one configured statistic.
 
     ``budget`` is in high-fidelity-equivalent units, or None in tolerance
-    mode. Every statistic of a replicate reads one pilot draw, evaluated
-    once (``_pilot_stage``). Estimation is per group: the statistics that
-    read the same draw kind (``stat_label`` and those of the config) share
-    one plan, one estimation draw and one walk over it
-    (``_replicate_group``), which the first of them to run computes and
-    the others read. The record carries this statistic's view of the plan
-    (``_views``: the group's counts, its own coefficients and predicted
-    MSE, and an equal share of the budget), its estimate from its own fold
-    on the shared draw, and an equal share of the walk's cost.
+    mode. The statistics of a replicate share one ``_Replicate`` (``_MEMO``):
+    one pilot, and per draw kind one plan and one walk, which the first of
+    them to run computes and the others read. The record carries this
+    statistic's view of the plan (``_views``: the group's counts, its own
+    coefficients and predicted MSE, and an equal share of the budget), its
+    estimate from its own fold on the shared draw, and an equal share of the
+    walk's cost.
     """
+    if stat_label not in config.statistics:
+        raise UnknownNameError(f"statistic {stat_label!r} is not among the config's "
+                               f"statistics {list(config.statistics)}")
+    key = (dataclasses.astuple(config), budget, rep)
+    if key not in _MEMO:
+        _MEMO.clear()
+        _MEMO[key] = _Replicate(config, budget, rep)
+    replicate = _MEMO[key]
     stat = STATISTICS[stat_label]
-    shared = dataclasses.replace(config, statistics=tuple(sorted({*config.statistics, stat_label})))
-    settings = tuple(
-        (f.name, getattr(shared, f.name)) for f in dataclasses.fields(shared) if f.name not in _NOT_READ
-    )
-    group, sums = _replicate_group(settings, stat.needs_sobol_block, budget, rep)
+    group, sums = replicate.group(stat.needs_sobol_block)
     stats, plan = group[stat_label]
     report = mfmc_statistic(sums, plan, stat)
-    hierarchy = config.build_hierarchy()
     return {
         "replicate": rep,
         "statistic": stat_label,
         "mode": config.mode,
-        "budget_p": plan.budget / hierarchy.costs[0],
+        "budget_p": plan.budget / replicate.hierarchy.costs[0],
         "budget_abs": plan.budget,
         "values": np.atleast_1d(report.value),
         "predicted_mse": float(plan.predicted_mse),
@@ -525,7 +509,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
         "retained": plan.retained.copy(),
         "alpha": None if plan.alpha is None else plan.alpha.copy(),
         "rho": stats.rho.copy(),
-        "weights": _component_weights(config, hierarchy, stat),
+        "weights": _component_weights(config, replicate.hierarchy, stat),
     }
 
 
@@ -810,12 +794,13 @@ def run_pilot(config: StudyConfig, out_dir=None) -> dict:
     the pilot's key (``_pilot_key``) to ``pilot.json``.
 
     These are the pilot statistics of replicate 0 of a study on the same
-    config, read from its one pilot evaluation (``_pilot_stage``).
+    config, read from its one pilot evaluation (``_Replicate.pilot_stage``).
     """
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = {s: _pilot_stage(config, STATISTICS[s], rep=0)[0] for s in config.statistics}
+    replicate = _Replicate(config, None, 0)
+    results = {s: replicate.pilot_stage(STATISTICS[s])[0] for s in config.statistics}
     per_stat = {s: stats.to_dict() for s, stats in results.items()}
     saved = {"key": _pilot_key(config), "statistics": per_stat}
     (out / "pilot.json").write_text(json.dumps(saved, indent=2))

@@ -189,7 +189,9 @@ def test_criterion_5_quintic_nonlinear_bridge():
     nl_vals = {b: [] for b in budgets}
     rho_raw = []
     rho_bridged = []
-    # Budgets inside replicates, so the three budgets of a replicate share its bridge fit.
+    # run_replicate keeps one replicate, keyed by config and budget, so each
+    # budget of a replicate fits its own two bridges (six fits per replicate,
+    # whatever the loop order).
     for r in range(REPLICATES):
         for budget in budgets:
             rec_l = run_replicate(lin, "expectation", budget, r)

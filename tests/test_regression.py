@@ -236,9 +236,10 @@ def test_quintic_bridges_match_exhaustive_oracle():
     fits = 0
     for seed in (3, 11):
         for rep in range(10):
-            _, bridges = study._replicate_pilot("quintic", 17, None, 100, seed, rep, False, 100)
+            config = study.StudyConfig(hierarchy="quintic", mode="nonlinear", pilot_size=100,
+                                       regression_train_size=100, seed=seed)
+            _, bridges = study._Replicate(config, None, rep).pilot
             for reg in bridges:
                 _assert_same_fit(reg, exhaustive_gp_fit(reg._x, reg._y))
                 fits += 1
-    study._replicate_pilot.cache_clear()
     assert fits == 40

@@ -111,28 +111,11 @@ def test_bridges_fit_once_per_replicate(tmp_path, monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(GaussianProcessBridge, "fit", counted)
-    study._replicate_pilot.cache_clear()
+    study._MEMO.clear()
     config = _bridged_config(tmp_path)
     run_study(config)
     # one GP per low-fidelity model and replicate, shared by both statistics
     assert len(fits) == config.replicates * (3 - 1)
-
-
-def test_bridge_memo_never_stale(tmp_path):
-    variants = {
-        "base": _bridged_config(tmp_path),
-        "seed": _bridged_config(tmp_path, seed=8),
-        "train": _bridged_config(tmp_path, regression_train_size=25),
-    }
-    calls = [
-        ("base", "expectation", 0), ("seed", "expectation", 0), ("base", "variance", 0),
-        ("train", "expectation", 0), ("train", "variance", 0), ("base", "expectation", 1),
-        ("base", "variance", 0), ("seed", "variance", 1), ("seed", "expectation", 1),
-    ]
-    interleaved = [run_replicate(variants[v], stat, 40.0, rep) for v, stat, rep in calls]
-    for (v, stat, rep), rec in zip(calls, interleaved):
-        study._replicate_pilot.cache_clear()
-        _same_record(rec, run_replicate(variants[v], stat, 40.0, rep))
 
 
 _ALL_STATISTICS = ("expectation", "variance", "sobol-main", "sobol-total")
@@ -147,7 +130,7 @@ def test_pilot_draws_evaluated_once_per_replicate(tmp_path, monkeypatch):
         return original(hierarchy, samples, *args)
 
     monkeypatch.setattr(study, "evaluate_nested", counted)
-    study._replicate_pilot.cache_clear()
+    study._MEMO.clear()
     config = _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), replicates=3)
     run_study(config)
     # per replicate, one Sobol block, whose base column the plain statistics
@@ -191,7 +174,7 @@ def test_ledger_equals_the_runs(tmp_path, monkeypatch, overrides):
         return evaluate_batch(model, inputs)
 
     monkeypatch.setattr(Model, "evaluate_batch", counted)
-    study._replicate_pilot.cache_clear()
+    study._MEMO.clear()
     records = [run_replicate(config, stat, config.budgets[0], 0) for stat in config.statistics]
     ledger = sum(rec["pilot_cost"] + rec["realized_cost"] for rec in records)
     assert ledger == pytest.approx(sum(charged), rel=1e-12)
@@ -210,8 +193,7 @@ def test_a_replicate_runs_each_model_once_per_row_of_each_draw_kind(tmp_path, mo
         return evaluate_batch(model, inputs)
 
     monkeypatch.setattr(Model, "evaluate_batch", counted)
-    study._replicate_pilot.cache_clear()
-    study._replicate_group.cache_clear()
+    study._MEMO.clear()
     records = {s: run_replicate(config, s, 160.0, 0) for s in _ALL_STATISTICS}
     plain, sobol = records["expectation"]["m"], records["sobol-main"]["m"]
     assert np.array_equal(plain, records["variance"]["m"])
@@ -220,40 +202,56 @@ def test_a_replicate_runs_each_model_once_per_row_of_each_draw_kind(tmp_path, mo
     assert list(rows.values()) == expected
 
 
-def test_group_memo_never_stale(tmp_path):
-    # each variant changes one thing a group's plan or walk depends on, and
-    # is called right after the base call it would otherwise hit
-    def config(**overrides):
+def test_replicate_memo_never_stale(tmp_path):
+    # each variant changes one thing the pilot, a group's plan or its walk
+    # depends on, and is called right after the call of its base that it
+    # would otherwise hit; every record equals one made with a fresh memo
+    def ishigami(**overrides):
         return _tiny_config(tmp_path, **{"statistics": _ALL_STATISTICS, "budgets": (160.0,),
                                          **overrides})
 
-    variants = {
-        "base": (config(), 160.0),
-        "budget": (config(), 200.0),
-        "moments": (config(statistics=("expectation", "variance")), 160.0),
-        "costs": (config(costs=(1.0, 0.1, 0.002)), 160.0),
-        "include": (config(include_pilot_cost=True), 160.0),
-        "sobol-weights": (config(statistics=("sobol-main", "sobol-total"),
-                                 output_weights=(1.0, 2.0, 3.0)), 160.0),
-        "tolerance": (config(budgets=None, tolerance=0.5), None),
+    variants = {  # name: (the base it follows, config, budget, replicate offset)
+        "base": (None, ishigami(), 160.0, 0),
+        "replicate": ("base", ishigami(), 160.0, 1),
+        "budget": ("base", ishigami(), 200.0, 0),
+        "moments": ("base", ishigami(statistics=("expectation", "variance")), 160.0, 0),
+        "costs": ("base", ishigami(costs=(1.0, 0.1, 0.002)), 160.0, 0),
+        "include": ("base", ishigami(include_pilot_cost=True), 160.0, 0),
+        "sobol-weights": ("base", ishigami(statistics=("sobol-main", "sobol-total"),
+                                           output_weights=(1.0, 2.0, 3.0)), 160.0, 0),
+        "tolerance": ("base", ishigami(budgets=None, tolerance=0.5), None, 0),
+        "pilot": ("base", ishigami(pilot_size=30), 160.0, 0),
+        "bridged": (None, _bridged_config(tmp_path), 40.0, 0),
+        "bridged-replicate": ("bridged", _bridged_config(tmp_path), 40.0, 1),
+        "seed": ("bridged", _bridged_config(tmp_path, seed=8), 40.0, 0),
+        "train": ("bridged", _bridged_config(tmp_path, regression_train_size=25), 40.0, 0),
     }
     calls = [
         call
         for rep in (0, 1)
         for stat in ("expectation", "sobol-main", "variance", "sobol-total")
-        for v in variants
-        if v != "base" and stat in variants[v][0].statistics
-        for call in (("base", stat, rep), (v, stat, rep))
+        for v, (base, config, *_) in variants.items()
+        if base is not None and stat in config.statistics
+        for call in ((base, stat, rep), (v, stat, rep))
     ]
-    interleaved = [run_replicate(variants[v][0], stat, variants[v][1], rep) for v, stat, rep in calls]
+
+    def run(v, stat, rep):
+        _, config, budget, offset = variants[v]
+        return run_replicate(config, stat, budget, rep + offset)
+
+    interleaved = [run(*call) for call in calls]
     latest = dict(zip(calls, interleaved))
     for (v, stat, rep), rec in zip(calls, interleaved):
-        study._replicate_pilot.cache_clear()
-        study._replicate_group.cache_clear()
-        _same_record(rec, run_replicate(variants[v][0], stat, variants[v][1], rep))
+        study._MEMO.clear()
+        _same_record(rec, run(v, stat, rep))
         partner = {"expectation": "variance", "sobol-main": "sobol-total"}.get(stat)
         if (v, partner, rep) in latest:
             assert np.array_equal(rec["m"], latest[v, partner, rep]["m"])
+
+
+def test_run_replicate_refuses_a_statistic_outside_the_config(tmp_path):
+    with pytest.raises(UnknownNameError, match=r"'variance'.*\['expectation'\]"):
+        run_replicate(_tiny_config(tmp_path), "variance", 20.0, 0)
 
 
 def test_stacked_members_count_equally(tmp_path):
@@ -264,7 +262,8 @@ def test_stacked_members_count_equally(tmp_path):
                           statistics=("expectation", "variance"), output_weights=(1, 2, 3, 4, 5))
     h = config.build_hierarchy()
     stats = [STATISTICS[s] for s in config.statistics]
-    pilots = [study._pilot_stage(config, stat, 0)[0] for stat in stats]
+    replicate = study._Replicate(config, None, 0)
+    pilots = [replicate.pilot_stage(stat)[0] for stat in stats]
     weights = [study._component_weights(config, h, stat) for stat in stats]
     stacked, w = study._stack(stats, pilots, weights)
     first, second = np.split(w * stacked.sigma[0] ** 2, 2)
@@ -276,31 +275,10 @@ def test_stacked_members_count_equally(tmp_path):
 def test_a_member_without_variance_is_named(tmp_path):
     config = _tiny_config(tmp_path, statistics=("expectation", "variance"))
     moments = [STATISTICS["expectation"], STATISTICS["variance"]]
-    varied = study._pilot_stage(config, moments[0], 0)[0]
+    varied = study._Replicate(config, None, 0).pilot_stage(moments[0])[0]
     flat = PilotStats(np.zeros((3, 1)), np.ones((3, 1)), 40, np.array([True]))
     with pytest.raises(DegenerateStatsError, match="variance"):
         study._plan_stage(config, config.build_hierarchy(), moments, [varied, flat], 40.0)
-
-
-def test_pilot_memo_never_stale(tmp_path):
-    # the costs variant draws the same pilot rows but must charge them at its own costs
-    variants = {
-        "base": _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,)),
-        "costs": _tiny_config(
-            tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), costs=(1.0, 0.1, 0.002)
-        ),
-        "pilot": _tiny_config(tmp_path, statistics=_ALL_STATISTICS, budgets=(160.0,), pilot_size=30),
-    }
-    calls = [
-        (v, stat, rep)
-        for rep in (0, 1)
-        for stat in ("expectation", "sobol-main", "variance", "sobol-total")
-        for v in variants
-    ]
-    interleaved = [run_replicate(variants[v], stat, 160.0, rep) for v, stat, rep in calls]
-    for (v, stat, rep), rec in zip(calls, interleaved):
-        study._replicate_pilot.cache_clear()
-        _same_record(rec, run_replicate(variants[v], stat, 160.0, rep))
 
 
 def _csv_rows(path):
@@ -325,7 +303,7 @@ def test_multi_statistic_study_shares_one_plan_and_one_estimation_draw(tmp_path,
         for key in ("m", "retained", "budget_abs"):
             assert np.array_equal(first[key], second[key]), key
         assert first["realized_cost"] == second["realized_cost"]
-        _, bridges = study._pilot_stage(config, STATISTICS["expectation"], rep)
+        _, bridges = study._Replicate(config, 40.0, rep).pilot
         samples = draw_inputs(h, int(first["m"].max()), (config.seed, study._ESTIMATE, rep))
         for stat, rec in records.items():
             plan = AllocationPlan(rec["m"], rec["alpha"], rec["retained"], rec["predicted_mse"],
@@ -946,13 +924,20 @@ def _field_config(**overrides):
     return StudyConfig(**base)
 
 
+def _run_afresh(config, stat, budget):
+    # on an empty memo, so that a traced call runs the replicate rather than
+    # reading the one the warm-up call left
+    study._MEMO.clear()
+    return run_replicate(config, stat, budget, 0)
+
+
 def _replicate_peak(stat, budget):
-    config = _field_config(budgets=(budget,))
-    run_replicate(config, stat, budget, 0)  # warm up imports and caches
+    config = _field_config(statistics=(stat,), budgets=(budget,))
+    _run_afresh(config, stat, budget)  # warm up imports
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rec = run_replicate(config, stat, budget, 0)
+        rec = _run_afresh(config, stat, budget)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1041,7 +1026,7 @@ def test_replicate_memory_does_not_grow_with_the_budget(tmp_path, stat):
     # folded, a block at a time
     for budget in (1e3, 1e4):
         config = _tiny_config(tmp_path, statistics=(stat,), budgets=(budget,), pilot_size=100)
-        peak = traced_peak(lambda: run_replicate(config, stat, budget, 0))
+        peak = traced_peak(lambda: _run_afresh(config, stat, budget))
         assert peak < 6 * _ROW_BLOCK_BYTES
 
 
@@ -1094,7 +1079,8 @@ def test_replicate_estimates_through_one_sum_for_plan_call(monkeypatch, override
     # Every statistic in every mode is estimated by one sum_for_plan call
     # for its group (the config's expectation joins a variance), and gives
     # the record that folding held (and bridged) outputs gives.
-    config = _field_config(budgets=(20.0,), **overrides)
+    config = _field_config(budgets=(20.0,), statistics=tuple(dict.fromkeys(("expectation", stat))),
+                           **overrides)
     expected = run_replicate(config, stat, 20.0, 0)
     calls = []
 
@@ -1104,7 +1090,7 @@ def test_replicate_estimates_through_one_sum_for_plan_call(monkeypatch, override
         return evals if bridges is None else estimators.apply_bridges(evals, bridges)
 
     monkeypatch.setattr(study, "sum_for_plan", held)
-    study._replicate_group.cache_clear()
+    study._MEMO.clear()
     got = run_replicate(config, stat, 20.0, 0)
     assert calls == [("expectation", "variance") if stat == "variance" else (stat,)]
     _same_record(expected, got)
