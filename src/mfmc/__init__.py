@@ -26,15 +26,9 @@ from .errors import (
 from .estimators import (
     STATISTICS,
     EstimateReport,
-    ExpectationStatistic,
-    SobolMainStatistic,
-    SobolTotalStatistic,
-    VarianceStatistic,
     apply_bridges,
     evaluate_for_plan,
-    evaluate_sobol_for_plan,
     mfmc_expectation,
-    mfmc_nonlinear,
     mfmc_statistic,
 )
 from .hierarchy import (
@@ -55,7 +49,6 @@ from .hierarchy import (
 )
 from .pilot import (
     PilotStats,
-    estimate_g_stats,
     estimate_moment_stats,
     estimate_q_stats,
     pilot_stats_from_exact,
@@ -67,7 +60,6 @@ from .sampling import (
     build_sobol_block,
     draw_inputs,
     evaluate_nested,
-    evaluate_sobol_nested,
 )
 from .study import (
     StudyConfig,

@@ -87,7 +87,6 @@ class AggregatedStats:
 
     sigma_bar_sq: float
     rho_bar_sq: np.ndarray
-    source: PilotStats | None = None
 
     @property
     def n_models(self) -> int:
@@ -178,7 +177,7 @@ def aggregate_vector_stats(stats: PilotStats, weights=None) -> AggregatedStats:
     rho_bar_sq[0] = 1.0
     for i in range(1, stats.n_models):
         rho_bar_sq[i] = float(np.sum(stats.rho[i, valid] ** 2 * var1 * w)) / sigma_bar_sq
-    return AggregatedStats(sigma_bar_sq, rho_bar_sq, source=stats)
+    return AggregatedStats(sigma_bar_sq, rho_bar_sq)
 
 
 def _as_aggregated(stats, weights=None) -> AggregatedStats:
@@ -201,10 +200,9 @@ def _chain_ratios(rho_sq_chain, w_chain):
 
 
 def _alpha_matrix(stats, retained):
-    """Per-component coefficients rho_i sigma_1 / sigma_i for retained models."""
+    """Per-component coefficients rho_i sigma_1 / sigma_i for retained models;
+    None for aggregated statistics, which carry no per-component ones."""
     if isinstance(stats, AggregatedStats):
-        stats = stats.source
-    if stats is None:
         return None
     k, p = stats.n_models, stats.n_components
     alpha = np.zeros((k, p))

@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +36,6 @@ from .allocation import (
 from .errors import DegenerateStatsError, InfeasibleBudgetError, MFMCError, UnknownNameError
 from .estimators import STATISTICS, apply_bridges, mfmc_statistic, sum_for_plan
 from .hierarchy import (
-    HIERARCHY_NAMES,
     get_hierarchy,
     ishigami_mean,
     ishigami_sobol_indices,
@@ -104,18 +104,15 @@ class StudyConfig:
         if isinstance(self.statistics, str):
             self.statistics = (self.statistics,)
         self.statistics = tuple(self.statistics)
-        if self.budgets is not None:
-            self.budgets = tuple(float(b) for b in np.atleast_1d(self.budgets))
-        if self.costs is not None:
-            self.costs = tuple(float(c) for c in self.costs)
-        if self.output_weights is not None:
-            self.output_weights = tuple(float(v) for v in self.output_weights)
+        for key in ("budgets", "costs", "output_weights"):
+            values = getattr(self, key)
+            if values is not None:
+                try:
+                    setattr(self, key, tuple(float(v) for v in np.atleast_1d(values)))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key} must be a list of numbers, got {values!r}") from exc
 
     def validate(self):
-        if self.hierarchy not in HIERARCHY_NAMES:
-            raise UnknownNameError(
-                f"unknown hierarchy {self.hierarchy!r}; available: {', '.join(HIERARCHY_NAMES)}"
-            )
         _refuse_empty_or_repeated("statistics", self.statistics)
         for name in self.statistics:
             if name not in STATISTICS:
@@ -124,15 +121,20 @@ class StudyConfig:
                 )
         if self.mode not in MODES:
             raise UnknownNameError(f"unknown mode {self.mode!r}; available: {MODES}")
-        if self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
-        if self.pilot_size < 3:
-            raise ValueError(f"pilot_size must be >= 3, got {self.pilot_size}")
-        if self.mode == "nonlinear" and self.regression_train_size < 5:
-            raise ValueError(
-                f"regression_train_size must be >= 5 in nonlinear mode, "
-                f"got {self.regression_train_size}"
-            )
+        # Each integer key's least value. A seed has none: any integer is
+        # taken modulo 2**64 (sampling._seed_tuple).
+        least = {
+            "seed": None, "n_points": 1, "pilot_size": 3, "replicates": 1, "jobs": 1,
+            "reference_samples": max(STATISTICS[s].min_samples for s in self.statistics),
+        }
+        if self.mode == "nonlinear":
+            least["regression_train_size"] = 5
+        for key, low in least.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
         hierarchy = get_hierarchy(self.hierarchy, n_points=self.n_points)
         if self.costs is not None:
             if len(self.costs) != hierarchy.n_models:
@@ -161,20 +163,11 @@ class StudyConfig:
                     f"budgets {list(self.budgets)} times costs[0]={unit:g} overflow a float; "
                     "lower budgets or costs"
                 )
-        if self.tolerance is not None and not (
-            math.isfinite(self.tolerance) and self.tolerance > 0
+        if self.tolerance is not None and (
+            isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real)
+            or not (math.isfinite(self.tolerance) and self.tolerance > 0)
         ):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        min_samples = max(STATISTICS[s].min_samples for s in self.statistics)
-        if self.reference_samples < min_samples:
-            raise ValueError(
-                f"reference_samples must be >= {min_samples} for statistics "
-                f"{list(self.statistics)}, got {self.reference_samples}"
-            )
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+            raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
         if self.mode == "nonlinear" and any(
             STATISTICS[s].needs_sobol_block for s in self.statistics
         ):
@@ -507,7 +500,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
         "m": plan.m.copy(),
         "m_real": plan.m_real.copy(),
         "retained": plan.retained.copy(),
-        "alpha": None if plan.alpha is None else plan.alpha.copy(),
+        "alpha": plan.alpha.copy(),
         "rho": stats.rho.copy(),
         "weights": _component_weights(config, replicate.hierarchy, stat),
     }
@@ -563,103 +556,70 @@ def _write_replicates_csv(path, records):
                 )
 
 
-def _nanmean(stack, axis=0):
+def _summarize(config: StudyConfig, records, reference, weights):
+    """One statistic's records reduced once: (the per-model means of
+    ``allocation_<stat>.csv``, its ``summary.json`` entry).
+
+    A model's coefficients are averaged over the replicates that kept it
+    (NaN where none did), its correlations over the non-NaN ones. The
+    empirical errors are null without a reference.
+    """
+    m = np.array([rec["m"] for rec in records], dtype=float).mean(axis=0)
+    kept = np.array([rec["retained"] for rec in records])
+    retained = kept.mean(axis=0)
+    alpha = np.array([rec["alpha"] for rec in records])
+    alpha_mean = np.full(alpha.shape[1:], np.nan)
+    for i in range(len(m)):
+        if kept[:, i].any():
+            alpha_mean[i] = alpha[kept[:, i], i].mean(axis=0)
     with np.errstate(invalid="ignore"):
-        out = np.nanmean(stack, axis=axis)
-    return out
-
-
-def _allocation_summary(records, labels):
-    k = len(labels)
-    m = np.array([rec["m"] for rec in records], dtype=float)
-    retained = np.array([rec["retained"] for rec in records], dtype=float)
-    rho = _nanmean(np.array([rec["rho"] for rec in records]), axis=0)
-    alpha_rows = [rec["alpha"] for rec in records if rec["alpha"] is not None]
-    alpha_mean = None
-    if alpha_rows:
-        # Average coefficients only over replicates that kept the model.
-        stack = np.array(alpha_rows)
-        kept = np.array([rec["retained"] for rec in records if rec["alpha"] is not None])
-        alpha_mean = np.full(stack.shape[1:], np.nan)
-        for i in range(k):
-            rows = stack[kept[:, i], i, :]
-            if rows.size:
-                alpha_mean[i] = rows.mean(axis=0)
-    return {
-        "labels": list(labels),
-        "m_mean": m.mean(axis=0),
-        "retained_fraction": retained.mean(axis=0),
-        "rho_mean": rho,
-        "alpha_mean": alpha_mean,
+        rho_mean = np.nanmean([rec["rho"] for rec in records], axis=0)
+    values = np.array([rec["values"] for rec in records])
+    realized = float(sum(rec["realized_cost"] for rec in records))
+    pilot = float(sum(rec["pilot_cost"] for rec in records))
+    entry = {
+        "mode": config.mode,
+        "replicates": len(records),
+        "budget_p_mean": float(np.mean([rec["budget_p"] for rec in records])),
+        "value_mean": [float(v) for v in values.mean(axis=0)],
+        "reference": None,
+        "empirical_mse": None,
+        "empirical_mse_per_component": None,
+        "relative_mse": None,
+        "predicted_mse_mean": float(np.mean([rec["predicted_mse"] for rec in records])),
+        "realized_cost_total": realized,
+        "pilot_cost_total": pilot,
+        "total_cost": realized + pilot,
+        "m_mean": [float(v) for v in m],
+        "retained_fraction": [float(v) for v in retained],
     }
+    if reference is not None:
+        per_component = ((values - reference) ** 2).mean(axis=0)
+        total = float(np.sum(per_component * weights))
+        scale = float(np.sum(reference**2 * weights))
+        entry.update(
+            reference=[float(v) for v in reference], empirical_mse=total,
+            empirical_mse_per_component=[float(v) for v in per_component],
+            relative_mse=total / scale if scale > 0 else None,
+        )
+    means = {"m": m, "retained": retained, "alpha": alpha_mean, "rho": rho_mean}
+    return means, entry
 
 
-def _write_allocation_csv(path, summary):
-    p = summary["rho_mean"].shape[1]
+def _write_allocation_csv(path, labels, means):
+    p = means["rho"].shape[1]
     alpha_cols = ["alpha"] if p == 1 else [f"alpha_{j}" for j in range(p)]
     rho_cols = ["rho"] if p == 1 else [f"rho_{j}" for j in range(p)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "m", "retained_fraction", *alpha_cols, *rho_cols])
-        for i, label in enumerate(summary["labels"]):
-            alpha = summary["alpha_mean"]
-            alpha_vals = (
-                [""] * p
-                if alpha is None or not np.any(np.isfinite(alpha[i]))
-                else [_fmt(v) for v in alpha[i]]
-            )
-            rho_vals = [
-                _fmt(v) if np.isfinite(v) else "" for v in summary["rho_mean"][i]
-            ]
+        for i, label in enumerate(labels):
+            alpha = means["alpha"][i]
+            alpha_vals = [_fmt(v) for v in alpha] if np.any(np.isfinite(alpha)) else [""] * p
+            rho_vals = [_fmt(v) if np.isfinite(v) else "" for v in means["rho"][i]]
             writer.writerow(
-                [
-                    label,
-                    _fmt(summary["m_mean"][i]),
-                    _fmt(summary["retained_fraction"][i]),
-                    *alpha_vals,
-                    *rho_vals,
-                ]
+                [label, _fmt(means["m"][i]), _fmt(means["retained"][i]), *alpha_vals, *rho_vals]
             )
-
-
-def _empirical_errors(records, reference, weights):
-    if reference is None:
-        return None, None, None
-    values = np.array([rec["values"] for rec in records])
-    err_sq = (values - reference[None, :]) ** 2
-    per_component = err_sq.mean(axis=0)
-    total = float(np.sum(per_component * weights))
-    ref_scale = float(np.sum(reference**2 * weights))
-    relative = total / ref_scale if ref_scale > 0 else None
-    return per_component, total, relative
-
-
-def _stat_summary(config, records, reference, weights):
-    values = np.array([rec["values"] for rec in records])
-    per_comp, total, relative = _empirical_errors(records, reference, weights)
-    realized = float(sum(rec["realized_cost"] for rec in records))
-    pilot = float(sum(rec["pilot_cost"] for rec in records))
-    out = {
-        "mode": config.mode,
-        "replicates": len(records),
-        "budget_p_mean": float(np.mean([rec["budget_p"] for rec in records])),
-        "value_mean": [float(v) for v in values.mean(axis=0)],
-        "reference": None if reference is None else [float(v) for v in reference],
-        "empirical_mse": None if total is None else float(total),
-        "empirical_mse_per_component": None
-        if per_comp is None
-        else [float(v) for v in per_comp],
-        "relative_mse": None if relative is None else float(relative),
-        "predicted_mse_mean": float(np.mean([rec["predicted_mse"] for rec in records])),
-        "realized_cost_total": realized,
-        "pilot_cost_total": pilot,
-        "total_cost": realized + pilot,
-        "m_mean": [float(v) for v in np.mean([rec["m"] for rec in records], axis=0)],
-        "retained_fraction": [
-            float(v) for v in np.mean([rec["retained"] for rec in records], axis=0)
-        ],
-    }
-    return out
 
 
 def run_study(config: StudyConfig, out_dir=None) -> dict:
@@ -688,13 +648,13 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     settings = {k: v for k, v in config.to_dict().items() if k != "jobs"}
     summary = {"config": settings, "statistics": {}}
     references = [reference_values(config, s, hierarchy) for s in config.statistics]
+    labels = [model.label for model in hierarchy.models]
     runs = _run_replicates(config, budget)
     for stat_label, records, reference in zip(config.statistics, runs, references):
         weights = _component_weights(config, hierarchy, STATISTICS[stat_label])
         _write_replicates_csv(out / f"replicates_{stat_label}.csv", records)
-        alloc = _allocation_summary(records, [m.label for m in hierarchy.models])
-        _write_allocation_csv(out / f"allocation_{stat_label}.csv", alloc)
-        summary["statistics"][stat_label] = _stat_summary(config, records, reference, weights)
+        means, summary["statistics"][stat_label] = _summarize(config, records, reference, weights)
+        _write_allocation_csv(out / f"allocation_{stat_label}.csv", labels, means)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return summary
 

@@ -23,7 +23,7 @@ from mfmc.allocation import (
     budget_for_tolerance,
     optimal_allocation,
 )
-from mfmc.estimators import evaluate_for_plan, mfmc_expectation
+from mfmc.estimators import STATISTICS, evaluate_for_plan, mfmc_statistic
 from mfmc.hierarchy import (
     Model,
     ModelHierarchy,
@@ -161,7 +161,7 @@ def test_criterion_4_variance_reduction_realized():
     for r in range(reps):
         samples = draw_inputs(h, int(plan.m.max()), (66, r))
         evals = evaluate_for_plan(h, plan, samples)
-        est[r] = mfmc_expectation(evals, plan).value[0]
+        est[r] = mfmc_statistic(evals, plan, STATISTICS["expectation"]).value[0]
     ratio = float(np.mean(est**2) / np.mean(mc**2))
     target = 0.16585  # (sqrt(1 - rho^2) + sqrt(w2 rho^2))^2
     ok = target / 1.5 <= ratio <= target * 1.5

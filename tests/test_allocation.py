@@ -543,3 +543,8 @@ def test_aggregated_stats_without_source_have_no_alpha():
     plan = optimal_allocation(agg, CostModel([1.0, 0.01]), 100.0)
     assert plan.alpha is None
     assert plan.m[0] >= 1
+    # an aggregate keeps no link to the statistics it came from
+    stats = pilot_stats_from_exact([2.0, 2.0], [1.0, 0.9])
+    plan = optimal_allocation(aggregate_vector_stats(stats), CostModel([1.0, 0.01]), 100.0)
+    assert plan.alpha is None
+    assert plan.m.tolist() == optimal_allocation(stats, CostModel([1.0, 0.01]), 100.0).m.tolist()

@@ -11,10 +11,9 @@ from mfmc.allocation import AllocationPlan, CostModel, optimal_allocation
 from mfmc.errors import EvaluationError, NotFittedError
 from mfmc.estimators import (
     STATISTICS,
+    apply_bridges,
     evaluate_for_plan,
-    evaluate_sobol_for_plan,
     mfmc_expectation,
-    mfmc_nonlinear,
     mfmc_statistic,
     sum_for_plan,
 )
@@ -36,6 +35,8 @@ from mfmc.sampling import (
     draw_inputs,
     evaluate_nested,
 )
+
+EXPECTATION = STATISTICS["expectation"]
 
 
 def _manual_plan(m, alpha_rows):
@@ -63,7 +64,7 @@ def _evals(m_vec, *columns):
 def test_two_level_hand_telescoping():
     evals = _evals([1, 2], [2.0], [1.0, 3.0])
     plan = _manual_plan([1, 2], [1.0, 1.0])
-    report = mfmc_expectation(evals, plan)
+    report = mfmc_statistic(evals, plan, EXPECTATION)
     # 2 + (mean(1,3) - mean(1)) = 2 + (2 - 1) = 3
     assert report.value[0] == pytest.approx(3.0)
 
@@ -74,7 +75,7 @@ def test_zero_coefficients_reduce_to_plain_mean():
     y2 = rng.normal(size=12)
     evals = _evals([6, 12], y1, y2)
     plan = _manual_plan([6, 12], [1.0, 0.0])
-    report = mfmc_expectation(evals, plan)
+    report = mfmc_statistic(evals, plan, EXPECTATION)
     assert report.value[0] == pytest.approx(y1.mean())
 
 
@@ -85,7 +86,7 @@ def test_equal_prefix_contributes_exactly_zero():
     evals = _evals([5, 5], y1, y2)
     for alpha in (0.0, 1.0, 17.3):
         plan = _manual_plan([5, 5], [1.0, alpha])
-        report = mfmc_expectation(evals, plan)
+        report = mfmc_statistic(evals, plan, EXPECTATION)
         assert report.value[0] == y1.mean()
 
 
@@ -370,7 +371,7 @@ def test_interior_dropped_model_is_never_evaluated():
     evals = evaluate_for_plan(h, plan, draw_inputs(h, 12, 5))
     assert calls["n"] == 0
     assert evals.outputs[1].shape[0] == 0
-    rep = mfmc_expectation(evals, plan)
+    rep = mfmc_statistic(evals, plan, EXPECTATION)
     assert np.isfinite(rep.value[0])
     assert evals.cost == pytest.approx(4 * 1.0 + 12 * 0.1)
 
@@ -381,7 +382,7 @@ def test_permutation_within_prefix_blocks_leaves_estimate_unchanged():
     cols = [rng.normal(size=m[i]) for i in range(3)]
     evals = _evals(m, *cols)
     plan = _manual_plan(m, [1.0, 0.8, 0.6])
-    base = mfmc_expectation(evals, plan).value[0]
+    base = mfmc_statistic(evals, plan, EXPECTATION).value[0]
     # permute rows inside each block bounded by the prefix structure
     perm_cols = []
     for i, col in enumerate(cols):
@@ -391,19 +392,19 @@ def test_permutation_within_prefix_blocks_leaves_estimate_unchanged():
             seg = col[lo:hi]
             col[lo:hi] = seg[rng.permutation(len(seg))]
         perm_cols.append(col)
-    permuted = mfmc_expectation(_evals(m, *perm_cols), plan).value[0]
+    permuted = mfmc_statistic(_evals(m, *perm_cols), plan, EXPECTATION).value[0]
     assert permuted == pytest.approx(base, rel=1e-10)
 
 
 def test_bridged_identity_matches_plain_expectation():
     h = ishigami_hierarchy()
-    stats = estimate_moment_stats(evaluate_nested(h, draw_inputs(h, 60, 3), [60] * 3))
+    stats = estimate_q_stats(evaluate_nested(h, draw_inputs(h, 60, 3), [60] * 3), "expectation")
     plan = optimal_allocation(stats, CostModel(h.costs), 20.0)
     samples = draw_inputs(h, int(plan.m.max()), 14)
     evals = evaluate_for_plan(h, plan, samples)
     identity = [IdentityBridge(), IdentityBridge()]
-    a = mfmc_nonlinear(evals, plan, identity)
-    b = mfmc_expectation(evals, plan)
+    a = mfmc_statistic(apply_bridges(evals, identity), plan, EXPECTATION)
+    b = mfmc_statistic(evals, plan, EXPECTATION)
     assert np.array_equal(a.value, b.value)
     stat = STATISTICS["expectation"]
     streamed = sum_for_plan(h, plan, samples, (stat,), bridges=identity)
@@ -416,7 +417,7 @@ def test_bridged_estimation_requires_fitted_bridges():
     evals = evaluate_for_plan(h, plan, draw_inputs(h, 9, 4))
     unfitted = [GaussianProcessBridge(), GaussianProcessBridge()]
     with pytest.raises(NotFittedError):
-        mfmc_nonlinear(evals, plan, unfitted)
+        mfmc_statistic(apply_bridges(evals, unfitted), plan, EXPECTATION)
     with pytest.raises(NotFittedError):
         sum_for_plan(h, plan, draw_inputs(h, 9, 4), (STATISTICS["expectation"],), bridges=unfitted)
     field = synthetic_field_hierarchy(3)
@@ -460,7 +461,7 @@ def test_empirical_mse_matches_prediction_on_exact_gaussian_pair():
     for r in range(reps):
         samples = draw_inputs(h, int(plan.m.max()), (777, r))
         evals = evaluate_for_plan(h, plan, samples)
-        est[r] = mfmc_expectation(evals, plan).value[0]
+        est[r] = mfmc_statistic(evals, plan, EXPECTATION).value[0]
     emp = float(np.mean(est**2))  # true mean is 0
     assert emp == pytest.approx(plan.predicted_mse, rel=0.5)
     assert plan.predicted_mse == pytest.approx(
@@ -502,7 +503,7 @@ def test_unbiased_mean_field_estimates(rng):
     for r in range(reps):
         samples = draw_inputs(h, int(plan.m.max()), (31, r))
         evals = evaluate_for_plan(h, plan, samples)
-        values[r] = mfmc_expectation(evals, plan).value
+        values[r] = mfmc_statistic(evals, plan, EXPECTATION).value
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean) < 4 * stderr)
@@ -685,7 +686,6 @@ def test_a_plans_block_is_charged_the_plans_budget():
     block = build_sobol_block(h, int(plan.m.max()), 2)
     assert plan.budget_used == 40.0
     assert evaluate_for_plan(h, plan, block).cost == plan.budget_used
-    assert evaluate_sobol_for_plan(h, plan, block).cost == plan.budget_used
     assert sum_for_plan(h, plan, block, (stat,)).cost == plan.budget_used
 
 
@@ -768,7 +768,7 @@ def test_streamed_bridged_is_bit_identical_to_held(stat_label, m):
     stat = STATISTICS[stat_label]
     streamed = sum_for_plan(h, plan, samples, (stat,), bridges=bridges)
     held = evaluate_for_plan(h, plan, samples)
-    value = mfmc_nonlinear(held, plan, bridges, stat).value
+    value = mfmc_statistic(apply_bridges(held, bridges), plan, stat).value
     assert np.array_equal(mfmc_statistic(streamed, plan, stat).value, value)
     assert streamed.cost == held.cost
 

@@ -6,15 +6,9 @@ from conftest import IdentityBridge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfmc.estimators import STATISTICS
+from mfmc.estimators import STATISTICS, apply_bridges
 from mfmc.hierarchy import ishigami_hierarchy, quintic_hierarchy
-from mfmc.pilot import (
-    PilotStats,
-    estimate_g_stats,
-    estimate_moment_stats,
-    estimate_q_stats,
-    pilot_stats_from_exact,
-)
+from mfmc.pilot import PilotStats, estimate_q_stats, pilot_stats_from_exact
 from mfmc.regression import GaussianProcessBridge
 from mfmc.sampling import NestedEvaluations, draw_inputs, evaluate_nested
 
@@ -28,14 +22,14 @@ def _evals_from_arrays(*columns):
 
 def test_hand_example_perfectly_correlated_doubling():
     evals = _evals_from_arrays([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
-    stats = estimate_moment_stats(evals)
+    stats = estimate_q_stats(evals, "expectation")
     assert stats.rho[1, 0] == pytest.approx(1.0)
     assert stats.sigma[0, 0] / stats.sigma[1, 0] == pytest.approx(0.5)
 
 
 def test_identical_models_give_unit_correlation():
     vals = [0.4, -1.0, 2.2, 0.9]
-    stats = estimate_moment_stats(_evals_from_arrays(vals, vals, vals))
+    stats = estimate_q_stats(_evals_from_arrays(vals, vals, vals), "expectation")
     assert np.allclose(stats.rho, 1.0)
     assert np.allclose(stats.sigma[1:], stats.sigma[0])
 
@@ -43,7 +37,7 @@ def test_identical_models_give_unit_correlation():
 def test_ishigami_close_siblings_strongly_correlated():
     h = ishigami_hierarchy()
     evals = evaluate_nested(h, draw_inputs(h, 100, 31), [100] * 3)
-    stats = estimate_moment_stats(evals)
+    stats = estimate_q_stats(evals, "expectation")
     assert stats.rho[1, 0] > 0.99
     assert stats.n_samples == 100
 
@@ -51,10 +45,10 @@ def test_ishigami_close_siblings_strongly_correlated():
 def test_identity_statistic_reproduces_moment_stats():
     h = quintic_hierarchy()
     evals = evaluate_nested(h, draw_inputs(h, 60, 2), [60] * 3)
-    raw = estimate_moment_stats(evals)
     viaq = estimate_q_stats(evals, STATISTICS["expectation"])
-    assert np.allclose(viaq.sigma, raw.sigma, rtol=1e-12)
-    assert np.allclose(viaq.rho, raw.rho, rtol=1e-12)
+    outputs = np.hstack(evals.outputs)
+    assert np.allclose(viaq.sigma[:, 0], outputs.std(axis=0, ddof=1), rtol=1e-12)
+    assert np.allclose(viaq.rho[:, 0], np.corrcoef(outputs.T)[0], rtol=1e-12)
 
 
 def test_variance_statistic_identical_models():
@@ -67,7 +61,8 @@ def test_variance_statistic_identical_models():
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=4, max_size=12))
 def test_correlations_always_clamped(vals):
     noisy = [v + 1e-9 * i for i, v in enumerate(vals)]  # avoid exact degeneracy
-    stats = estimate_moment_stats(_evals_from_arrays(noisy, noisy, [-v for v in noisy]))
+    evals = _evals_from_arrays(noisy, noisy, [-v for v in noisy])
+    stats = estimate_q_stats(evals, "expectation")
     finite = stats.rho[np.isfinite(stats.rho)]
     assert np.all(finite <= 1.0) and np.all(finite >= -1.0)
 
@@ -75,7 +70,7 @@ def test_correlations_always_clamped(vals):
 def test_degenerate_component_flagged_and_rho_undefined():
     const = [3.0, 3.0, 3.0, 3.0]
     varying = [1.0, 2.0, 0.5, 1.7]
-    stats = estimate_moment_stats(_evals_from_arrays(const, varying))
+    stats = estimate_q_stats(_evals_from_arrays(const, varying), "expectation")
     assert stats.degenerate[0]
     assert np.isnan(stats.rho[1, 0])
     assert stats.rho[0, 0] == 1.0
@@ -84,21 +79,22 @@ def test_degenerate_component_flagged_and_rho_undefined():
 def test_flat_low_fidelity_component_gets_zero_rho():
     varying = [1.0, 2.0, 0.5, 1.7]
     const = [3.0, 3.0, 3.0, 3.0]
-    stats = estimate_moment_stats(_evals_from_arrays(varying, const))
+    stats = estimate_q_stats(_evals_from_arrays(varying, const), "expectation")
     assert not stats.degenerate[0]
     assert stats.rho[1, 0] == 0.0
 
 
 def test_minimum_pilot_size_enforced():
     with pytest.raises(ValueError):
-        estimate_moment_stats(_evals_from_arrays([1.0, 2.0], [1.0, 2.0]))
+        estimate_q_stats(_evals_from_arrays([1.0, 2.0], [1.0, 2.0]), "expectation")
 
 
 def test_g_stats_identity_bridge_matches_moment_stats():
     h = quintic_hierarchy()
     evals = evaluate_nested(h, draw_inputs(h, 80, 4), [80] * 3)
-    stats = estimate_g_stats(evals, [IdentityBridge(), IdentityBridge()])
-    raw = estimate_moment_stats(evals)
+    identity = [IdentityBridge(), IdentityBridge()]
+    stats = estimate_q_stats(apply_bridges(evals, identity), "expectation")
+    raw = estimate_q_stats(evals, "expectation")
     assert np.allclose(stats.rho, raw.rho, atol=1e-9)
     assert np.allclose(stats.sigma, raw.sigma, rtol=1e-9)
 
@@ -108,9 +104,9 @@ def test_g_stats_monotone_cubic_dependence(rng):
     x = rng.uniform(-2, 2, size=400)
     lo, hi = x, x**3
     evals = _evals_from_arrays(hi, lo)
-    raw = estimate_moment_stats(evals)
+    raw = estimate_q_stats(evals, "expectation")
     bridge = GaussianProcessBridge().fit(lo[:100], hi[:100])
-    bridged = estimate_g_stats(evals, [bridge])
+    bridged = estimate_q_stats(apply_bridges(evals, [bridge]), "expectation")
     assert bridged.rho[1, 0] >= 0.999
     assert bridged.rho[1, 0] > raw.rho[1, 0]
     assert bridged.sigma[0, 0] == pytest.approx(raw.sigma[0, 0])  # model 0 stays raw

@@ -416,6 +416,16 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"costs": (1.0, 0.0, 0.001)}, ValueError, "costs"),
         ({"costs": (1e308, 0.05, 0.001)}, ValueError, "budgets"),
         ({"budgets": (1e308,), "costs": (10.0, 0.05, 0.001)}, ValueError, "budgets"),
+        # integer keys must be integers: these raised TypeError, or ran with
+        # the value truncated, or failed in a model
+        ({"replicates": "abc"}, ValueError, "replicates"),
+        ({"replicates": 2.5}, ValueError, "replicates"),
+        ({"pilot_size": 30.5}, ValueError, "pilot_size"),
+        ({"seed": 1.5}, ValueError, "seed"),
+        ({"hierarchy": "synthetic-field", "n_points": 5.5}, ValueError, "n_points"),
+        ({"jobs": True}, ValueError, "jobs"),
+        ({"budgets": None, "tolerance": "0.1"}, ValueError, "tolerance"),
+        ({"costs": (1.0, "x", 0.001)}, ValueError, "costs"),
     ],
 )
 def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
@@ -435,6 +445,15 @@ def test_cli_refuses_bad_costs_naming_the_key(tmp_path, capsys, costs, key):
     assert main(["estimate", "--set", f"costs={costs}", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_non_integer_replicates_naming_the_key(tmp_path, capsys):
+    # this ended in a TypeError traceback with exit status 1
+    out = tmp_path / "out"
+    assert main(["estimate", "--set", "replicates=abc", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "replicates" in err
     assert not out.exists()
 
 
