@@ -250,17 +250,21 @@ def _may_rise(slope_before, slope_after):
     return slope_before < slope_after * (1.0 + _SLACK)
 
 
-def _best_plan(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
-    """Best integer plan over all admissible chains, by one depth-first
-    branch-and-bound over the next model and the current model's count.
+def _chain_table(rho_bar_sq, w):
+    """The admissible chains as paths over nodes, with the smallest S after
+    each edge: the one admissibility rule of ``_best_plan`` and
+    ``budget_for_tolerance``.
 
     Chains are paths 0 -> ... -> end over increasing model indices with
     strictly decreasing squared correlations (``end`` stands for rho^2 = 0).
-    Edge a -> b carries the gap g = v_a - v_b, the term sqrt(w_a g) of S and
-    the slope g / w_a, which is r_a^2 up to a per-chain factor, so the
-    ratios increase exactly when the slopes do. Plans rank by (error, cost,
-    chain length, subset mask, counts). Returns ``(chain, r, m, m_real)``,
-    or None when no plan fits the budget.
+    Only model 0 and companions with 0 < rho-bar^2 < 1 are nodes; ``nodes``
+    maps a node to its model. Edge a -> b carries the gap g = v_a - v_b,
+    the term ``step`` sqrt(w_a g) of S and the ``slope`` g / w_a, which is
+    r_a^2 up to a per-chain factor, so the ratios increase exactly when the
+    slopes do (``_may_rise`` at each node after 0). ``rest[a, b]`` is the
+    smallest sum of the steps after edge a -> b. Returns ``(nodes, wn,
+    gap, edge, step, slope, rest)``, ``wn`` being the nodes' costs and a
+    zero for ``end``. Raises FloatingPointError when a cost ratio overflows.
     """
     nodes = [0] + [
         i
@@ -276,13 +280,24 @@ def _best_plan(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
     with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         step = np.where(edge, np.sqrt(wn[:, None] * gap), np.inf)
         slope = np.where(edge, gap / wn[:, None], np.nan)
-    # rest[a, b]: smallest sum of the terms after edge a -> b
     rest = np.full((end + 1, end + 1), np.inf)
     rest[:, end] = 0.0
     for b in range(end - 1, 0, -1):
         turn = _may_rise(slope[:, b, None], slope[None, b, :])
         rest[:, b] = np.where(turn, step[b] + rest[b], np.inf).min(axis=1)
+    return nodes, wn, gap, edge, step, slope, rest
 
+
+def _best_plan(rho_bar_sq, w, sigma_bar_sq, budget, min_samples):
+    """Best integer plan over all admissible chains (``_chain_table``), by
+    one depth-first branch-and-bound over the next model and the current
+    model's count.
+
+    Plans rank by (error, cost, chain length, subset mask, counts). Returns
+    ``(chain, r, m, m_real)``, or None when no plan fits the budget.
+    """
+    nodes, wn, gap, edge, _, slope, rest = _chain_table(rho_bar_sq, w)
+    end = len(nodes)
     tol = budget * (1.0 + 1e-12) + 1e-12  # the most a plan may cost
     # Edge a -> b fixes level a's coefficient c and the smallest tail
     # sigma-bar rest[a, b] of the later levels; every plan through it has
@@ -517,15 +532,34 @@ def predicted_mse(plan: AllocationPlan, stats, weights=None) -> float:
 
 
 def budget_for_tolerance(stats, costs: CostModel, epsilon: float, weights=None) -> float:
-    """Smallest budget whose optimally-allocated error meets epsilon^2.
+    """Budget sigma-bar^2 S^2 / epsilon^2 of the admissible chain with the
+    smallest S = sum_i sqrt(w_i / w_1 (rho-bar_i^2 - rho-bar_{i+1}^2)), times w_1.
 
-    The leading w_1 factor makes the single-model case reduce to the exact
-    plain-sampling cost w_1 sigma^2 / epsilon^2.
+    That is the budget at which the chain's continuous optimum has error
+    exactly epsilon^2, and at large counts the chain is the one
+    ``optimal_allocation`` keeps (both read ``_chain_table``). Rounding the
+    counts down to integers can leave the plan's predicted MSE up to a
+    factor m_1 / (m_1 - 1) above epsilon^2, and at small counts the plan
+    may keep another chain. The leading w_1 factor makes the single-model
+    case reduce to the exact plain-sampling cost w_1 sigma^2 / epsilon^2.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     agg = _as_aggregated(stats, weights)
-    v = np.clip(agg.rho_bar_sq, 0.0, 1.0)
+    try:
+        nodes, _, _, _, step, slope, rest = _chain_table(agg.rho_bar_sq, costs.w)
+    except FloatingPointError as exc:
+        i = int(np.argmin(costs.w))
+        raise InfeasibleBudgetError(
+            f"model {i} (cost {costs.w[i]}) is too cheap to plan for in a float"
+        ) from exc
+    # follow the smallest S from model 0, turning only where rest did
+    chain, a, b = [0], 0, int(np.argmin(step[0] + rest[0]))
+    while b != len(nodes):
+        chain.append(nodes[b])
+        after = np.where(_may_rise(slope[a, b], slope[b]), step[b] + rest[b], np.inf)
+        a, b = b, int(np.argmin(after))
+    v = np.clip(agg.rho_bar_sq[chain], 0.0, 1.0)
     gaps = np.maximum(v - np.append(v[1:], 0.0), 0.0)
-    s = float(np.sum(np.sqrt(costs.w / costs.w[0] * gaps)))
+    s = float(np.sum(np.sqrt(costs.w[chain] / costs.w[0] * gaps)))
     return float(costs.w[0] * (np.sqrt(agg.sigma_bar_sq) / epsilon * s) ** 2)

@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,16 +104,29 @@ class StudyConfig:
     def __post_init__(self):
         if isinstance(self.statistics, str):
             self.statistics = (self.statistics,)
-        self.statistics = tuple(self.statistics)
+        if isinstance(self.statistics, list):
+            self.statistics = tuple(self.statistics)
         for key in ("budgets", "costs", "output_weights"):
             values = getattr(self, key)
             if values is not None:
-                try:
-                    setattr(self, key, tuple(float(v) for v in np.atleast_1d(values)))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{key} must be a list of numbers, got {values!r}") from exc
+                items = np.atleast_1d(np.asarray(values, dtype=object)).tolist()
+                if not all(_is_real(v) for v in items):
+                    raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+                setattr(self, key, tuple(float(v) for v in items))
 
     def validate(self):
+        # Each key that is neither a number nor a list of numbers, with the
+        # types it may take.
+        kinds = {
+            "statistics": (tuple, "a list of names"),
+            "out_dir": ((str, os.PathLike), "a path"),
+            "reference_file": ((str, os.PathLike, type(None)), "a path or null"),
+            "include_pilot_cost": (bool, "true or false"),
+        }
+        for key, (kind, what) in kinds.items():
+            value = getattr(self, key)
+            if not isinstance(value, kind):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
         _refuse_empty_or_repeated("statistics", self.statistics)
         for name in self.statistics:
             if name not in STATISTICS:
@@ -163,9 +177,8 @@ class StudyConfig:
                     f"budgets {list(self.budgets)} times costs[0]={unit:g} overflow a float; "
                     "lower budgets or costs"
                 )
-        if self.tolerance is not None and (
-            isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real)
-            or not (math.isfinite(self.tolerance) and self.tolerance > 0)
+        if self.tolerance is not None and not (
+            _is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance > 0
         ):
             raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
         if self.mode == "nonlinear" and any(
@@ -191,6 +204,11 @@ class StudyConfig:
 
     def build_hierarchy(self):
         return get_hierarchy(self.hierarchy, costs=self.costs, n_points=self.n_points)
+
+
+def _is_real(value) -> bool:
+    """Whether a config value is a real number: not a bool, not a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _refuse_empty_or_repeated(key: str, values: tuple):

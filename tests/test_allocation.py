@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    admissible_chains,
     brute_force_best_two,
     brute_force_counts,
     exact_counts,
@@ -86,8 +87,8 @@ def test_predicted_mse_requires_high_fidelity_samples():
 
 
 def _cost_ratio(stats, costs):
-    """Cost of meeting a tolerance with the models as given, relative to plain
-    sampling of model 0 (the closed-form ratio behind ``budget_for_tolerance``)."""
+    """Cost of meeting a tolerance with the chain ``budget_for_tolerance``
+    picks, relative to plain sampling of model 0 (its closed-form ratio)."""
     eps = 0.1
     return budget_for_tolerance(stats, costs, eps) * eps**2 / (costs.w[0] * stats.sigma[0, 0] ** 2)
 
@@ -102,12 +103,13 @@ def test_cost_ratio_values():
     assert ratio == pytest.approx(0.1659, abs=1e-4)
 
 
-def test_cost_ratio_can_exceed_one():
-    # an equally-expensive companion at rho^2 = 1/2 doubles the bound:
-    # (sqrt(1/2) + sqrt(1/2))^2 = 2, which is why allocation must drop it
+def test_cost_ratio_pays_only_for_the_chain_allocation_keeps():
+    # an equally-expensive companion at rho^2 = 1/2 would double the bound,
+    # (sqrt(1/2) + sqrt(1/2))^2 = 2, so allocation drops it and the budget
+    # is plain sampling's
     stats = pilot_stats_from_exact([1.0, 1.0], [1.0, math.sqrt(0.5)])
     ratio = _cost_ratio(stats, CostModel([1.0, 1.0]))
-    assert ratio == pytest.approx(2.0, rel=1e-12)
+    assert ratio == pytest.approx(1.0, rel=1e-12)
     plan = optimal_allocation(stats, CostModel([1.0, 1.0]), 50.0)
     assert plan.retained.tolist() == [True, False]
     assert plan.m.tolist() == [50, 0]
@@ -193,6 +195,47 @@ def test_budget_tolerance_round_trip(rng):
         plan = optimal_allocation(stats, CostModel(w), budget)
         slack = plan.m_real[0] / max(plan.m_real[0] - 1.0, 1.0)
         assert plan.predicted_mse <= eps**2 * slack + 1e-12
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_budget_for_tolerance_refuses_a_non_finite_or_non_positive_epsilon(eps):
+    # a NaN epsilon gave a NaN budget, on which optimal_allocation died with
+    # numpy's bare "cannot convert float NaN to integer"
+    stats = pilot_stats_from_exact([1.0, 1.0], [1.0, 0.9])
+    with pytest.raises(ValueError, match="epsilon"):
+        budget_for_tolerance(stats, CostModel([1.0, 0.01]), eps)
+
+
+def test_tolerance_budget_names_a_cost_too_small_for_a_float():
+    # the slope gap / w overflows; like optimal_allocation, the budget ends
+    # in a named error rather than a FloatingPointError
+    stats = pilot_stats_from_exact([1.0, 1.0], [1.0, 0.9])
+    with pytest.raises(InfeasibleBudgetError, match="model 1"):
+        budget_for_tolerance(stats, CostModel([1.0, 5e-324]), 0.1)
+
+
+def test_tolerance_budget_skips_a_companion_with_nan_rho():
+    # the NaN companion made the budget NaN; like allocation, the budget now
+    # skips it and pays for the chain [0, 2]
+    stats = pilot_stats_from_exact([1.0, 1.0, 1.0], [1.0, math.nan, 0.9])
+    costs = CostModel([1.0, 0.05, 0.001])
+    budget = budget_for_tolerance(stats, costs, 0.1)
+    assert budget == pytest.approx((math.sqrt(0.19) + math.sqrt(0.001 * 0.81)) ** 2 / 0.01,
+                                   rel=1e-12)
+    plan = optimal_allocation(stats, costs, budget)
+    assert plan.m.tolist() == [20, 0, 1562]
+
+
+def test_tolerance_budget_on_the_exact_twelve_model_grid_meets_epsilon():
+    # every gap was paid for, so the plan predicted 0.733 eps^2 on 1.36x
+    # the budget it needs; the budget now pays for the kept chain alone
+    rho_sq = np.concatenate([[1.0], np.linspace(0.99, 0.3, 11)])
+    stats = pilot_stats_from_exact(np.ones(12), np.sqrt(rho_sq))
+    costs = CostModel(10.0 ** (-4.0 * np.arange(12) / 11))
+    eps = 0.05
+    plan = optimal_allocation(stats, costs, budget_for_tolerance(stats, costs, eps))
+    assert plan.chain == [0, 1, 4, 7, 10]
+    assert 0.99 * eps**2 <= plan.predicted_mse <= eps**2 * plan.m[0] / (plan.m[0] - 1)
 
 
 def test_alpha_optimality_by_perturbation(rng):
@@ -293,6 +336,42 @@ def _allocate_or_infeasible(solver, stats, costs, budget, min_samples):
         return solver(stats, costs, budget, min_samples=min_samples)
     except InfeasibleBudgetError:
         return None
+
+
+def _budget_over_every_model(agg, w, eps):
+    """The tolerance budget that pays for every model's clipped gap."""
+    v = np.clip(agg.rho_bar_sq, 0.0, 1.0)
+    gaps = np.maximum(v - np.append(v[1:], 0.0), 0.0)
+    s = float(np.sum(np.sqrt(w / w[0] * gaps)))
+    return float(w[0] * (np.sqrt(agg.sigma_bar_sq) / eps * s) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_allocation_problems(max_models=8), eps=st.floats(min_value=0.01, max_value=1.0))
+@example(  # the full chain has the smallest S
+    problem=(pilot_stats_from_exact(np.ones(3), np.sqrt([1.0, 0.95, 0.8])),
+             CostModel([1.0, 0.05, 0.001]), 1.0, 1),
+    eps=0.1,
+)
+def test_tolerance_budget_never_exceeds_plain_sampling(problem, eps):
+    stats, costs, _, _ = problem
+    agg = aggregate_vector_stats(stats)
+    w = costs.w
+    budget = budget_for_tolerance(stats, costs, eps)
+    assert budget <= float(w[0] * (np.sqrt(agg.sigma_bar_sq) / eps) ** 2)
+    # the smallest S among the admissible chains, by enumeration
+    s_chain = {
+        tuple(chain): float(np.sum(np.sqrt(w[chain] / w[0] * (
+            agg.rho_bar_sq[chain] - np.append(agg.rho_bar_sq[chain][1:], 0.0)))))
+        for chain, _ in admissible_chains(agg.rho_bar_sq, w)
+    }
+    full = tuple(range(len(w)))
+    if full in s_chain and all(s > s_chain[full] * (1.0 + 1e-9)
+                               for chain, s in s_chain.items() if chain != full):
+        assert budget == _budget_over_every_model(agg, w, eps)
+    else:
+        assert budget == pytest.approx(w[0] * agg.sigma_bar_sq * min(s_chain.values()) ** 2
+                                       / eps**2, rel=1e-9)
 
 
 @settings(max_examples=300, deadline=None)

@@ -426,6 +426,13 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"jobs": True}, ValueError, "jobs"),
         ({"budgets": None, "tolerance": "0.1"}, ValueError, "tolerance"),
         ({"costs": (1.0, "x", 0.001)}, ValueError, "costs"),
+        # keys that are not integers: these raised TypeError, or ran with a
+        # string taken as true or a bool taken as a cost
+        ({"statistics": 5}, ValueError, "statistics"),
+        ({"reference_file": 5}, ValueError, "reference_file"),
+        ({"include_pilot_cost": "yes"}, ValueError, "include_pilot_cost"),
+        ({"include_pilot_cost": "false"}, ValueError, "include_pilot_cost"),
+        ({"costs": (True, 0.05, 0.001)}, ValueError, "costs"),
     ],
 )
 def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
