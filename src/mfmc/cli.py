@@ -39,6 +39,8 @@ def load_config(args) -> StudyConfig:
     data = {}
     if args.config:
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     for entry in args.set or []:
         key, value = _parse_set(entry)
         data[key] = value

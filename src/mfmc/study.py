@@ -66,6 +66,47 @@ _ESTIMATE = 307  # plus the STAT_ORDER of a group's first member
 _REFERENCE = 977
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _positive_real(value) -> bool:
+    """Whether ``value`` is a number, not a bool or a string, that converts
+    to a finite float > 0 (an integer beyond a float's range does not)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value <= _FLOAT_MAX)
+
+
+# A kind: the test a value passes, the words that refuse one that fails, and,
+# for a list kind, how it stores each entry in a tuple (one value is a list of one).
+_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "an integer", None)
+_REAL = (_positive_real, "a finite number > 0", None)
+_REALS = (_positive_real, "a list of finite numbers > 0", float)
+_NAME = (lambda v: isinstance(v, str), "a name", None)
+_NAMES = (lambda v: isinstance(v, str), "a list of names", str)
+_PATH = (lambda v: isinstance(v, (str, os.PathLike)), "a path", None)
+_BOOL = (lambda v: isinstance(v, bool), "true or false", None)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One ``StudyConfig`` key's row in ``_KEYS``."""
+
+    kind: tuple  # one of the kinds above
+    least: int | None = None  # an integer key's least value (validate); a seed has none
+    choices: tuple | dict = ()  # the names it may take
+    null: bool = False  # None is a value
+    distinct: bool = False  # a non-empty list without repeats
+    pilot: bool = False  # the pilot depends on it (_pilot_key)
+    echo: bool = True  # summary.json echoes it
+
+
+def _row(default, kind, **row):
+    """A ``StudyConfig`` field whose ``_KEYS`` row is ``_Key(kind, **row)``."""
+    return dataclasses.field(default=default, metadata={"row": _Key(kind, **row)})
+
+
 @dataclass
 class StudyConfig:
     """Everything a study run depends on, with JSON round-tripping.
@@ -83,104 +124,69 @@ class StudyConfig:
     shares; a tolerance budget is never reduced by them.
     """
 
-    hierarchy: str = "ishigami"
-    costs: tuple | None = None
-    n_points: int = 17
-    statistics: tuple = ("expectation",)
-    mode: str = "linear"
-    pilot_size: int = 100
-    regression_train_size: int = 100
-    budgets: tuple | None = (40.0,)
-    tolerance: float | None = None
-    replicates: int = 100
-    seed: int = 0
-    out_dir: str = "results"
-    output_weights: tuple | None = None
-    include_pilot_cost: bool = False
-    jobs: int = 1
-    reference_file: str | None = None
-    reference_samples: int = 1_000_000
+    hierarchy: str = _row("ishigami", _NAME, pilot=True)
+    n_points: int = _row(17, _INTEGER, least=1, pilot=True)
+    costs: tuple | None = _row(None, _REALS, null=True, pilot=True)
+    pilot_size: int = _row(100, _INTEGER, least=3, pilot=True)
+    seed: int = _row(0, _INTEGER, pilot=True)  # taken modulo 2**64 (sampling._seed_tuple)
+    mode: str = _row("linear", _NAME, choices=MODES, pilot=True)
+    regression_train_size: int = _row(100, _INTEGER, least=5, pilot=True)
+    statistics: tuple = _row(("expectation",), _NAMES, choices=STATISTICS, distinct=True, pilot=True)
+    budgets: tuple | None = _row((40.0,), _REALS, null=True, distinct=True)
+    tolerance: float | None = _row(None, _REAL, null=True)
+    replicates: int = _row(100, _INTEGER, least=1)
+    out_dir: str = _row("results", _PATH)
+    output_weights: tuple | None = _row(None, _REALS, null=True)
+    include_pilot_cost: bool = _row(False, _BOOL)
+    jobs: int = _row(1, _INTEGER, least=1, echo=False)  # the worker count never changes a result
+    reference_file: str | None = _row(None, _PATH, null=True)
+    reference_samples: int = _row(1_000_000, _INTEGER, least=1)
 
     def __post_init__(self):
-        if isinstance(self.statistics, str):
-            self.statistics = (self.statistics,)
-        if isinstance(self.statistics, list):
-            self.statistics = tuple(self.statistics)
-        for key in ("budgets", "costs", "output_weights"):
-            values = getattr(self, key)
-            if values is not None:
-                items = np.atleast_1d(np.asarray(values, dtype=object)).tolist()
-                if not all(_is_real(v) for v in items):
-                    raise ValueError(f"{key} must be a list of numbers, got {values!r}")
-                setattr(self, key, tuple(float(v) for v in items))
+        for key, row in _KEYS.items():
+            value = getattr(self, key)
+            if value is None and row.null:
+                continue
+            test, what, entry = row.kind
+            items = np.atleast_1d(np.asarray(value, dtype=object)).tolist() if entry else [value]
+            if not all(test(v) for v in items):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
+            for name in items if row.choices else ():
+                if name not in row.choices:
+                    raise UnknownNameError(f"unknown {key} {name!r}; "
+                                           f"available: {', '.join(row.choices)}")
+            if row.distinct and (not items or len(set(items)) < len(items)):
+                raise ValueError(f"{key} must be a non-empty list without repeats, got {items}")
+            setattr(self, key, tuple(map(entry, items)) if entry else value)
 
     def validate(self):
-        # Each key that is neither a number nor a list of numbers, with the
-        # types it may take.
-        kinds = {
-            "statistics": (tuple, "a list of names"),
-            "out_dir": ((str, os.PathLike), "a path"),
-            "reference_file": ((str, os.PathLike, type(None)), "a path or null"),
-            "include_pilot_cost": (bool, "true or false"),
-        }
-        for key, (kind, what) in kinds.items():
-            value = getattr(self, key)
-            if not isinstance(value, kind):
-                raise ValueError(f"{key} must be {what}, got {value!r}")
-        _refuse_empty_or_repeated("statistics", self.statistics)
-        for name in self.statistics:
-            if name not in STATISTICS:
-                raise UnknownNameError(
-                    f"unknown statistic {name!r}; available: {', '.join(STATISTICS)}"
-                )
-        if self.mode not in MODES:
-            raise UnknownNameError(f"unknown mode {self.mode!r}; available: {MODES}")
-        # Each integer key's least value. A seed has none: any integer is
-        # taken modulo 2**64 (sampling._seed_tuple).
-        least = {
-            "seed": None, "n_points": 1, "pilot_size": 3, "replicates": 1, "jobs": 1,
-            "reference_samples": max(STATISTICS[s].min_samples for s in self.statistics),
-        }
-        if self.mode == "nonlinear":
-            least["regression_train_size"] = 5
+        """Refuse what no kind sees alone: the integer keys' ranges and the
+        rules that relate two keys, or a key and the hierarchy."""
+        least = {key: row.least for key, row in _KEYS.items() if row.least is not None}
+        least["reference_samples"] = max(STATISTICS[s].min_samples for s in self.statistics)
+        if self.mode != "nonlinear":  # the one mode that reads it
+            del least["regression_train_size"]
         for key, low in least.items():
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if low is not None and value < low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
+            if not low <= value <= _INT64_MAX:  # a size must fit numpy's int64
+                raise ValueError(f"{key} must be >= {low} and < 2**63, got {value}")
         hierarchy = get_hierarchy(self.hierarchy, n_points=self.n_points)
-        if self.costs is not None:
-            if len(self.costs) != hierarchy.n_models:
-                raise ValueError(
-                    f"costs has {len(self.costs)} entries but hierarchy "
-                    f"{self.hierarchy!r} has {hierarchy.n_models} models"
-                )
-            if not all(math.isfinite(c) and c > 0 for c in self.costs):
-                raise ValueError(f"costs must be finite and > 0, got {list(self.costs)}")
-        if self.output_weights is not None:
-            if not all(math.isfinite(v) and v > 0 for v in self.output_weights):
-                raise ValueError(
-                    f"output_weights must be finite and > 0, got {list(self.output_weights)}"
-                )
-            for name in self.statistics:
-                _component_weights(self, hierarchy, STATISTICS[name])
+        if self.costs is not None and len(self.costs) != hierarchy.n_models:
+            raise ValueError(
+                f"costs has {len(self.costs)} entries but hierarchy "
+                f"{self.hierarchy!r} has {hierarchy.n_models} models"
+            )
+        for name in self.statistics:
+            _component_weights(self, hierarchy, STATISTICS[name])
         if (self.budgets is None) == (self.tolerance is None):
             raise ValueError("exactly one of budgets/tolerance must be set")
         if self.budgets is not None:
-            _refuse_empty_or_repeated("budgets", self.budgets)
-            if not all(math.isfinite(b) and b > 0 for b in self.budgets):
-                raise ValueError(f"budgets must be finite and > 0, got {list(self.budgets)}")
             unit = float(self.build_hierarchy().costs[0])
             if not all(math.isfinite(b * unit) for b in self.budgets):
                 raise ValueError(
                     f"budgets {list(self.budgets)} times costs[0]={unit:g} overflow a float; "
                     "lower budgets or costs"
                 )
-        if self.tolerance is not None and not (
-            _is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance > 0
-        ):
-            raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
         if self.mode == "nonlinear" and any(
             STATISTICS[s].needs_sobol_block for s in self.statistics
         ):
@@ -188,16 +194,12 @@ class StudyConfig:
         return self
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        for key in ("statistics", "budgets", "costs", "output_weights"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
+        values = ((key, getattr(self, key)) for key in _KEYS)
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values}
 
     @classmethod
     def from_dict(cls, d) -> "StudyConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = set(d) - set(_KEYS)
         if unknown:
             raise UnknownNameError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
@@ -206,14 +208,7 @@ class StudyConfig:
         return get_hierarchy(self.hierarchy, costs=self.costs, n_points=self.n_points)
 
 
-def _is_real(value) -> bool:
-    """Whether a config value is a real number: not a bool, not a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _refuse_empty_or_repeated(key: str, values: tuple):
-    if not values or len(set(values)) < len(values):
-        raise ValueError(f"{key} must be a non-empty list without repeats, got {list(values)}")
+_KEYS = {f.name: f.metadata["row"] for f in dataclasses.fields(StudyConfig)}
 
 
 def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndarray | None:
@@ -294,19 +289,20 @@ def _draw(hierarchy, sobol: bool, n: int, seed):
 
 def _pilot_key(config: StudyConfig) -> dict:
     """Everything the pilot of a study on ``config`` (``_Replicate.pilot``)
-    depends on, as the run reads it: the resolved model costs, ``n_points``
-    only for the one hierarchy that reads it, and the statistics that share
-    the pilot's draw and cost. ``run_allocate`` checks ``pilot.json`` by it.
+    depends on, the ``_KEYS`` marked ``pilot``, as the run reads them: the
+    resolved model costs, ``n_points`` only for the one hierarchy that reads
+    it, ``regression_train_size`` only in nonlinear mode, and the set of
+    statistics that share the pilot's draw and cost. ``run_allocate`` checks
+    ``pilot.json`` by it.
     """
-    n_train = config.regression_train_size if config.mode == "nonlinear" else None
-    return {
-        "hierarchy": config.hierarchy,
-        "n_points": config.n_points if config.hierarchy == "synthetic-field" else None,
-        "costs": tuple(float(c) for c in config.build_hierarchy().costs),
-        "pilot_size": config.pilot_size, "seed": config.seed, "mode": config.mode,
-        "regression_train_size": n_train,
-        "statistics": sorted(config.statistics),
-    }
+    key = {name: getattr(config, name) for name, row in _KEYS.items() if row.pilot}
+    if config.hierarchy != "synthetic-field":
+        key["n_points"] = None
+    if config.mode != "nonlinear":
+        key["regression_train_size"] = None
+    key["costs"] = tuple(float(c) for c in config.build_hierarchy().costs)
+    key["statistics"] = sorted(config.statistics)
+    return key
 
 
 def _members(statistics, sobol: bool) -> tuple:
@@ -536,8 +532,9 @@ def _run_replicates(config: StudyConfig, budget) -> list:
     One task runs one replicate; each list is in replicate order.
     """
     task = functools.partial(_replicate_task, config, budget)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, config.replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_replicate = list(pool.map(task, range(config.replicates)))
     else:
         per_replicate = [task(r) for r in range(config.replicates)]
@@ -662,8 +659,7 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     hierarchy = config.build_hierarchy()
     budget = None if config.budgets is None else config.budgets[0]
-    # The worker count never changes a result, so it is left out of the report.
-    settings = {k: v for k, v in config.to_dict().items() if k != "jobs"}
+    settings = {k: v for k, v in config.to_dict().items() if _KEYS[k].echo}
     summary = {"config": settings, "statistics": {}}
     references = [reference_values(config, s, hierarchy) for s in config.statistics]
     labels = [model.label for model in hierarchy.models]

@@ -85,6 +85,31 @@ def test_parallel_jobs_do_not_change_outputs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_the_pool_has_no_more_workers_than_replicates(tmp_path, monkeypatch):
+    # A fork-started pool forks all max_workers processes at the first
+    # submit, so extra workers would only sit idle; one worker runs in
+    # process.
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", InProcessPool)
+    for replicates, jobs in [(2, 16), (1, 16), (3, 2)]:
+        run_study(_tiny_config(tmp_path, replicates=replicates, jobs=jobs))
+    assert opened == [2, 2]
+
+
 def _bridged_config(tmp_path, **overrides):
     settings = dict(
         hierarchy="quintic", mode="nonlinear", statistics=("expectation", "variance"),
@@ -342,6 +367,33 @@ def test_cost_ledger_with_pilot_fold_in(tmp_path):
     assert entry["budget_p_mean"] < 60.0
 
 
+def test_the_key_table_has_one_row_per_config_field():
+    assert list(study._KEYS) == [f.name for f in dataclasses.fields(StudyConfig)]
+
+
+def test_the_readme_key_table_mirrors_the_key_table():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | kind | default | least | pilot key | echoed |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, kind, _, least, pilot, echoed = (cell.strip() for cell in line.strip("|").split("|"))
+        assert key.strip("`") not in rows, key
+        rows[key.strip("`")] = kind, least, pilot, echoed
+    assert list(rows) == list(study._KEYS)
+    words = {study._INTEGER: "integer", study._REAL: "real", study._REALS: "list of reals",
+             study._NAME: "name", study._NAMES: "list of names", study._PATH: "path",
+             study._BOOL: "bool"}
+    for key, (kind, least, pilot, echoed) in rows.items():
+        row = study._KEYS[key]
+        assert kind.startswith(words[row.kind]) and ("or null" in kind) == row.null, key
+        assert ("without repeats" in kind) == row.distinct, key
+        assert (pilot != "no") == row.pilot and (echoed == "yes") == row.echo, key
+        if row.kind is study._INTEGER:
+            assert least.startswith(str(row.least) if row.least else "none"), key
+
+
 def test_exactly_one_of_budgets_and_tolerance():
     with pytest.raises(ValueError):
         StudyConfig(budgets=(10.0,), tolerance=0.1).validate()
@@ -433,6 +485,22 @@ def test_validate_rejects_bad_sizes_before_pilot_work(overrides, words):
         ({"include_pilot_cost": "yes"}, ValueError, "include_pilot_cost"),
         ({"include_pilot_cost": "false"}, ValueError, "include_pilot_cost"),
         ({"costs": (True, 0.05, 0.001)}, ValueError, "costs"),
+        # these ended in an OverflowError, or in numpy's "Python int too
+        # large to convert to C long" inside a replicate, or in a TypeError
+        # for an unhashable statistic
+        ({"budgets": (10**400,)}, ValueError, "budgets"),
+        ({"costs": (10**400, 0.05, 0.001)}, ValueError, "costs"),
+        ({"output_weights": (10**400,)}, ValueError, "output_weights"),
+        ({"budgets": None, "tolerance": 10**400}, ValueError, "tolerance"),
+        ({"pilot_size": 10**28}, ValueError, "pilot_size"),
+        ({"replicates": 2**63}, ValueError, "replicates"),
+        ({"jobs": 2**63}, ValueError, "jobs"),
+        ({"reference_samples": 2**63}, ValueError, "reference_samples"),
+        ({"hierarchy": "synthetic-field", "n_points": 2**63}, ValueError, "n_points"),
+        ({"mode": "nonlinear", "regression_train_size": 2**63}, ValueError,
+         "regression_train_size"),
+        ({"statistics": [[1]]}, ValueError, "statistics"),
+        ({"statistics": ("expectation", [1])}, ValueError, "statistics"),
     ],
 )
 def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides, error, key):
@@ -440,10 +508,18 @@ def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides,
         StudyConfig(**overrides).validate()
 
 
+def test_sizes_up_to_int64_and_any_seed_pass_validation():
+    # a seed is taken modulo 2**64 (sampling._seed_tuple), so it has no range
+    StudyConfig(seed=-(10**40), replicates=2**63 - 1, pilot_size=2**63 - 1).validate()
+    # regression_train_size is read only in nonlinear mode
+    StudyConfig(regression_train_size=2**63).validate()
+
+
 @pytest.mark.parametrize(
     "costs, key",
     [("[1, 0.05, Infinity]", "costs"), ("[1, -0.05, 0.001]", "costs"),
-     ("[1e308, 0.05, 0.001]", "budgets")],
+     ("[1e308, 0.05, 0.001]", "budgets"),
+     pytest.param(f"[{10**400}, 0.05, 0.001]", "costs", id="401-digit-integer")],
 )
 def test_cli_refuses_bad_costs_naming_the_key(tmp_path, capsys, costs, key):
     # these used to exit 0 with a NaN cost, name model 'f2', or fail to
@@ -790,6 +866,19 @@ def test_cli_config_directory_is_an_error_not_a_traceback(tmp_path, capsys):
     assert main(["estimate", "--config", str(tmp_path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"x"', "[1, 2]"])
+def test_cli_config_file_must_hold_an_object(tmp_path, capsys, text):
+    # the first three ended in a TypeError traceback, the last read
+    # "unknown config keys: [1, 2]"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and "JSON object" in err
     assert not out.exists()
 
 
