@@ -28,11 +28,14 @@ def _parse_set(entry: str):
     if "=" not in entry:
         raise ValueError(f"--set expects key=value, got {entry!r}")
     key, raw = entry.split("=", 1)
+    key = key.strip()
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.strip(), value
+    except ValueError as exc:  # such as an integer beyond Python's digit limit
+        raise ValueError(f"--set {key}: {exc}") from None
+    return key, value
 
 
 def load_config(args) -> StudyConfig:
@@ -59,7 +62,8 @@ def _add_common(parser):
                         help="override one config key (repeatable)")
     parser.add_argument("--out-dir", help="output directory")
     parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--jobs", type=int, help="replicate worker count")
+    parser.add_argument("--jobs", type=int,
+                        help="processes that run replicates, this one included")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -138,7 +138,8 @@ class StudyConfig:
     out_dir: str = _row("results", _PATH)
     output_weights: tuple | None = _row(None, _REALS, null=True)
     include_pilot_cost: bool = _row(False, _BOOL)
-    jobs: int = _row(1, _INTEGER, least=1, echo=False)  # the worker count never changes a result
+    # the processes that run replicates, this one included; never changes a result
+    jobs: int = _row(1, _INTEGER, least=1, echo=False)
     reference_file: str | None = _row(None, _PATH, null=True)
     reference_samples: int = _row(1_000_000, _INTEGER, least=1)
 
@@ -221,6 +222,9 @@ def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndar
     """
     if config.reference_file:
         table = json.loads(Path(config.reference_file).read_text())
+        if not isinstance(table, dict):
+            raise MFMCError(f"reference_file {config.reference_file!r} must hold a JSON object, "
+                            f"got {type(table).__name__}")
         if stat_label in table:
             where = f"reference_file {config.reference_file!r}, entry {stat_label!r}"
             made_for = table.get("_meta", {}).get("hierarchy", config.hierarchy)
@@ -472,7 +476,8 @@ class _Replicate:
         return self.groups[sobol]
 
 
-# The last run_replicate call's _Replicate, keyed by every config field, the
+# The last run_replicate call's _Replicate, keyed by every config field (each
+# one immutable after __post_init__, so the key need not copy them), the
 # budget and the replicate: one entry, shared by the statistics of a replicate.
 _MEMO: dict = {}
 
@@ -492,7 +497,7 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     if stat_label not in config.statistics:
         raise UnknownNameError(f"statistic {stat_label!r} is not among the config's "
                                f"statistics {list(config.statistics)}")
-    key = (dataclasses.astuple(config), budget, rep)
+    key = (tuple(getattr(config, name) for name in _KEYS), budget, rep)
     if key not in _MEMO:
         _MEMO.clear()
         _MEMO[key] = _Replicate(config, budget, rep)
@@ -529,13 +534,29 @@ def _replicate_task(config: StudyConfig, budget, rep: int) -> list:
 def _run_replicates(config: StudyConfig, budget) -> list:
     """Records of every replicate, one list per configured statistic.
 
-    One task runs one replicate; each list is in replicate order.
+    One task runs one replicate; each list is in replicate order. A study
+    runs on J = min(jobs, replicates) processes, this one included: this
+    process runs every J-th replicate (r % J == 0) while J - 1 pool workers
+    run the rest, in about four chunks each, so that a replicate costs no
+    round trip of its own. An error in this process's share cancels the
+    chunks not yet started before it is raised.
     """
     task = functools.partial(_replicate_task, config, budget)
-    workers = min(config.jobs, config.replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_replicate = list(pool.map(task, range(config.replicates)))
+    jobs = min(config.jobs, config.replicates)
+    if jobs > 1:
+        per_replicate = [None] * config.replicates
+        theirs = [r for r in range(config.replicates) if r % jobs]
+        chunksize = max(1, len(theirs) // (4 * (jobs - 1)))
+        with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
+            results = pool.map(task, theirs, chunksize=chunksize)
+            try:
+                for r in range(0, config.replicates, jobs):
+                    per_replicate[r] = task(r)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            for r, records in zip(theirs, results):
+                per_replicate[r] = records
     else:
         per_replicate = [task(r) for r in range(config.replicates)]
     return list(zip(*per_replicate))
@@ -641,11 +662,12 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     """Run all configured statistics at one budget (or tolerance); write reports.
 
     Each replicate runs every statistic in turn (replicates are spread over
-    ``jobs`` worker processes), so the statistics of a replicate share one
-    pilot evaluation and, in nonlinear mode, one bridge fit, and those that
-    read the same draw kind share one plan and one estimation walk
-    (``run_replicate``): a budget pays for the estimation of each draw
-    kind, and its members split the walk's cost as they split the pilot's.
+    ``jobs`` processes, this one included: ``_run_replicates``), so the
+    statistics of a replicate share one pilot evaluation and, in nonlinear
+    mode, one bridge fit, and those that read the same draw kind share one
+    plan and one estimation walk (``run_replicate``): a budget pays for the
+    estimation of each draw kind, and its members split the walk's cost as
+    they split the pilot's.
     Produces, in the output directory:
     ``allocation_<stat>.csv`` with the averaged sample counts,
     coefficients, and correlations per model;
@@ -800,6 +822,9 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
     if not pilot_path.exists():
         raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
     saved = json.loads(pilot_path.read_text())
+    if not isinstance(saved, dict):
+        raise MFMCError(f"pilot file {pilot_path} must hold a JSON object, "
+                        f"got {type(saved).__name__}; rerun the pilot subcommand")
     key = saved.get("key", {})
     stale = [
         f"{name}={key.get(name)!r} in the file, {value!r} in the config"

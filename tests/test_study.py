@@ -85,29 +85,75 @@ def test_parallel_jobs_do_not_change_outputs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_the_pool_has_no_more_workers_than_replicates(tmp_path, monkeypatch):
-    # A fork-started pool forks all max_workers processes at the first
-    # submit, so extra workers would only sit idle; one worker runs in
-    # process.
-    opened = []
+def _in_process_pool(events):
+    """A ``ProcessPoolExecutor`` stand-in that logs to ``events`` what it is
+    asked and runs the mapped tasks lazily in this process, as results are
+    read."""
 
     class InProcessPool:
         def __init__(self, max_workers):
-            opened.append(max_workers)
+            events.append(("open", max_workers))
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            events.append("exit")
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            events.append(("map", items))
             return map(fn, items)
 
-    monkeypatch.setattr(study, "ProcessPoolExecutor", InProcessPool)
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            events.append(("shutdown", cancel_futures))
+
+    return InProcessPool
+
+
+def test_the_pool_has_no_more_workers_than_replicates(tmp_path, monkeypatch):
+    # A study runs on J = min(jobs, replicates) processes, this one included.
+    # A fork-started pool forks all max_workers processes at the first
+    # submit, so it opens J - 1 workers, which would otherwise sit idle; this
+    # process runs every J-th replicate and the pool the rest, each once.
+    events, ran = [], []
+    task = study._replicate_task
+
+    def recorded(config, budget, rep):
+        ran.append(rep)
+        return task(config, budget, rep)
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", _in_process_pool(events))
+    monkeypatch.setattr(study, "_replicate_task", recorded)
     for replicates, jobs in [(2, 16), (1, 16), (3, 2)]:
+        ran.clear()
         run_study(_tiny_config(tmp_path, replicates=replicates, jobs=jobs))
-    assert opened == [2, 2]
+        assert sorted(ran) == list(range(replicates))
+        j = min(jobs, replicates)
+        theirs = [r for r in range(replicates) if r % j]
+        assert [r for r in ran if r not in theirs] == list(range(0, replicates, j))
+    assert events == [("open", 1), ("map", [1]), "exit"] * 2
+
+
+def test_an_error_in_this_process_cancels_the_queued_chunks(tmp_path, monkeypatch):
+    # the error reaches the caller unchanged, after the pool was told to
+    # cancel what it has not started; no worker chunk ran before that
+    events = []
+    error = MFMCError("replicate 2 failed")
+
+    def task(config, budget, rep):
+        if rep == 2:
+            raise error
+        events.append(rep)
+        return []
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", _in_process_pool(events))
+    monkeypatch.setattr(study, "_replicate_task", task)
+    with pytest.raises(MFMCError) as info:
+        study._run_replicates(_tiny_config(tmp_path, replicates=4, jobs=2), 20.0)
+    assert info.value is error
+    assert events == [("open", 1), ("map", [1, 3]), 0, ("shutdown", True), "exit"]
 
 
 def _bridged_config(tmp_path, **overrides):
@@ -540,6 +586,16 @@ def test_cli_refuses_a_non_integer_replicates_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_names_the_set_key_of_an_integer_beyond_the_digit_limit(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4,300 digits; the message
+    # named no key
+    out = tmp_path / "out"
+    assert main(["estimate", "--set", f"budgets=[{'1' * 5000}]", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --set budgets: ") and "4300" in err
+    assert not out.exists()
+
+
 def test_tolerance_budget_is_not_cut_by_pilot_cost(tmp_path):
     # The pilot (cost 105.1 here) is already paid when the tolerance budget
     # (about 17) is derived, so folding its cost in must not shrink that budget.
@@ -627,6 +683,19 @@ def test_reference_file_for_another_hierarchy_or_shape_is_refused(tmp_path):
     # an entry of the right length, in a file without _meta, is a user oracle
     config = _tiny_config(tmp_path, reference_file=str(wide))
     assert reference_values(config, "variance", config.build_hierarchy()).tolist() == [10.8]
+
+
+@pytest.mark.parametrize("text", ["5", '["expectation"]', "null"])
+def test_reference_file_must_hold_an_object(tmp_path, capsys, text):
+    # the first ended in "TypeError: argument of type 'int' is not
+    # iterable", the second in an AttributeError on list.get
+    ref = tmp_path / "ref.json"
+    ref.write_text(text)
+    out = tmp_path / "out"
+    args = ["--set", f"reference_file={ref}", "--set", "replicates=1", "--out-dir", str(out)]
+    assert main(["estimate", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "reference_file" in err and "JSON object" in err
 
 
 def test_make_reference_matches_analytic(tmp_path):
@@ -940,6 +1009,19 @@ def test_cli_pilot_prints_its_cost_and_allocate_refuses_a_file_without_it(tmp_pa
     assert main(["allocate", *args]) == 2
     err = capsys.readouterr().err
     assert "'cost'" in err and "pilot" in err
+
+
+@pytest.mark.parametrize("text", ["[1]", "5", "null"])
+def test_allocate_refuses_a_pilot_file_that_is_not_an_object(tmp_path, capsys, text):
+    # "[1]" ended in "AttributeError: 'list' object has no attribute 'get'"
+    # with exit status 1
+    out = tmp_path / "out"
+    args = ["--set", "pilot_size=30", "--out-dir", str(out)]
+    assert main(["pilot", *args]) == 0
+    (out / "pilot.json").write_text(text)
+    assert main(["allocate", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "pilot.json") in err and "JSON object" in err
 
 
 _PILOT_ARGS = ["--set", "seed=5", "--set", "budgets=[200]", "--set", "include_pilot_cost=true",
