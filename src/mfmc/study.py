@@ -5,8 +5,8 @@ estimate the allocation statistics, solve the allocation at the requested
 budget (or derive the budget from a tolerance), draw fresh estimation
 samples, and combine. A *study* repeats that R times with independent seed
 streams and reports replicate tables, allocation summaries, and empirical
-errors against reference values. A *sweep* runs one study per budget and
-tabulates error versus budget.
+errors against reference values. A *sweep* runs each replicate once for a
+list of budgets and tabulates error versus budget.
 
 Everything is deterministic given (config, seed): replicate r derives all
 of its sample streams from (seed, purpose, r), so the worker count never
@@ -212,26 +212,35 @@ class StudyConfig:
 _KEYS = {f.name: f.metadata["row"] for f in dataclasses.fields(StudyConfig)}
 
 
+def _object(value, where: str) -> dict:
+    """``value`` if it is a JSON object, else an ``MFMCError`` naming ``where``."""
+    if not isinstance(value, dict):
+        raise MFMCError(f"{where} must hold a JSON object, got {type(value).__name__}")
+    return value
+
+
 def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndarray | None:
     """Reference statistic values: a user oracle file, else analytic built-ins.
 
     Sobol references are returned on the raw (variance-scaled) scale the
     estimators work on. A file is refused when its ``_meta`` (which
     ``make_reference`` writes) names another hierarchy, or when its entry
-    does not have one value per component of the statistic.
+    does not have one number per component of the statistic.
     """
     if config.reference_file:
-        table = json.loads(Path(config.reference_file).read_text())
-        if not isinstance(table, dict):
-            raise MFMCError(f"reference_file {config.reference_file!r} must hold a JSON object, "
-                            f"got {type(table).__name__}")
+        name = f"reference_file {config.reference_file!r}"
+        table = _object(json.loads(Path(config.reference_file).read_text()), name)
         if stat_label in table:
-            where = f"reference_file {config.reference_file!r}, entry {stat_label!r}"
-            made_for = table.get("_meta", {}).get("hierarchy", config.hierarchy)
+            where = f"{name}, entry {stat_label!r}"
+            meta = _object(table.get("_meta", {}), f"{name}, entry '_meta'")
+            made_for = meta.get("hierarchy", config.hierarchy)
             if made_for != config.hierarchy:
                 raise MFMCError(f"{where} was made for hierarchy {made_for!r}, "
                                 f"not {config.hierarchy!r}")
-            values = np.asarray(table[stat_label], dtype=float)
+            try:
+                values = np.asarray(table[stat_label], dtype=float)
+            except (TypeError, ValueError):
+                raise MFMCError(f"{where} must be a list of numbers") from None
             p = _n_components(hierarchy, STATISTICS[stat_label])
             if values.shape != (p,):
                 raise MFMCError(f"{where} has {values.size} values, but {stat_label} has "
@@ -410,16 +419,16 @@ def _plan_stage(config: StudyConfig, hierarchy, stats, pilots, budget):
 
 
 class _Replicate:
-    """Replicate ``rep`` of a study on ``config`` at ``budget`` (None in
-    tolerance mode). Its pilot and each draw kind's group are made the
+    """Replicate ``rep`` of a study on ``config``. Its one pilot, which no
+    budget changes, and each group of a draw kind at a budget are made the
     first time they are read, so the pilot is evaluated in the call of the
     first statistic to run and a group's walk in the call of its first
-    member (``run_replicate``). What is made is only read.
+    member at that budget (``run_replicate``). What is made is only read.
     """
 
-    def __init__(self, config: StudyConfig, budget, rep: int):
+    def __init__(self, config: StudyConfig, rep: int):
         self.config = dataclasses.replace(config)  # later edits of the caller's are not read
-        self.budget, self.rep = budget, rep
+        self.rep = rep
         self.hierarchy = config.build_hierarchy()
         self.sobol = any(STATISTICS[s].needs_sobol_block for s in config.statistics)
         self.groups = {}
@@ -458,27 +467,27 @@ class _Replicate:
         stats.cost = evals.cost / len(self.config.statistics)
         return stats, bridges
 
-    def group(self, sobol: bool):
+    def group(self, sobol: bool, budget):
         """({member: (pilot statistics, plan)}, folded states) of the group
-        that reads the draw kind ``sobol`` (``_members``): one plan
-        (``_plan_stage``), and one estimation draw, from the stream of the
-        first member, walked once by ``sum_for_plan``, which folds every
+        that reads the draw kind ``sobol`` (``_members``) at ``budget``: one
+        plan (``_plan_stage``), and one estimation draw, from the stream of
+        the first member, walked once by ``sum_for_plan``, which folds every
         member's statistic from each block and bridges each block once."""
-        if sobol not in self.groups:
+        if (sobol, budget) not in self.groups:
             members = _members(self.config.statistics, sobol)
             stats = [STATISTICS[s] for s in members]
             pilots, bridges = zip(*(self.pilot_stage(stat) for stat in stats))
-            plans = _plan_stage(self.config, self.hierarchy, stats, pilots, self.budget)
+            plans = _plan_stage(self.config, self.hierarchy, stats, pilots, budget)
             est_seed = (self.config.seed, _ESTIMATE + STAT_ORDER[members[0]], self.rep)
             samples = _draw(self.hierarchy, sobol, int(plans[0].m.max()), est_seed)
             sums = sum_for_plan(self.hierarchy, plans[0], samples, stats, bridges[0])
-            self.groups[sobol] = dict(zip(members, zip(pilots, plans))), sums
-        return self.groups[sobol]
+            self.groups[sobol, budget] = dict(zip(members, zip(pilots, plans))), sums
+        return self.groups[sobol, budget]
 
 
 # The last run_replicate call's _Replicate, keyed by every config field (each
-# one immutable after __post_init__, so the key need not copy them), the
-# budget and the replicate: one entry, shared by the statistics of a replicate.
+# one immutable after __post_init__, so the key need not copy them) and the
+# replicate: one entry, shared by the statistics and budgets of a replicate.
 _MEMO: dict = {}
 
 
@@ -486,9 +495,9 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     """One pilot -> allocation -> estimation pass for one configured statistic.
 
     ``budget`` is in high-fidelity-equivalent units, or None in tolerance
-    mode. The statistics of a replicate share one ``_Replicate`` (``_MEMO``):
-    one pilot, and per draw kind one plan and one walk, which the first of
-    them to run computes and the others read. The record carries this
+    mode. The calls of a replicate share one ``_Replicate`` (``_MEMO``): one
+    pilot, and per draw kind and budget one plan and one walk, which the
+    first of them to run computes and the others read. The record carries this
     statistic's view of the plan (``_views``: the group's counts, its own
     coefficients and predicted MSE, and an equal share of the budget), its
     estimate from its own fold on the shared draw, and an equal share of the
@@ -497,13 +506,13 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     if stat_label not in config.statistics:
         raise UnknownNameError(f"statistic {stat_label!r} is not among the config's "
                                f"statistics {list(config.statistics)}")
-    key = (tuple(getattr(config, name) for name in _KEYS), budget, rep)
+    key = (tuple(getattr(config, name) for name in _KEYS), rep)
     if key not in _MEMO:
         _MEMO.clear()
-        _MEMO[key] = _Replicate(config, budget, rep)
+        _MEMO[key] = _Replicate(config, rep)
     replicate = _MEMO[key]
     stat = STATISTICS[stat_label]
-    group, sums = replicate.group(stat.needs_sobol_block)
+    group, sums = replicate.group(stat.needs_sobol_block, budget)
     stats, plan = group[stat_label]
     report = mfmc_statistic(sums, plan, stat)
     return {
@@ -525,23 +534,24 @@ def run_replicate(config: StudyConfig, stat_label: str, budget, rep: int) -> dic
     }
 
 
-def _replicate_task(config: StudyConfig, budget, rep: int) -> list:
-    """Every configured statistic of one replicate, in order, so they share
-    its pilot and each group's estimation walk."""
-    return [run_replicate(config, stat_label, budget, rep) for stat_label in config.statistics]
+def _replicate_task(config: StudyConfig, rep: int) -> list:
+    """Every configured statistic of one replicate at each budget (None in
+    tolerance mode), in order, so they share its pilot and its groups."""
+    return [[run_replicate(config, stat_label, budget, rep) for stat_label in config.statistics]
+            for budget in config.budgets or (None,)]
 
 
-def _run_replicates(config: StudyConfig, budget) -> list:
-    """Records of every replicate, one list per configured statistic.
+def _run_replicates(config: StudyConfig) -> list:
+    """Records of every replicate: per budget, one list per statistic.
 
-    One task runs one replicate; each list is in replicate order. A study
-    runs on J = min(jobs, replicates) processes, this one included: this
-    process runs every J-th replicate (r % J == 0) while J - 1 pool workers
-    run the rest, in about four chunks each, so that a replicate costs no
-    round trip of its own. An error in this process's share cancels the
-    chunks not yet started before it is raised.
+    One task runs one replicate at every budget; each list is in replicate
+    order. A study runs on J = min(jobs, replicates) processes, this one
+    included: this process runs every J-th replicate (r % J == 0) while
+    J - 1 pool workers run the rest, in about four chunks each, so that a
+    replicate costs no round trip of its own. An error in this process's
+    share cancels the chunks not yet started before it is raised.
     """
-    task = functools.partial(_replicate_task, config, budget)
+    task = functools.partial(_replicate_task, config)
     jobs = min(config.jobs, config.replicates)
     if jobs > 1:
         per_replicate = [None] * config.replicates
@@ -559,7 +569,7 @@ def _run_replicates(config: StudyConfig, budget) -> list:
                 per_replicate[r] = records
     else:
         per_replicate = [task(r) for r in range(config.replicates)]
-    return list(zip(*per_replicate))
+    return [list(zip(*per_budget)) for per_budget in zip(*per_replicate)]
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +668,23 @@ def _write_allocation_csv(path, labels, means):
             )
 
 
+def _write_study(config: StudyConfig, out: Path, runs, references) -> dict:
+    """Write into ``out`` the reports ``run_study`` lists for ``config``'s one
+    budget from each statistic's records (``runs``) and reference values."""
+    out.mkdir(parents=True, exist_ok=True)
+    hierarchy = config.build_hierarchy()
+    settings = {k: v for k, v in config.to_dict().items() if _KEYS[k].echo}
+    summary = {"config": settings, "statistics": {}}
+    labels = [model.label for model in hierarchy.models]
+    for stat_label, records, reference in zip(config.statistics, runs, references):
+        weights = _component_weights(config, hierarchy, STATISTICS[stat_label])
+        _write_replicates_csv(out / f"replicates_{stat_label}.csv", records)
+        means, summary["statistics"][stat_label] = _summarize(config, records, reference, weights)
+        _write_allocation_csv(out / f"allocation_{stat_label}.csv", labels, means)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    return summary
+
+
 def run_study(config: StudyConfig, out_dir=None) -> dict:
     """Run all configured statistics at one budget (or tolerance); write reports.
 
@@ -677,80 +704,54 @@ def run_study(config: StudyConfig, out_dir=None) -> dict:
     config.validate()
     if config.budgets is not None and len(config.budgets) != 1:
         raise ValueError("run_study handles a single budget; use replicate_sweep for lists")
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     hierarchy = config.build_hierarchy()
-    budget = None if config.budgets is None else config.budgets[0]
-    settings = {k: v for k, v in config.to_dict().items() if _KEYS[k].echo}
-    summary = {"config": settings, "statistics": {}}
     references = [reference_values(config, s, hierarchy) for s in config.statistics]
-    labels = [model.label for model in hierarchy.models]
-    runs = _run_replicates(config, budget)
-    for stat_label, records, reference in zip(config.statistics, runs, references):
-        weights = _component_weights(config, hierarchy, STATISTICS[stat_label])
-        _write_replicates_csv(out / f"replicates_{stat_label}.csv", records)
-        means, summary["statistics"][stat_label] = _summarize(config, records, reference, weights)
-        _write_allocation_csv(out / f"allocation_{stat_label}.csv", labels, means)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    return summary
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    return _write_study(config, out, _run_replicates(config)[0], references)
 
 
 def replicate_sweep(config: StudyConfig, out_dir=None) -> list:
     """Empirical-vs-predicted error across a list of budgets.
 
-    Every budget gets a full study; the cross-budget table lands in
-    ``sweep.csv``. References must exist for every statistic (analytic
-    built-ins or a reference file), since the empirical error needs them.
+    Each replicate runs once at every budget, on one pilot, and each
+    budget's reports are those of a study at that budget alone, its pilot
+    share included; the cross-budget table lands in ``sweep.csv``.
+    References must exist for every statistic (analytic built-ins or a
+    reference file), since the empirical error needs them.
     """
     config.validate()
     if config.budgets is None:
         raise ValueError("replicate_sweep needs an explicit budgets list")
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     hierarchy = config.build_hierarchy()
-    for stat_label in config.statistics:
-        if reference_values(config, stat_label, hierarchy) is None:
+    references = [reference_values(config, s, hierarchy) for s in config.statistics]
+    for stat_label, reference in zip(config.statistics, references):
+        if reference is None:
             raise MFMCError(
                 f"no reference values for {stat_label!r} on {config.hierarchy!r}; "
                 "run make-reference first and pass reference_file"
             )
+    out = Path(out_dir if out_dir is not None else config.out_dir)
     rows = []
-    single = len(config.budgets) == 1
-    for budget in config.budgets:
-        sub_dir = out if single else out / f"p{budget:g}"
+    for budget, runs in zip(config.budgets, _run_replicates(config)):
+        sub_dir = out if len(config.budgets) == 1 else out / f"p{budget:g}"
         sub_config = dataclasses.replace(config, budgets=(budget,))
-        summary = run_study(sub_config, out_dir=sub_dir)
-        for stat_label, entry in summary["statistics"].items():
-            rows.append(
-                {
-                    "budget": budget,
-                    "statistic": stat_label,
-                    "mode": entry["mode"],
-                    "empirical_mse": entry["empirical_mse"],
-                    "relative_mse": entry["relative_mse"],
-                    "predicted_mse": entry["predicted_mse_mean"],
-                    "replicates": entry["replicates"],
-                }
-            )
+        summary = _write_study(sub_config, sub_dir, runs, references)
+        rows.extend(
+            {"budget": budget, "statistic": stat_label, "mode": entry["mode"],
+             "empirical_mse": entry["empirical_mse"], "relative_mse": entry["relative_mse"],
+             "predicted_mse": entry["predicted_mse_mean"], "replicates": entry["replicates"]}
+            for stat_label, entry in summary["statistics"].items()
+        )
     with open(out / "sweep.csv", "w", newline="") as fh:
         fh.write("# empirical_mse: weighted squared error vs reference, averaged over replicates\n")
         fh.write("# relative_mse: empirical_mse divided by the weighted squared reference\n")
         writer = csv.writer(fh)
-        writer.writerow(
-            ["budget", "statistic", "mode", "empirical_mse", "relative_mse", "predicted_mse", "replicates"]
-        )
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row["budget"]),
-                    row["statistic"],
-                    row["mode"],
-                    _fmt(row["empirical_mse"]),
-                    "" if row["relative_mse"] is None else _fmt(row["relative_mse"]),
-                    _fmt(row["predicted_mse"]),
-                    row["replicates"],
-                ]
-            )
+            relative = "" if row["relative_mse"] is None else _fmt(row["relative_mse"])
+            writer.writerow([_fmt(row["budget"]), row["statistic"], row["mode"],
+                             _fmt(row["empirical_mse"]), relative, _fmt(row["predicted_mse"]),
+                             row["replicates"]])
     return rows
 
 
@@ -795,7 +796,7 @@ def run_pilot(config: StudyConfig, out_dir=None) -> dict:
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    replicate = _Replicate(config, None, 0)
+    replicate = _Replicate(config, 0)
     results = {s: replicate.pilot_stage(STATISTICS[s])[0] for s in config.statistics}
     per_stat = {s: stats.to_dict() for s, stats in results.items()}
     saved = {"key": _pilot_key(config), "statistics": per_stat}
@@ -821,18 +822,16 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
     pilot_path = out / "pilot.json"
     if not pilot_path.exists():
         raise MFMCError(f"missing pilot file {pilot_path}; run the pilot subcommand first")
-    saved = json.loads(pilot_path.read_text())
-    if not isinstance(saved, dict):
-        raise MFMCError(f"pilot file {pilot_path} must hold a JSON object, "
-                        f"got {type(saved).__name__}; rerun the pilot subcommand")
-    key = saved.get("key", {})
+    where = f"pilot file {pilot_path}"
+    saved = _object(json.loads(pilot_path.read_text()), where)
+    key = _object(saved.get("key", {}), f"{where}, entry 'key'")
     stale = [
         f"{name}={key.get(name)!r} in the file, {value!r} in the config"
         for name, value in json.loads(json.dumps(_pilot_key(config))).items()
         if key.get(name) != value
     ]
     if stale:
-        raise MFMCError(f"pilot file {pilot_path} does not match the config: "
+        raise MFMCError(f"{where} does not match the config: "
                         f"{'; '.join(stale)}; rerun the pilot subcommand")
     hierarchy = config.build_hierarchy()
     budget = None if config.budgets is None else config.budgets[0]
@@ -841,7 +840,11 @@ def run_allocate(config: StudyConfig, out_dir=None) -> dict:
         members = _members(config.statistics, sobol)
         if not members:
             continue
-        pilots = [PilotStats.from_dict(saved["statistics"][s]) for s in members]
+        try:
+            pilots = [PilotStats.from_dict(saved["statistics"][s]) for s in members]
+        except (KeyError, TypeError) as exc:
+            raise MFMCError(f"{where} holds no valid statistics of {' and '.join(members)} "
+                            f"({type(exc).__name__}: {exc}); rerun the pilot subcommand") from None
         views = _plan_stage(config, hierarchy, [STATISTICS[s] for s in members], pilots, budget)
         plans.update(zip(members, views))
     for stat_label, plan in plans.items():

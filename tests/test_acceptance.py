@@ -185,31 +185,27 @@ def test_criterion_5_quintic_nonlinear_bridge():
     )
     truth = 0.5
     budgets = (40.0, 80.0, 160.0)
-    lin_vals = {b: [] for b in budgets}
-    nl_vals = {b: [] for b in budgets}
-    rho_raw = []
-    rho_bridged = []
-    # run_replicate keeps one replicate, keyed by config and budget, so each
-    # budget of a replicate fits its own two bridges (six fits per replicate,
-    # whatever the loop order).
-    for r in range(REPLICATES):
-        for budget in budgets:
-            rec_l = run_replicate(lin, "expectation", budget, r)
-            rec_n = run_replicate(nl, "expectation", budget, r)
-            lin_vals[budget].append(rec_l["values"][0])
-            nl_vals[budget].append(rec_n["values"][0])
-            if budget == 40.0:
-                rho_raw.append(rec_l["rho"][2, 0])
-                rho_bridged.append(rec_n["rho"][2, 0])
+    vals = {config.mode: {b: [] for b in budgets} for config in (lin, nl)}
+    rhos = {config.mode: [] for config in (lin, nl)}
+    # run_replicate keeps the last replicate, whatever the budget, so with
+    # the budgets innermost each nonlinear replicate fits its two bridges
+    # once for all three budgets.
+    for config in (lin, nl):
+        for r in range(REPLICATES):
+            for budget in budgets:
+                rec = run_replicate(config, "expectation", budget, r)
+                vals[config.mode][budget].append(rec["values"][0])
+                if budget == 40.0:
+                    rhos[config.mode].append(rec["rho"][2, 0])
     mse_pairs = {
         b: (
-            float(np.mean((np.array(lin_vals[b]) - truth) ** 2)),
-            float(np.mean((np.array(nl_vals[b]) - truth) ** 2)),
+            float(np.mean((np.array(vals["linear"][b]) - truth) ** 2)),
+            float(np.mean((np.array(vals["nonlinear"][b]) - truth) ** 2)),
         )
         for b in budgets
     }
-    rho_raw = float(np.mean(rho_raw))
-    rho_bridged = float(np.mean(rho_bridged))
+    rho_raw = float(np.mean(rhos["linear"]))
+    rho_bridged = float(np.mean(rhos["nonlinear"]))
     corr_ok = rho_bridged >= 0.98 and rho_raw <= 0.92
     mse_ok = all(nl_mse < lin_mse for lin_mse, nl_mse in mse_pairs.values())
     detail = ", ".join(

@@ -238,7 +238,7 @@ def test_quintic_bridges_match_exhaustive_oracle():
         for rep in range(10):
             config = study.StudyConfig(hierarchy="quintic", mode="nonlinear", pilot_size=100,
                                        regression_train_size=100, seed=seed)
-            _, bridges = study._Replicate(config, None, rep).pilot
+            _, bridges = study._Replicate(config, rep).pilot
             for reg in bridges:
                 _assert_same_fit(reg, exhaustive_gp_fit(reg._x, reg._y))
                 fits += 1

@@ -120,9 +120,9 @@ def test_the_pool_has_no_more_workers_than_replicates(tmp_path, monkeypatch):
     events, ran = [], []
     task = study._replicate_task
 
-    def recorded(config, budget, rep):
+    def recorded(config, rep):
         ran.append(rep)
-        return task(config, budget, rep)
+        return task(config, rep)
 
     monkeypatch.setattr(study, "ProcessPoolExecutor", _in_process_pool(events))
     monkeypatch.setattr(study, "_replicate_task", recorded)
@@ -142,7 +142,7 @@ def test_an_error_in_this_process_cancels_the_queued_chunks(tmp_path, monkeypatc
     events = []
     error = MFMCError("replicate 2 failed")
 
-    def task(config, budget, rep):
+    def task(config, rep):
         if rep == 2:
             raise error
         events.append(rep)
@@ -151,7 +151,7 @@ def test_an_error_in_this_process_cancels_the_queued_chunks(tmp_path, monkeypatc
     monkeypatch.setattr(study, "ProcessPoolExecutor", _in_process_pool(events))
     monkeypatch.setattr(study, "_replicate_task", task)
     with pytest.raises(MFMCError) as info:
-        study._run_replicates(_tiny_config(tmp_path, replicates=4, jobs=2), 20.0)
+        study._run_replicates(_tiny_config(tmp_path, replicates=4, jobs=2))
     assert info.value is error
     assert events == [("open", 1), ("map", [1, 3]), 0, ("shutdown", True), "exit"]
 
@@ -187,6 +187,39 @@ def test_bridges_fit_once_per_replicate(tmp_path, monkeypatch):
     run_study(config)
     # one GP per low-fidelity model and replicate, shared by both statistics
     assert len(fits) == config.replicates * (3 - 1)
+
+
+def test_a_sweep_fits_each_replicates_bridges_once(tmp_path, monkeypatch):
+    fits = []
+    original = GaussianProcessBridge.fit
+
+    def counted(self, x, y):
+        fits.append(x)
+        return original(self, x, y)
+
+    monkeypatch.setattr(GaussianProcessBridge, "fit", counted)
+    study._MEMO.clear()
+    config = _bridged_config(tmp_path, budgets=(10.0, 20.0, 40.0))
+    replicate_sweep(config)
+    # one GP per low-fidelity model and replicate, shared by every budget
+    # and statistic, not one per budget
+    assert len(fits) == config.replicates * (3 - 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_sweep_budget_writes_what_its_own_study_writes(tmp_path, jobs):
+    # a sweep runs each replicate once for all its budgets, and each p<b>/
+    # holds, byte for byte, what a study at budget b alone writes
+    config = _bridged_config(tmp_path, budgets=(10.0, 20.0, 40.0), jobs=jobs)
+    replicate_sweep(config, out_dir=tmp_path / "sweep")
+    for budget in config.budgets:
+        alone = tmp_path / f"alone{budget:g}"
+        run_study(dataclasses.replace(config, budgets=(budget,)), out_dir=alone)
+        swept = tmp_path / "sweep" / f"p{budget:g}"
+        names = sorted(f.name for f in alone.iterdir())
+        assert sorted(f.name for f in swept.iterdir()) == names
+        for name in names:
+            assert (swept / name).read_bytes() == (alone / name).read_bytes(), (budget, name)
 
 
 _ALL_STATISTICS = ("expectation", "variance", "sobol-main", "sobol-total")
@@ -333,7 +366,7 @@ def test_stacked_members_count_equally(tmp_path):
                           statistics=("expectation", "variance"), output_weights=(1, 2, 3, 4, 5))
     h = config.build_hierarchy()
     stats = [STATISTICS[s] for s in config.statistics]
-    replicate = study._Replicate(config, None, 0)
+    replicate = study._Replicate(config, 0)
     pilots = [replicate.pilot_stage(stat)[0] for stat in stats]
     weights = [study._component_weights(config, h, stat) for stat in stats]
     stacked, w = study._stack(stats, pilots, weights)
@@ -346,7 +379,7 @@ def test_stacked_members_count_equally(tmp_path):
 def test_a_member_without_variance_is_named(tmp_path):
     config = _tiny_config(tmp_path, statistics=("expectation", "variance"))
     moments = [STATISTICS["expectation"], STATISTICS["variance"]]
-    varied = study._Replicate(config, None, 0).pilot_stage(moments[0])[0]
+    varied = study._Replicate(config, 0).pilot_stage(moments[0])[0]
     flat = PilotStats(np.zeros((3, 1)), np.ones((3, 1)), 40, np.array([True]))
     with pytest.raises(DegenerateStatsError, match="variance"):
         study._plan_stage(config, config.build_hierarchy(), moments, [varied, flat], 40.0)
@@ -374,7 +407,7 @@ def test_multi_statistic_study_shares_one_plan_and_one_estimation_draw(tmp_path,
         for key in ("m", "retained", "budget_abs"):
             assert np.array_equal(first[key], second[key]), key
         assert first["realized_cost"] == second["realized_cost"]
-        _, bridges = study._Replicate(config, 40.0, rep).pilot
+        _, bridges = study._Replicate(config, rep).pilot
         samples = draw_inputs(h, int(first["m"].max()), (config.seed, study._ESTIMATE, rep))
         for stat, rec in records.items():
             plan = AllocationPlan(rec["m"], rec["alpha"], rec["retained"], rec["predicted_mse"],
@@ -696,6 +729,24 @@ def test_reference_file_must_hold_an_object(tmp_path, capsys, text):
     assert main(["estimate", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "reference_file" in err and "JSON object" in err
+
+
+@pytest.mark.parametrize("table, words", [
+    ({"_meta": 5, "expectation": [2.5]}, "'_meta' must hold a JSON object"),
+    ({"_meta": [], "expectation": [2.5]}, "'_meta' must hold a JSON object"),
+    ({"expectation": {"a": 1}}, "'expectation' must be a list of numbers"),
+    ({"expectation": ["x"]}, "'expectation' must be a list of numbers"),
+], ids=["meta-int", "meta-list", "entry-object", "entry-string"])
+def test_reference_file_values_are_checked(tmp_path, capsys, table, words):
+    # the first two ended in "AttributeError: 'int' object has no attribute
+    # 'get'" and the third in a TypeError, each with exit status 1
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(table))
+    args = ["--set", f"reference_file={ref}", "--set", "replicates=1",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(["estimate", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ref) in err and words in err
 
 
 def test_make_reference_matches_analytic(tmp_path):
@@ -1022,6 +1073,29 @@ def test_allocate_refuses_a_pilot_file_that_is_not_an_object(tmp_path, capsys, t
     assert main(["allocate", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out / "pilot.json") in err and "JSON object" in err
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda saved: saved.update(key=5), "entry 'key' must hold a JSON object"),
+    (lambda saved: saved.pop("statistics"), "KeyError: 'statistics'"),
+    (lambda saved: saved["statistics"].pop("variance"), "KeyError: 'variance'"),
+    (lambda saved: saved.update(statistics=[1]), "TypeError"),
+    (lambda saved: saved["statistics"].update(variance=None), "TypeError"),
+], ids=["key-int", "no-statistics", "no-entry", "statistics-list", "entry-null"])
+def test_allocate_refuses_a_pilot_file_with_malformed_values(tmp_path, capsys, edit, words):
+    # the first ended in "AttributeError: 'int' object has no attribute
+    # 'get'", the next two in "KeyError", the last two in a TypeError, each
+    # with exit status 1
+    out = tmp_path / "out"
+    args = ["--set", "pilot_size=30", "--set", 'statistics=["expectation","variance"]',
+            "--out-dir", str(out)]
+    assert main(["pilot", *args]) == 0
+    saved = json.loads((out / "pilot.json").read_text())
+    edit(saved)
+    (out / "pilot.json").write_text(json.dumps(saved))
+    assert main(["allocate", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "pilot.json") in err and words in err
 
 
 _PILOT_ARGS = ["--set", "seed=5", "--set", "budgets=[200]", "--set", "include_pilot_cost=true",
