@@ -67,10 +67,13 @@ class Model:
     an (n, n_out) batch; otherwise it maps a single length-d vector to a
     length-n_out vector and batching is handled by a row loop. A vectorized
     evaluator's output row must depend only on its input row, not on the
-    other rows of the batch or its size: the library may evaluate a sample
-    in row blocks (see ``sampling._sum_counts``) and relies on getting
-    the rows one call would give. Evaluators must tolerate concurrent
-    callers (pure functions do).
+    other rows of the batch or its size: the library evaluates every sample
+    in row blocks, whether it streams the outputs (``sampling._sum_counts``)
+    or holds them (``sampling._evaluate_counts``, behind the pilot,
+    ``evaluate_nested`` and ``evaluate_for_plan``), and relies on getting
+    the rows one call would give. Held outputs are copies, so an evaluator
+    may return a view of memory it keeps. Evaluators must tolerate
+    concurrent callers (pure functions do).
     """
 
     evaluator: Callable

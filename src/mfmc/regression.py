@@ -188,13 +188,13 @@ class GaussianProcessBridge:
         Every entry depends on its own query alone."""
         bounds = [*range(0, xq.shape[0], _PREDICT_BLOCK), xq.shape[0]]
         buf = np.empty((max(np.diff(bounds), default=0), self._x.size))
-        scale = self.length_scale**2
+        # d² / (-2 ℓ²) rounds once, as -0.5 d² / ℓ² does: scaling by 2 is exact.
+        scale = -2.0 * self.length_scale**2
         for start, stop in zip(bounds, bounds[1:]):
             rows = slice(start, stop)
             k = buf[: stop - start]
             np.subtract(xq[rows, None], self._x[None, :], out=k)
             np.square(k, out=k)
-            np.multiply(k, -0.5, out=k)
             np.divide(k, scale, out=k)
             np.exp(k, out=k)
             yield rows, k

@@ -8,7 +8,7 @@ position of that stream. Consequences we rely on everywhere:
   ``draw_inputs(h, m2, seed)`` for any m2 > m;
 * block invariance -- a :class:`SampleSet` draws its rows a block at a time
   as they are evaluated, equal to one whole draw bit for bit, so no input
-  matrix is ever held;
+  matrix is ever held, whether the outputs are streamed or held;
 * worker independence -- model evaluations are pure functions assembled by
   row index, so parallelism cannot change any result.
 
@@ -24,9 +24,12 @@ co-moments, sums of squared differences). Estimation never holds outputs:
 :func:`_sum_counts` evaluates each model one row block at a time and keeps
 only the folded states at the prefixes the telescoping combiner reads, in
 a :class:`PrefixSums`. The pilot, which needs per-sample values, holds its
-outputs in :class:`NestedEvaluations`, and reading a statistic from held
-outputs runs the same folds over the same fixed grid of row blocks, so
-held and streamed outputs give the same values bit for bit.
+outputs in :class:`NestedEvaluations`, as do :func:`evaluate_nested` and
+``estimators.evaluate_for_plan``; :func:`_evaluate_counts` fills them one
+drawn part of the rows at a time, each part drawn once for every model.
+Reading a statistic from held outputs runs the same folds over the same
+fixed grid of row blocks, so held and streamed outputs give the same
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -488,46 +491,85 @@ def _evaluate_counts(hierarchy: ModelHierarchy, samples, m) -> NestedEvaluations
     """Model i on the first m[i] rows of ``samples``, checked; m[i] == 0 skips it.
 
     ``m`` is indexed like the hierarchy and already validated; the rest is
-    as in :func:`evaluate_nested`. The rows are drawn once, as one block.
+    as in :func:`evaluate_nested`. The rows are drawn in the parts of
+    :func:`_draw_grid`, each part once for every model, and each model's
+    rows of each output block are evaluated as :func:`_evaluated_blocks`
+    evaluates them and written into its held output, so no input matrix is
+    held: beyond the outputs, 3 ishigami models take 2.6 MB at 2e5 to 3e6
+    rows alike, where drawing all the rows at once took 8 to 120 MB. A
+    model that raises is not called again, nor is any later one, and the
+    error waits for the walk's end: the models before it are checked
+    first, in order, so the model and sample named are those of evaluating
+    and checking one model after another.
     """
     width = _output_width(hierarchy, samples)
-    (drawn,) = samples.walk([slice(0, int(m.max()))])
-    outputs = []
-    for i, model in enumerate(hierarchy.models):
-        if m[i] == 0:
-            outputs.append(np.empty((0, width)))
-            continue
-        out = _evaluate_rows(model, tuple(x[: m[i]] for x in drawn), i, width)
-        _check_finite(out, model, i)
-        outputs.append(out)
+    order = "F" if samples.sobol else "C"
+    outputs = [np.empty((int(k), width), order=order) for k in m]
+    blocks, parts = _draw_grid(int(m.max()), width, samples.dimension)
+    walk, part = zip(parts, samples.walk(parts)), slice(0, 0)
+    failed, error = len(outputs), None
+    # One grid refines the other: each part holds whole output blocks or
+    # each output block whole parts, so the finer grid's slices are the
+    # rows evaluated together.
+    for rows in max(blocks, parts, key=len):
+        if rows.start == part.stop:
+            drawn = None  # before the next part is drawn
+            part, drawn = next(walk)
+        for i, model in enumerate(hierarchy.models[:failed]):
+            stop = min(rows.stop, int(m[i]))
+            if stop <= rows.start:
+                continue
+            cut = slice(rows.start - part.start, stop - part.start)
+            try:
+                outputs[i][rows.start : stop] = _evaluate_rows(
+                    model, tuple(x[cut] for x in drawn), i, width
+                )
+            except Exception as exc:
+                failed, error = i, exc
+                break
+    for i, model in enumerate(hierarchy.models[:failed]):
+        _check_finite(outputs[i], model, i)
+    if error is not None:
+        raise error
     return NestedEvaluations(outputs, m, _nested_cost(hierarchy.costs, m, samples))
+
+
+def _draw_grid(n_rows: int, width: int, dimension: int) -> tuple:
+    """(blocks, parts) for the first ``n_rows`` rows of a draw of ``dimension``
+    input columns: the output blocks of :func:`_row_blocks` and the
+    consecutive row slices their inputs are drawn in.
+
+    Where an output block is larger than an input block, it is drawn in
+    parts of at most two blocks of input values: smaller parts would bound
+    memory tighter, but make the allocator return and refetch freed pages
+    on every part. Where it is smaller (wide outputs), as many whole output
+    blocks as one input block holds are drawn together, so the generators
+    are not called once per few hundred rows. Both grids are fixed, so the
+    grid of a prefix is the whole's cut at the prefix's end.
+    """
+    blocks = _row_blocks(n_rows, width)
+    span = _block_rows(dimension)
+    together = span // _block_rows(width)
+    if together > 1:
+        edges = [rows.start for rows in blocks[::together]] + [n_rows]
+        return blocks, [slice(a, b) for a, b in zip(edges, edges[1:])]
+    step = 2 * span
+    parts = [slice(a, min(a + step, b.stop)) for b in blocks for a in range(b.start, b.stop, step)]
+    return blocks, parts
 
 
 def _evaluated_blocks(model: Model, samples, model_index: int, n_rows: int, width: int, transform):
     """(start, outputs) of ``model`` on the first ``n_rows`` sample rows, one
     block of the grid of :func:`_row_blocks` at a time. Rows are drawn just
-    before they are evaluated. Where an output block is larger than an
-    input block, it is drawn in parts of at most two blocks of input
-    values: smaller parts would bound memory tighter, but make the
-    allocator return and refetch freed pages on every part. Where it is
-    smaller (wide outputs), as many whole output blocks as one input block
-    holds are drawn together, so the generators are not called once per
-    few hundred rows; each output block is evaluated on its own rows.
+    before they are evaluated, in the parts of :func:`_draw_grid`; each
+    output block is evaluated on its own rows, one call per part it spans.
 
     With ``transform``, each block is scanned for finiteness
     (:func:`_check_finite`) and then mapped by ``transform(model_index,
     block)``, which must map each row on its own, as
     ``regression.GaussianProcessBridge`` predicts.
     """
-    blocks = _row_blocks(n_rows, width)
-    span = _block_rows(samples.dimension)
-    together = span // _block_rows(width)
-    if together > 1:
-        edges = [rows.start for rows in blocks[::together]] + [n_rows]
-        draws = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    else:
-        step = 2 * span
-        draws = [slice(a, min(a + step, b.stop)) for b in blocks for a in range(b.start, b.stop, step)]
+    blocks, draws = _draw_grid(n_rows, width, samples.dimension)
     walk, parts = samples.walk(draws), iter(draws)
     held, drawn = slice(0, 0), None
     for rows in blocks:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import whole_draw
+from conftest import RowSource, traced_peak, whole_draw
 from mfmc.errors import EvaluationError
 from mfmc.hierarchy import (
     Model,
@@ -213,18 +213,24 @@ def test_prefix_mean_covariance_cancellation():
 
 
 def _table_hierarchy(*tables):
-    """A hierarchy whose model i returns the leading rows of ``tables[i]``."""
+    """A hierarchy whose model i returns the rows of ``tables[i]`` its inputs
+    name, walked over row indices by :func:`_row_indices`."""
     models = tuple(
-        Model(lambda z, t=t: t[: z.shape[0]], 1.0 / 10**i, f"table{i}", vectorized=True)
+        Model(lambda z, t=t: t[int(z[0, 0]) :][: len(z)], 1.0 / 10**i, f"table{i}", vectorized=True)
         for i, t in enumerate(tables)
     )
     return ModelHierarchy(models, (Normal(0.0, 1.0),), output_length=tables[0].shape[1])
 
 
+def _row_indices(n):
+    """A one-column fake sample whose row r holds r."""
+    return RowSource(np.arange(n, dtype=float)[:, None])
+
+
 def test_evaluate_nested_memory_beyond_outputs_is_bounded():
     table = np.random.default_rng(5).normal(size=(20_000, 200))
     h = _table_hierarchy(table)
-    samples = draw_inputs(h, 20_000, 1)
+    samples = _row_indices(20_000)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -232,9 +238,25 @@ def test_evaluate_nested_memory_beyond_outputs_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.shares_memory(evals.outputs[0], table)
     # a one-shot finiteness mask would be 20,000 x 200 bytes = 4 MB
-    assert peak < 1e6
+    assert peak - evals.outputs[0].nbytes < 1e6
+
+
+@pytest.mark.parametrize("n", [200_000, 1_000_000])
+def test_evaluate_nested_memory_at_scale_is_bounded(n):
+    """Held evaluation draws its rows a part at a time: beyond the outputs
+    it holds a few blocks, where drawing all n rows at once took 8 and
+    40 MB."""
+    h = ishigami_hierarchy()
+    samples = draw_inputs(h, n, 6)
+    held = []
+
+    def run():
+        held.clear()
+        held.append(evaluate_nested(h, samples, [n] * h.n_models))
+
+    peak = traced_peak(run)
+    assert peak - sum(out.nbytes for out in held[0].outputs) < 4e6
 
 
 @pytest.mark.parametrize("width", [1, 200])
@@ -249,9 +271,52 @@ def test_evaluate_nested_names_first_non_finite_sample(width, where, bad):
     table[n - 1, 0] = np.nan  # a later bad value must not be the one reported
     h = _table_hierarchy(np.ones((n, width)), table)
     with pytest.raises(EvaluationError) as info:
-        evaluate_nested(h, draw_inputs(h, n, 2), [n // 2, n])
+        evaluate_nested(h, _row_indices(n), [n // 2, n])
     assert info.value.model_index == 1
     assert info.value.sample_index == row
+
+
+def _raise_value_error(z):
+    raise ValueError("model 2 cannot run")
+
+
+def _model_two_fails(case, n):
+    """Three one-column models on n rows, of which model 2 fails, and model 1
+    too unless ``case`` is "evaluator raises"."""
+    tables = [np.ones((n, 1)) for _ in range(3)]
+    models = _table_hierarchy(*tables).models
+    if case == "both non-finite":
+        tables[2][0] = np.nan
+        tables[1][n - 5] = np.inf  # in the last part
+    elif case == "wrong shape":
+        tables[1][n - 1] = np.nan
+        wide = Model(lambda z: np.ones((len(z), 2)), 0.01, "wide", vectorized=True)
+        models = models[:2] + (wide,)
+    else:
+        models = models[:2] + (Model(_raise_value_error, 0.01, "raises", vectorized=True),)
+    return ModelHierarchy(models, (Normal(0.0, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "case, error, rows_from_end",
+    [
+        ("both non-finite", EvaluationError, 5),
+        ("wrong shape", EvaluationError, 1),
+        ("evaluator raises", ValueError, None),
+    ],
+)
+def test_evaluate_nested_names_the_lowest_failing_model(case, error, rows_from_end):
+    """Every model's rows are evaluated part by part, but the error raised
+    is that of the lowest failing model, as if each model were evaluated
+    and checked before the next."""
+    n = 2 * _BLOCK_ELEMENTS + 9
+    with pytest.raises(error) as info:
+        evaluate_nested(_model_two_fails(case, n), _row_indices(n), [n] * 3)
+    if error is EvaluationError:
+        assert (info.value.model_index, info.value.model_label) == (1, "table1")
+        assert info.value.sample_index == n - rows_from_end
+    else:
+        assert str(info.value) == "model 2 cannot run"
 
 
 def _shape_drift_case(case):
