@@ -30,6 +30,7 @@ from .estimators import (
     evaluate_for_plan,
     mfmc_expectation,
     mfmc_statistic,
+    sum_for_plan,
 )
 from .hierarchy import (
     Model,

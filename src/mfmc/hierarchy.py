@@ -21,12 +21,16 @@ Three hierarchies ship with the package:
     A vector-valued (grid-valued) Gaussian family with closed-form
     per-point variances and correlations, used as an exact oracle for the
     vector-valued machinery.
+
+Each is one builder, which attaches the references it knows in closed
+form (``ModelHierarchy.references``), and one entry of the builder table
+that :func:`get_hierarchy` reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -111,12 +115,16 @@ class ModelHierarchy:
 
     The first model is the high-fidelity reference. All models accept
     inputs of the same dimension and produce outputs of the same length.
+    ``references`` maps a statistic's label to its exact value for the
+    high-fidelity model, where one is known in closed form (Sobol indices
+    on the variance-scaled scale); ``study.reference_values`` reads it.
     """
 
     models: tuple[Model, ...]
     input_distributions: tuple
     output_length: int = 1
     label: str = "hierarchy"
+    references: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.models) < 1:
@@ -191,7 +199,12 @@ def ishigami_hierarchy(costs=DEFAULT_BENCHMARK_COSTS) -> ModelHierarchy:
     dists = (Uniform(-math.pi, math.pi),) * 3
     models = _builtin_models("ishigami", (_ishigami_f1, _ishigami_f2, _ishigami_f3),
                              ("f1", "f2", "f3"), costs)
-    return ModelHierarchy(models, dists, output_length=1, label="ishigami")
+    main, total = ishigami_sobol_indices()
+    v = ishigami_variance()
+    references = {"expectation": np.array([ishigami_mean()]),
+                  "variance": np.array([ishigami_variance()]),
+                  "sobol-main": main * v, "sobol-total": total * v}
+    return ModelHierarchy(models, dists, output_length=1, label="ishigami", references=references)
 
 
 def ishigami_mean() -> float:
@@ -252,7 +265,9 @@ def quintic_hierarchy(costs=DEFAULT_BENCHMARK_COSTS) -> ModelHierarchy:
     dists = (Uniform(-math.pi, math.pi),) * 3
     models = _builtin_models("quintic", (_quintic_f1, _quintic_f2, _quintic_f3),
                              ("f1", "f2", "f3"), costs)
-    return ModelHierarchy(models, dists, output_length=1, label="quintic")
+    references = {"expectation": np.array([quintic_mean()]),
+                  "variance": np.array([quintic_variance()])}
+    return ModelHierarchy(models, dists, output_length=1, label="quintic", references=references)
 
 
 def quintic_mean() -> float:
@@ -317,11 +332,13 @@ def synthetic_field_hierarchy(n_points: int, costs=DEFAULT_BENCHMARK_COSTS) -> M
     """Vector-valued Gaussian hierarchy on the grid j/n_points, j = 1..n_points."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    grid = synthetic_field_grid(n_points)
+    x = synthetic_field_grid(n_points)
     dists = (Normal(0.0, 1.0),) * 3
-    models = _builtin_models("synthetic-field", [_FieldModel(grid, level) for level in (1, 2, 3)],
+    models = _builtin_models("synthetic-field", [_FieldModel(x, level) for level in (1, 2, 3)],
                              ("field1", "field2", "field3"), costs)
-    return ModelHierarchy(models, dists, output_length=n_points, label="synthetic-field")
+    references = {"expectation": np.zeros_like(x), "variance": 1.0 + 0.01 * x**2}
+    return ModelHierarchy(models, dists, output_length=n_points, label="synthetic-field",
+                          references=references)
 
 
 def synthetic_field_exact_moments(n_points: int):
@@ -343,18 +360,18 @@ def synthetic_field_exact_moments(n_points: int):
 # Registry for the command-line interface
 # ---------------------------------------------------------------------------
 
-HIERARCHY_NAMES = ("ishigami", "quintic", "synthetic-field")
+# One builder per name, each called with (costs, n_points).
+_BUILDERS = {
+    "ishigami": lambda costs, n_points: ishigami_hierarchy(costs),
+    "quintic": lambda costs, n_points: quintic_hierarchy(costs),
+    "synthetic-field": lambda costs, n_points: synthetic_field_hierarchy(n_points, costs),
+}
+HIERARCHY_NAMES = tuple(_BUILDERS)
 
 
 def get_hierarchy(name: str, costs=None, n_points: int = 17) -> ModelHierarchy:
     """Look up a built-in hierarchy by name, optionally overriding costs."""
+    if name not in _BUILDERS:
+        raise UnknownNameError(f"unknown hierarchy {name!r}; available: {', '.join(_BUILDERS)}")
     costs = tuple(costs) if costs is not None else DEFAULT_BENCHMARK_COSTS
-    if name == "ishigami":
-        return ishigami_hierarchy(costs)
-    if name == "quintic":
-        return quintic_hierarchy(costs)
-    if name == "synthetic-field":
-        return synthetic_field_hierarchy(n_points, costs)
-    raise UnknownNameError(
-        f"unknown hierarchy {name!r}; available: {', '.join(HIERARCHY_NAMES)}"
-    )
+    return _BUILDERS[name](costs, n_points)

@@ -19,8 +19,9 @@ columns (base, second, mixed_1..mixed_d), and each of its rows costs the
 d + 2 model runs behind it.
 
 Every statistic is read from a *fold*: a function that merges one row
-block of outputs into a running state (column sums, shifted moments,
-co-moments, sums of squared differences). Estimation never holds outputs:
+block of outputs into a running state. The folds belong to the statistic
+plugins (``estimators``); this module defines none, and walks rows and
+calls the folds it is given. Estimation never holds outputs:
 :func:`_sum_counts` evaluates each model one row block at a time and keeps
 only the folded states at the prefixes the telescoping combiner reads, in
 a :class:`PrefixSums`. The pilot, which needs per-sample values, holds its
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,8 @@ BASE_STREAM = 0
 SECOND_STREAM = 1
 
 # Elements per block of the row-blocked passes over model outputs (the
-# finiteness check and the folds of column sums and moments): their working
-# memory is one block, however many rows the outputs have.
+# finiteness check and the folds): their working memory is one block,
+# however many rows the outputs have.
 _BLOCK_ELEMENTS = 65536
 
 
@@ -262,15 +262,6 @@ def _check_finite(out: np.ndarray, model: Model, model_index: int, start: int = 
             )
 
 
-class _Moments(NamedTuple):
-    """Moments of the rows folded so far, each shifted by ``shift``."""
-
-    shift: np.ndarray  # the first row folded
-    n: int
-    mean: np.ndarray  # of the shifted rows
-    m2: np.ndarray  # centred sum of squares (or of products, _fold_sobol_main)
-
-
 class _Scratch:
     """The folds' working memory for rows of ``width`` values, allocated when
     a fold first asks for it and grown to the largest request. A fold that
@@ -289,157 +280,15 @@ class _Scratch:
         return self._flat[: k * self.width].reshape((k, self.width), order=order)
 
 
-def _fold_sum(total, block: np.ndarray, buf: _Scratch) -> np.ndarray:
-    """``total`` (None before the first block) plus the column sums of ``block``.
-
-    The first block is summed C-contiguous. numpy sums a C-contiguous
-    float64 array of width >= 2 down axis 0 one row after another, so a
-    later such block, if writeable, is summed in place with the running
-    sum added into its first row for the call (the row is put back after);
-    any other later block is copied into ``buf`` under the running sum,
-    which it carries in as its first row. Either way the result equals
-    ``np.add.reduce(outputs[:s], axis=0)`` of all rows so far bit for bit.
-    A single column is summed pairwise, so it equals that sum within the
-    first block (65,536 rows) and adds each later block's pairwise sum.
-    """
-    if total is None:
-        return np.add.reduce(np.ascontiguousarray(block), axis=0)
-    if block.shape[1] >= 2 and block.flags.c_contiguous and block.flags.writeable:
-        first = block[0].copy()
-        try:
-            np.add(total, first, out=block[0])
-            return np.add.reduce(block, axis=0)
-        finally:
-            block[0] = first
-    rows = buf.rows(len(block) + 1)
-    rows[1:] = block
-    rows[0] = total
-    return np.add.reduce(rows, axis=0)
-
-
-def _pairwise_row_sum(y: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``y`` (which may be overwritten), summed pairwise.
-
-    The rounding error grows with log2 of the rows, where a row-after-row
-    sum of squares can drift with their number: 3e-13 relative was seen
-    at 32,768 rows of outputs offset by 1e10. numpy sums a single column
-    (any contiguous column) pairwise itself, but row-major rows of width
-    >= 2 one row after another, so those are summed by adding the back
-    half onto the front half in place until one row is left.
-    """
-    if y.flags.f_contiguous:
-        return np.add.reduce(y, axis=0)
-    k = len(y)
-    while k > 1:
-        half = k // 2
-        y[:half] += y[k - half : k]
-        k -= half
-    return y[0].copy()
-
-
-def _fold_moments(state, block: np.ndarray, buf: _Scratch) -> _Moments:
-    """``state`` (None before the first block) merged with the moments of ``block``.
-
-    The rows are shifted so the sums stay on the scale of the spread
-    whatever the offset of the outputs; the shifted copy goes into ``buf``,
-    C-contiguous whatever the block's layout. The first block is shifted
-    by its first row, which stays the state's ``shift``, and centred on its
-    mean in a second pass; that mean is summed pairwise
-    (:func:`_pairwise_row_sum`), since its error enters every later merge.
-    Every later block is copied into ``buf`` and shifted there in place by
-    the running mean ``c`` (an in-place subtract streams two arrays, where
-    one into ``buf`` streams three); from the sum ``s1`` and the pairwise
-    sum of squares of the shifted rows
-    ``y``, its centred sum of squares is ``sum(y**2) - s1 * (s1 / k)`` and
-    its mean ``c + s1 / k``. Near the running mean, ``s1`` is small and the
-    difference loses few digits. The block is merged into the state by the
-    pairwise update of Chan, Golub & LeVeque (1979).
-    """
-    k = len(block)
-    if state is None:
-        shift = block[0].copy()
-        y = np.subtract(block, shift, out=buf.rows(k))
-        mean = _pairwise_row_sum(y if y.flags.f_contiguous else y.copy()) / k
-        np.subtract(y, mean, out=y)
-        return _Moments(shift, k, mean, _pairwise_row_sum(np.square(y, out=y)))
-    c = state.shift + state.mean
-    y = buf.rows(k)
-    np.copyto(y, block)
-    np.subtract(y, c, out=y)
-    s1 = np.add.reduce(y, axis=0)
-    mean = (c - state.shift) + s1 / k
-    m2 = _pairwise_row_sum(np.square(y, out=y)) - s1 * (s1 / k)
-    n = state.n + k
-    delta = mean - state.mean
-    return _Moments(
-        state.shift,
-        n,
-        state.mean + delta * (k / n),
-        state.m2 + m2 + delta**2 * (state.n * k / n),
-    )
-
-
-# A Sobol block's columns are its input sets: base (0), second (1) and
-# mixed_1..mixed_d (2..). Its folds work column-major, since numpy loops
-# over a (k, d + 2) row-major block one short row at a time (about ten
-# times slower at d = 3), and sums each contiguous column pairwise.
-
-
-def _fold_sobol_main(state, block: np.ndarray, buf: _Scratch) -> _Moments:
-    """``state`` (None before the first block) merged with the co-moments of
-    a Sobol block's base column with each mixed column: ``m2[j]`` is
-    sum((base - mean) * (mixed_j - mean)), and ``mean`` covers every column.
-
-    The block is shifted and merged as in :func:`_fold_moments`, with the
-    products of the base column and the mixed columns in place of the
-    squares: a later block's centred sum of products is
-    ``sum(y_base * y_j) - s1_base * (s1_j / k)``, and the merge adds
-    ``delta_base * delta_j * n_a * k / n``.
-    """
-    k = len(block)
-    y = buf.rows(k, "F")
-    if state is None:
-        shift = block[0].copy()
-        np.subtract(block, shift, out=y)
-        mean = np.add.reduce(y, axis=0) / k
-        np.subtract(y, mean, out=y)
-        m2 = np.add.reduce(np.multiply(y[:, 2:], y[:, :1], out=y[:, 2:]), axis=0)
-        return _Moments(shift, k, mean, m2)
-    c = state.shift + state.mean
-    np.subtract(block, c, out=y)
-    s1 = np.add.reduce(y, axis=0)
-    mean = (c - state.shift) + s1 / k
-    m2 = np.add.reduce(np.multiply(y[:, 2:], y[:, :1], out=y[:, 2:]), axis=0) - s1[2:] * (s1[0] / k)
-    n = state.n + k
-    delta = mean - state.mean
-    return _Moments(
-        state.shift,
-        n,
-        state.mean + delta * (k / n),
-        state.m2 + m2 + delta[2:] * delta[0] * (state.n * k / n),
-    )
-
-
-def _fold_sobol_total(total, block: np.ndarray, buf: _Scratch) -> np.ndarray:
-    """``total`` (None before the first block) plus the column sums of
-    ``(block - second)**2`` for a Sobol block: sum((second - mixed_j)**2)
-    in column j + 2. Column 0 (base minus second) is kept so that every
-    column enters the state (:func:`_finite_state`). Each block is summed
-    pairwise, column-major."""
-    k = len(block)
-    y = np.subtract(block, block[:, 1:2], out=buf.rows(k, "F"))
-    s = np.add.reduce(np.square(y, out=y), axis=0)
-    return s if total is None else total + s
-
-
-def _finite_state(state) -> bool:
-    """Whether a fold's state is finite: the sums of :func:`_fold_sum` and
-    :func:`_fold_sobol_total`, the mean of :func:`_fold_moments`. Every
-    column of the rows folded enters that state, and a NaN or an infinity
-    makes its column NaN or infinite, so a finite state proves the rows
-    finite. A non-finite one may still come from finite rows whose sum
-    overflowed."""
-    return bool(np.isfinite(state.mean if isinstance(state, _Moments) else state).all())
+def _finite_states(states) -> bool:
+    """Whether the folds' ``states``, each an array or a tuple of arrays (or
+    numbers), are finite throughout; one check reads them all. Every column
+    of the rows folded enters a fold's state (``estimators`` states that
+    contract for its folds), and a NaN or an infinity makes its column NaN
+    or infinite, so finite states prove the rows finite. Non-finite ones
+    may still come from finite rows whose sums overflowed."""
+    parts = [part for state in states for part in (state if isinstance(state, tuple) else (state,))]
+    return bool(np.isfinite(np.concatenate(parts, axis=None)).all())
 
 
 def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
@@ -452,7 +301,7 @@ def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
     or on where the rows came from.
 
     ``check(rows, start=start)``, if given, runs on a block only when a
-    state it was folded into is not finite (:func:`_finite_state`), so
+    state it was folded into is not finite (:func:`_finite_states`), so
     finite rows are never scanned element by element. The fold's
     arithmetic on a bad block raises no warning (``inf - inf``); ``check``
     reports the block. A block is dropped before the next is made.
@@ -467,7 +316,7 @@ def _fold_prefixes(blocks, stops, folds, width: int, check=None) -> dict:
                 if start < s < stop:
                     out[s] = {f: f(states[f], rows[: s - start], buf) for f in folds}
             states = {f: f(states[f], rows, buf) for f in folds}
-        if check is not None and not all(map(_finite_state, states.values())):
+        if check is not None and not _finite_states(states.values()):
             check(rows, start=start)
         if stop in stops:
             out[stop] = states

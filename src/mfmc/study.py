@@ -36,15 +36,7 @@ from .allocation import (
 )
 from .errors import DegenerateStatsError, InfeasibleBudgetError, MFMCError, UnknownNameError
 from .estimators import STATISTICS, apply_bridges, mfmc_statistic, sum_for_plan
-from .hierarchy import (
-    get_hierarchy,
-    ishigami_mean,
-    ishigami_sobol_indices,
-    ishigami_variance,
-    quintic_mean,
-    quintic_variance,
-    synthetic_field_grid,
-)
+from .hierarchy import get_hierarchy
 from .pilot import PilotStats, estimate_q_stats
 from .regression import GaussianProcessBridge
 from .sampling import (
@@ -56,13 +48,12 @@ from .sampling import (
     sobol_cost_factor,
 )
 
-STAT_ORDER = {"expectation": 0, "variance": 1, "sobol-main": 2, "sobol-total": 3}
 MODES = ("linear", "nonlinear")
 
 # Seed-stream purposes; replicate r of a study uses (seed, purpose, r).
 _PILOT = 101
 _TRAIN = 211
-_ESTIMATE = 307  # plus the STAT_ORDER of a group's first member
+_ESTIMATE = 307  # plus the position in STATISTICS of a group's first member
 _REFERENCE = 977
 
 
@@ -188,10 +179,14 @@ class StudyConfig:
                     f"budgets {list(self.budgets)} times costs[0]={unit:g} overflow a float; "
                     "lower budgets or costs"
                 )
-        if self.mode == "nonlinear" and any(
-            STATISTICS[s].needs_sobol_block for s in self.statistics
-        ):
+        sobol = [s for s in self.statistics if STATISTICS[s].needs_sobol_block]
+        if self.mode == "nonlinear" and sobol:
             raise ValueError("nonlinear mode does not support Sobol statistics")
+        if hierarchy.output_length != 1 and (self.mode == "nonlinear" or sobol):
+            refused = ("bridges (mode='nonlinear')" if self.mode == "nonlinear"
+                       else f"Sobol indices (statistics={sobol})")
+            raise ValueError(f"hierarchy={self.hierarchy!r} has {hierarchy.output_length} outputs "
+                             f"per sample, but {refused} read scalar outputs only")
         return self
 
     def to_dict(self):
@@ -220,10 +215,11 @@ def _object(value, where: str) -> dict:
 
 
 def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndarray | None:
-    """Reference statistic values: a user oracle file, else analytic built-ins.
+    """Reference statistic values: a user oracle file, else the closed-form
+    ones the hierarchy's builder attached (``ModelHierarchy.references``).
 
-    Sobol references are returned on the raw (variance-scaled) scale the
-    estimators work on. A file is refused when its ``_meta`` (which
+    Sobol references are on the raw (variance-scaled) scale the estimators
+    work on. A file is refused when its ``_meta`` (which
     ``make_reference`` writes) names another hierarchy, or when its entry
     does not have one number per component of the statistic.
     """
@@ -246,30 +242,7 @@ def reference_values(config: StudyConfig, stat_label: str, hierarchy) -> np.ndar
                 raise MFMCError(f"{where} has {values.size} values, but {stat_label} has "
                                 f"{p} components")
             return values
-    name = hierarchy.label
-    if name == "ishigami":
-        if stat_label == "expectation":
-            return np.array([ishigami_mean()])
-        if stat_label == "variance":
-            return np.array([ishigami_variance()])
-        main, total = ishigami_sobol_indices()
-        v = ishigami_variance()
-        if stat_label == "sobol-main":
-            return main * v
-        if stat_label == "sobol-total":
-            return total * v
-    if name == "quintic":
-        if stat_label == "expectation":
-            return np.array([quintic_mean()])
-        if stat_label == "variance":
-            return np.array([quintic_variance()])
-    if name == "synthetic-field":
-        x = synthetic_field_grid(hierarchy.output_length)
-        if stat_label == "expectation":
-            return np.zeros_like(x)
-        if stat_label == "variance":
-            return 1.0 + 0.01 * x**2
-    return None
+    return hierarchy.references.get(stat_label)
 
 
 def _n_components(hierarchy, stat) -> int:
@@ -320,9 +293,9 @@ def _pilot_key(config: StudyConfig) -> dict:
 
 def _members(statistics, sobol: bool) -> tuple:
     """The group of ``statistics`` that reads one draw kind, a Sobol block
-    when ``sobol`` is set, else plain rows, in ``STAT_ORDER``."""
-    same = (s for s in statistics if STATISTICS[s].needs_sobol_block == sobol)
-    return tuple(sorted(same, key=STAT_ORDER.get))
+    when ``sobol`` is set, else plain rows, in the order of ``STATISTICS``."""
+    return tuple(s for s, stat in STATISTICS.items()
+                 if s in statistics and stat.needs_sobol_block == sobol)
 
 
 def _stack(stats, pilots, weights):
@@ -478,7 +451,7 @@ class _Replicate:
             stats = [STATISTICS[s] for s in members]
             pilots, bridges = zip(*(self.pilot_stage(stat) for stat in stats))
             plans = _plan_stage(self.config, self.hierarchy, stats, pilots, budget)
-            est_seed = (self.config.seed, _ESTIMATE + STAT_ORDER[members[0]], self.rep)
+            est_seed = (self.config.seed, _ESTIMATE + list(STATISTICS).index(members[0]), self.rep)
             samples = _draw(self.hierarchy, sobol, int(plans[0].m.max()), est_seed)
             sums = sum_for_plan(self.hierarchy, plans[0], samples, stats, bridges[0])
             self.groups[sobol, budget] = dict(zip(members, zip(pilots, plans))), sums

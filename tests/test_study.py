@@ -2,6 +2,7 @@ import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -587,6 +588,37 @@ def test_validate_rejects_values_that_used_to_fail_inside_a_replicate(overrides,
         StudyConfig(**overrides).validate()
 
 
+_SCALAR_ONLY = [
+    (["--set", "mode=nonlinear"], "mode='nonlinear'"),
+    (["--set", 'statistics=["sobol-main"]'], "statistics=['sobol-main']"),
+    (["--set", 'statistics=["expectation", "sobol-total"]'], "statistics=['sobol-total']"),
+]
+
+
+@pytest.mark.parametrize("command", ["pilot", "allocate", "estimate", "sweep", "make-reference"])
+@pytest.mark.parametrize("refused, words", _SCALAR_ONLY, ids=["nonlinear", "sobol", "mixed"])
+def test_vector_outputs_are_refused_for_bridges_and_sobol_before_any_model_runs(
+    tmp_path, capsys, monkeypatch, command, refused, words
+):
+    # these passed validate and failed inside the first replicate, after the
+    # pilot ran, with "bridged estimation supports scalar outputs only" or
+    # "Sobol evaluation requires scalar-output models", naming no key
+    def no_runs(model, inputs):
+        raise AssertionError(f"model {model.label!r} ran")
+
+    monkeypatch.setattr(Model, "evaluate_batch", no_runs)
+    out = tmp_path / "out"
+    args = ["--set", "hierarchy=synthetic-field", "--set", "n_points=3", *refused,
+            "--set", "replicates=2", "--out-dir", str(out)]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in ["hierarchy='synthetic-field'", "3 outputs", words]), err
+    assert not out.exists()
+    # a one-point field has scalar outputs
+    StudyConfig(hierarchy="synthetic-field", n_points=1, mode="nonlinear").validate()
+    StudyConfig(hierarchy="synthetic-field", n_points=1, statistics=("sobol-main",)).validate()
+
+
 def test_sizes_up_to_int64_and_any_seed_pass_validation():
     # a seed is taken modulo 2**64 (sampling._seed_tuple), so it has no range
     StudyConfig(seed=-(10**40), replicates=2**63 - 1, pilot_size=2**63 - 1).validate()
@@ -791,16 +823,16 @@ def test_sweep_writes_rows_and_respects_reference_requirement(tmp_path):
     # per-budget artifacts in subdirectories
     assert (Path(config.out_dir) / "p10" / "summary.json").exists()
 
-    field = StudyConfig(
-        hierarchy="synthetic-field",
-        n_points=3,
+    # quintic has no closed-form Sobol indices
+    unknown = StudyConfig(
+        hierarchy="quintic",
         statistics=("sobol-main",),
         budgets=(5.0,),
         replicates=2,
         out_dir=str(tmp_path / "nope"),
     )
-    with pytest.raises(MFMCError):
-        replicate_sweep(field)
+    with pytest.raises(MFMCError, match="no reference values for 'sobol-main'"):
+        replicate_sweep(unknown)
 
 
 def test_sweep_single_budget_degenerates_to_study_plus_csv(tmp_path):
@@ -1380,3 +1412,66 @@ def test_replicate_estimates_through_one_sum_for_plan_call(monkeypatch, override
     got = run_replicate(config, stat, 20.0, 0)
     assert calls == [("expectation", "variance") if stat == "variance" else (stat,)]
     _same_record(expected, got)
+
+
+class _SquareSum(NamedTuple):
+    n: int
+    total: np.ndarray
+
+
+def _fold_square_sum(state, block, buf):
+    total = np.add.reduce(np.square(block), axis=0)
+    if state is None:
+        return _SquareSum(len(block), total)
+    return _SquareSum(state.n + len(block), state.total + total)
+
+
+class _MeanSquareStatistic:
+    """A statistic the package does not ship: the mean of the squared
+    outputs, folded into a NamedTuple state of a row count and an array."""
+
+    label = "mean-square"
+    min_samples = 1
+    needs_sobol_block = False
+    fold = staticmethod(_fold_square_sum)
+
+    def single_level(self, evals, model_index, m):
+        state = evals.state(model_index, m, self.fold)
+        assert state.n == m
+        return state.total / m
+
+    def pilot_contributions(self, evals, model_index, n):
+        return evals.outputs[model_index][:n] ** 2
+
+
+def test_a_statistic_registered_only_in_statistics_runs_a_study_and_a_reference(
+    tmp_path, monkeypatch
+):
+    # a plugin added to STATISTICS alone failed on the rank list study.py
+    # kept (a TypeError sorting a group, a KeyError picking its stream),
+    # then on a finiteness check that read only the package's own state
+    # types (a ValueError for an inhomogeneous shape)
+    monkeypatch.setitem(STATISTICS, "mean-square", _MeanSquareStatistic())
+    config = _tiny_config(tmp_path, statistics=("expectation", "mean-square"), replicates=3)
+    entry = run_study(config)["statistics"]["mean-square"]
+    assert entry["reference"] is None and entry["empirical_mse"] is None
+    assert np.all(np.isfinite(entry["value_mean"]))
+    costs = config.build_hierarchy().costs
+    for rep in range(config.replicates):
+        rec = run_replicate(config, "mean-square", 20.0, rep)
+        mean = run_replicate(config, "expectation", 20.0, rep)
+        m, kept = rec["m"], rec["retained"]
+        assert np.array_equal(m, mean["m"])  # one plan for the plain-draw group
+        assert m[0] >= 1 and np.all(m[~kept] == 0) and np.all(np.diff(m[kept]) >= 0)
+        assert float(np.dot(costs, m)) <= 20.0 * costs[0] * (1 + 1e-12)
+        assert rec["realized_cost"] == float(np.dot(costs, m)) / 2
+        assert np.all(np.isfinite(rec["values"]))
+
+    n = 3000
+    ref = _tiny_config(tmp_path, statistics=("mean-square", "variance"), reference_samples=n)
+    table = make_reference(ref, tmp_path / "ref.json")
+    h = ref.build_hierarchy()
+    samples = draw_inputs(h, n, (ref.seed, study._REFERENCE))
+    y = evaluate_nested(h, samples, [n, 0, 0]).outputs[0]
+    assert table["mean-square"] == pytest.approx([np.mean(y**2)], rel=1e-12)
+    assert table["variance"] == pytest.approx([np.var(y, ddof=1)], rel=1e-10)
